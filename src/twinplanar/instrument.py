@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from .layering import BfsTree
 from .plane_graph import PlaneGraph
+from .seq_bipartite import WIDTH_BOUND as BIPARTITE_BOUND
+from .seq_planar import WIDTH_BOUND as PLANAR_BOUND
 from .trigraph import Trigraph
 
 
@@ -32,7 +34,7 @@ class InvariantChecker:
         if mode not in ("planar", "bipartite"):
             raise ValueError(mode)
         self.mode = mode
-        self.cap_global = 8 if mode == "planar" else 6
+        self.cap_global = PLANAR_BOUND if mode == "planar" else BIPARTITE_BOUND
         self.cap_boundary = 5 if mode == "planar" else 4
         self.cap_right = 3 if mode == "planar" else 2
         self.g: PlaneGraph | None = None
@@ -49,7 +51,8 @@ class InvariantChecker:
 
     def bind(self, g: PlaneGraph, t: BfsTree) -> None:
         self.g, self.t = g, t
-        self.sim = Trigraph(g.n, g.edges, levels=t.depth)
+        self.sim = Trigraph(g.n, g.edges, levels=t.depth,
+                            track_provenance=False)
         self.pure = {v: t.depth[v] for v in range(g.n)}
 
     def push_region(self, spec) -> None:

@@ -684,7 +684,7 @@ def write_plane(g: PlaneGraph, comments: Iterable[str] = ()) -> str:
 
 def parse_plane(text: str) -> PlaneGraph:
     n = m = -1
-    edges: list[tuple[int, int]] = []
+    edges: list[tuple[int, int] | None] = []
     rot_eids: dict[int, list[int]] = {}
     outer_spec: tuple[int, int] | None = None
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -697,9 +697,13 @@ def parse_plane(text: str) -> PlaneGraph:
                 if parts[1] != "plane":
                     raise FormatError("expected 'p plane'")
                 n, m = int(parts[2]), int(parts[3])
-                edges = [(-1, -1)] * m
+                edges = [None] * m
             elif parts[0] == "e":
                 e, u, v = int(parts[1]), int(parts[2]), int(parts[3])
+                if not 0 <= e < m:
+                    raise FormatError(f"edge id {e} outside 0..{m - 1}")
+                if edges[e] is not None:
+                    raise FormatError(f"second record for edge {e}")
                 edges[e] = (u, v)
             elif parts[0] == "r":
                 rot_eids[int(parts[1])] = [int(x) for x in parts[2:]]
@@ -711,7 +715,7 @@ def parse_plane(text: str) -> PlaneGraph:
             raise FormatError(f"line {ln}: {raw!r}: {exc}") from exc
     if n < 0:
         raise FormatError("missing 'p plane' header")
-    if any(u < 0 for u, _ in edges):
+    if None in edges:
         raise FormatError("missing edge record")
     rotations: list[list[int]] = []
     for v in range(n):

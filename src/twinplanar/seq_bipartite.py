@@ -18,6 +18,8 @@ from .seq_planar import RegionSpec
 from .trigraph import (ContractionSequence, WidthReport, restrict_sequence,
                        verify_sequence)
 
+WIDTH_BOUND = 6  # the verified width every bipartite_sequence result must meet
+
 
 def _quad_face(g: PlaneGraph, lid_dart: int) -> tuple[int, int, int, int, int]:
     walk = g.faces[g.face_of[lid_dart]]
@@ -200,7 +202,8 @@ def bipartite_sequence(g0: PlaneGraph, checker=None,
     """Full contraction sequence of width <= 6 for a simple bipartite plane
     graph: connect, quadrangulate, left-aligned BFS tree, the bicore
     recursion on the outer quadrangle, a final phase pairing opposite outer
-    vertices, then restriction back to V(g0)."""
+    vertices, then restriction back to V(g0).  An empty graph or a verified
+    width above ``WIDTH_BOUND`` raises ``BuilderError``."""
     seq0, report, _ = bipartite_sequence_full(g0, checker)
     return seq0, report
 
@@ -212,6 +215,8 @@ def bipartite_sequence_full(g0: PlaneGraph, checker=None, verify: bool = True):
 
 
 def _bipartite_sequence_full(g0: PlaneGraph, checker, verify):
+    if g0.n == 0:
+        raise BuilderError("empty graph: nothing to contract")
     if not g0.is_simple():
         raise BuilderError("input must be simple")
     odd = find_odd_cycle(g0)
@@ -252,4 +257,7 @@ def _bipartite_sequence_full(g0: PlaneGraph, checker, verify):
         keep = [vm.old_to_new[v] for v in range(g0.n)]
         seq0 = restrict_sequence(seq, keep)
     report = verify_sequence(g0.n, g0.edges, seq0) if verify else None
+    if report is not None and report.width > WIDTH_BOUND:
+        raise BuilderError(
+            f"verified width {report.width} exceeds the bound {WIDTH_BOUND}")
     return seq0, report, (seq, g, t)

@@ -21,6 +21,8 @@ from .plane_graph import PlaneGraph, connect_components, triangulate
 from .trigraph import (ContractionSequence, WidthReport, restrict_sequence,
                        verify_sequence)
 
+WIDTH_BOUND = 8  # the verified width every planar_sequence result must meet
+
 
 @dataclass
 class RegionSpec:
@@ -346,7 +348,8 @@ def planar_sequence(g0: PlaneGraph, checker=None,
     tree from a root on the outer triangle, the core recursion on the outer
     face, a final phase on the <= 5 leftover vertices, then restriction back
     to V(g0).  The returned report comes from replaying the restricted
-    sequence with the independent verifier.
+    sequence with the independent verifier; an empty graph or a verified
+    width above ``WIDTH_BOUND`` raises ``BuilderError``.
     """
     seq0, report, _ = planar_sequence_full(g0, checker)
     return seq0, report
@@ -359,6 +362,8 @@ def planar_sequence_full(g0: PlaneGraph, checker=None, verify: bool = True):
 
 
 def _planar_sequence_full(g0: PlaneGraph, checker, verify):
+    if g0.n == 0:
+        raise BuilderError("empty graph: nothing to contract")
     if not g0.is_simple():
         raise BuilderError("input must be simple")
     gc, vm1 = connect_components(g0)
@@ -391,4 +396,7 @@ def _planar_sequence_full(g0: PlaneGraph, checker, verify):
         keep = [vm.old_to_new[v] for v in range(g0.n)]
         seq0 = restrict_sequence(seq, keep)
     report = verify_sequence(g0.n, g0.edges, seq0) if verify else None
+    if report is not None and report.width > WIDTH_BOUND:
+        raise BuilderError(
+            f"verified width {report.width} exceeds the bound {WIDTH_BOUND}")
     return seq0, report, (seq, g, t)

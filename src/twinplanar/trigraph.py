@@ -6,7 +6,10 @@ black and turns every other inherited adjacency red:
 ``red(z) = (red(x) | red(y) | (N(x) ^ N(y))) - {x, y}``.
 
 A sequence's width is the maximum red degree seen after any step; dummy
-``d x`` steps lower the level of x by one and never touch adjacency.
+``d x`` steps lower the level of x by one and never touch adjacency.  The
+trigraph keeps a histogram of red degrees, updated by each contraction
+only at z and its red neighbours, so the verifier reads the running
+maximum after every step in O(1).
 """
 
 from __future__ import annotations
@@ -55,7 +58,11 @@ class Trigraph:
     """Mutable trigraph with black/red adjacency, levels and provenance.
 
     Single-writer; ``contract`` merges the smaller provenance set into the
-    larger one so total bookkeeping stays near-linear.
+    larger one so total bookkeeping stays near-linear.  ``_red_hist[d]``
+    counts the live vertices of red degree d and ``_max_red`` is the largest
+    d with a nonzero count; ``contract`` keeps both current, so
+    ``max_red_degree`` is O(1).  Writing to ``black``/``red`` directly
+    bypasses that bookkeeping.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
@@ -64,11 +71,17 @@ class Trigraph:
         self.n0 = n
         self.black: dict[int, set[int]] = {v: set() for v in range(n)}
         self.red: dict[int, set[int]] = {v: set() for v in range(n)}
-        for u, v in edges:
-            if u == v:
-                raise SequenceError(f"loop edge at {u}")
-            self.black[u].add(v)
-            self.black[v].add(u)
+        try:
+            for u, v in edges:
+                if u == v:
+                    raise SequenceError(f"loop edge at {u}")
+                self.black[u].add(v)
+                self.black[v].add(u)
+        except KeyError as exc:
+            raise SequenceError(
+                f"edge endpoint {exc.args[0]} outside 0..{n - 1}") from None
+        self._red_hist = [n] + [0] * n  # all n vertices start at red degree 0
+        self._max_red = 0
         self.level: dict[int, int] | None = (
             {v: levels[v] for v in range(n)} if levels is not None else None)
         self.prov: dict[int, set[int]] | None = (
@@ -87,7 +100,7 @@ class Trigraph:
         return len(self.red[v])
 
     def max_red_degree(self) -> int:
-        return max((len(r) for r in self.red.values()), default=0)
+        return self._max_red
 
     def neighbors(self, v: int) -> set[int]:
         return self.black[v] | self.red[v]
@@ -98,31 +111,44 @@ class Trigraph:
         """Contract x and y into a fresh vertex, returning its id."""
         if x == y:
             raise SequenceError("cannot contract a vertex with itself")
-        if x not in self.black or y not in self.black:
+        black, red, hist = self.black, self.red, self._red_hist
+        if x not in black or y not in black:
             raise SequenceError(f"contracting dead/unknown vertex ({x},{y})")
         z = self.next_id
         self.next_id += 1
-        bx, by = self.black[x], self.black[y]
-        rx, ry = self.red[x], self.red[y]
-        nx = bx | rx
-        ny = by | ry
-        reds = (rx | ry | (nx ^ ny)) - {x, y}
-        blacks = (nx | ny) - {x, y} - reds
+        bx, by = black.pop(x), black.pop(y)
+        rx, ry = red.pop(x), red.pop(y)
+        hist[len(rx)] -= 1
+        hist[len(ry)] -= 1
+        # common black neighbours keep a black edge and their red degree
+        blacks = bx & by
         for w in blacks:
-            self.black[w].discard(x)
-            self.black[w].discard(y)
-            self.red[w].discard(x)
-            self.red[w].discard(y)
-            self.black[w].add(z)
+            bw = black[w]
+            bw.remove(x)
+            bw.remove(y)
+            bw.add(z)
+        reds = (bx ^ by) | rx | ry
+        reds.discard(x)
+        reds.discard(y)
         for w in reds:
-            self.black[w].discard(x)
-            self.black[w].discard(y)
-            self.red[w].discard(x)
-            self.red[w].discard(y)
-            self.red[w].add(z)
-        del self.black[x], self.black[y], self.red[x], self.red[y]
-        self.black[z] = blacks
-        self.red[z] = reds
+            bw, rw = black[w], red[w]
+            d = len(rw)
+            bw.discard(x)
+            bw.discard(y)
+            rw.discard(x)
+            rw.discard(y)
+            rw.add(z)
+            if len(rw) != d:
+                hist[d] -= 1
+                hist[len(rw)] += 1
+        black[z] = blacks
+        red[z] = reds
+        hist[len(reds)] += 1
+        # a red degree other than z's grows by at most one per contraction
+        mx = max(self._max_red + 1, len(reds))
+        while mx and not hist[mx]:
+            mx -= 1
+        self._max_red = mx
         if self.prov is not None:
             px, py = self.prov.pop(x), self.prov.pop(y)
             if len(px) < len(py):
@@ -249,57 +275,31 @@ def verify_sequence(n: int, edges: Iterable[tuple[int, int]],
 
 def _verify_inner(n, edges, seq, levels, debug_recheck):
     t = Trigraph(n, edges, levels, track_provenance=False)
-    # exact running maximum via red-degree counts
-    cnt: dict[int, int] = {0: n}
-    cur_max = 0
     per_step: list[int] = []
-    expected_fresh = n
     for idx, step in enumerate(seq.steps):
-        if step[0] == "k":
-            _, x, y, z = step
-            if z != expected_fresh:
-                raise SequenceError(
-                    f"step {idx}: fresh id {z} != expected {expected_fresh}")
-            expected_fresh += 1
-            if x not in t.red or y not in t.red:
-                raise SequenceError(f"step {idx}: dead/unknown vertex")
-            # only red-incident degrees can change: common black neighbours
-            # keep their black edge and their red degree
-            affected = {x, y} | t.red[x] | t.red[y]
-            old = {w: len(t.red[w]) for w in affected}
-            t.contract(x, y)
-            for w in t.red[z]:
-                if w not in old:
-                    affected.add(w)
-                    old[w] = len(t.red[w]) - 1  # gained exactly the z edge
-            for w in affected:
-                cnt[old[w]] -= 1
-                if w in t.red:
-                    d = len(t.red[w])
-                    cnt[d] = cnt.get(d, 0) + 1
-                    if d > cur_max:
-                        cur_max = d
-            dz = len(t.red[z])
-            cnt[dz] = cnt.get(dz, 0) + 1
-            if dz > cur_max:
-                cur_max = dz
-            while cur_max and not cnt.get(cur_max):
-                cur_max -= 1
-        elif step[0] == "d":
-            if t.level is not None:
-                t.decrease_level(step[1])
-            elif step[1] not in t.black:
-                raise SequenceError(f"step {idx}: d-step on dead vertex")
-        else:
-            raise SequenceError(f"step {idx}: unknown step kind {step[0]!r}")
+        try:
+            if step[0] == "k":
+                if step[3] != t.next_id:
+                    raise SequenceError(
+                        f"fresh id {step[3]} != expected {t.next_id}")
+                t.contract(step[1], step[2])
+            elif step[0] == "d":
+                if t.level is not None:
+                    t.decrease_level(step[1])
+                elif step[1] not in t.black:
+                    raise SequenceError("d-step on dead vertex")
+            else:
+                raise SequenceError(f"unknown step kind {step[0]!r}")
+        except SequenceError as exc:
+            raise SequenceError(f"step {idx}: {exc}") from None
+        cur_max = t.max_red_degree()
         per_step.append(cur_max)
         if debug_recheck and (idx + 1) % debug_recheck == 0:
-            real = t.max_red_degree()
+            real = max(map(len, t.red.values()), default=0)
             if real != cur_max:
                 raise SequenceError(
                     f"red-degree drift at step {idx}: {cur_max} != {real}")
-    width = max(per_step, default=0)
-    return WidthReport(width, per_step, seq.is_full())
+    return WidthReport(max(per_step, default=0), per_step, seq.is_full())
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 import twinplanar as tp
 from twinplanar import plane_graph as pg
+from twinplanar import seq_bipartite, seq_planar
 from twinplanar.cli import main
 
 
@@ -159,3 +160,31 @@ def test_console_entrypoint():
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert "twinplanar" in r.stdout
+
+
+@pytest.mark.parametrize("mode", ["planar", "bipartite"])
+def test_cli_empty_graph_is_a_typed_error(tmp_path, mode):
+    p = tmp_path / "empty.plane"
+    p.write_text("p plane 0 0\n")
+    r = subprocess.run([sys.executable, "-m", "twinplanar.cli", "seq", str(p),
+                        "--mode", mode], capture_output=True, text=True)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "empty graph" in r.stderr
+
+
+@pytest.mark.parametrize("mode, module, width", [
+    ("planar", seq_planar, 9), ("bipartite", seq_bipartite, 7)],
+    ids=["planar", "bipartite"])
+def test_cli_seq_enforces_width_bound(tmp_path, capsys, monkeypatch, mode,
+                                      module, width):
+    def over_bound(n, edges, seq):
+        return tp.WidthReport(width, [width] * len(seq.steps), True)
+
+    monkeypatch.setattr(module, "verify_sequence", over_bound)
+    p = tmp_path / "grid.plane"
+    p.write_text(pg.write_plane(tp.gen_grid(3, 3)))
+    code, out, err = run_cli(["seq", str(p), "--mode", mode], capsys)
+    assert code == 2
+    assert f"verified width {width} exceeds the bound" in err
+    assert out == ""

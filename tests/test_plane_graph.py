@@ -219,6 +219,17 @@ def test_parse_plane_errors():
         pg.parse_plane("p plane 2 1\ne 0 0 1\nr 0 0\nr 1 0\n")  # no outer
 
 
+@pytest.mark.parametrize("record, msg", [
+    ("e -1 0 1", "line 3: .*edge id -1 outside 0..0"),
+    ("e 1 0 1", "line 3: .*edge id 1 outside 0..0"),
+    ("e 0 0 1", "line 3: .*second record for edge 0"),
+], ids=["negative-id", "id-past-m", "duplicate"])
+def test_parse_plane_rejects_bad_edge_ids(record, msg):
+    text = f"p plane 2 1\ne 0 0 1\n{record}\nr 0 0\nr 1 0\nouter 0 0\n"
+    with pytest.raises(pg.FormatError, match=msg):
+        pg.parse_plane(text)
+
+
 def test_edge_list_roundtrip():
     text = pg.write_edge_list(4, [(0, 1), (2, 3)], comments=["x"])
     n, edges = pg.parse_edge_list(text)

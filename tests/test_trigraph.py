@@ -113,10 +113,41 @@ def test_verify_rejects_bad_level_decrease():
 
 
 def test_verify_debug_recheck():
-    g = tp.gen_triangulation(40, 3)
-    seq, rep = tp.planar_sequence(g)
-    rep2 = tg.verify_sequence(g.n, g.edges, seq, debug_recheck=1)
-    assert rep2.width == rep.width
+    # one builder output per benchmark family: stacked, grid, thinned stacked
+    tri = tp.gen_triangulation(200, 3)
+    rng = random.Random(4)
+    thinned = tp.embed_abstract(
+        tri.n, [e for e in tri.edges if rng.random() < 0.45])
+    for g, build in ((tri, tp.planar_sequence),
+                     (tp.gen_grid(12, 17), tp.bipartite_sequence),
+                     (thinned, tp.planar_sequence)):
+        seq, rep = build(g)
+        rep2 = tg.verify_sequence(g.n, g.edges, seq, debug_recheck=1)
+        assert rep2.per_step_max == rep.per_step_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.sampled_from([0.1, 0.3, 0.6]), st.randoms())
+def test_red_histogram_matches_reference(n, p, rng):
+    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+    seq = tg.ContractionSequence(n)
+    live = list(range(n))
+    while len(live) > 1:
+        x, y = rng.sample(live, 2)
+        z = n + len(seq.steps)
+        live.remove(x)
+        live.remove(y)
+        live.append(z)
+        seq.steps.append(("k", x, y, z))
+    rep = tg.verify_sequence(n, edges, seq, debug_recheck=1)
+    assert rep.per_step_max == tp.reference_verify(n, edges, seq).per_step_max
+
+
+@pytest.mark.parametrize("edge", [(0, 5), (0, -1)], ids=["past-n", "negative"])
+def test_verify_rejects_edge_endpoint_out_of_range(edge):
+    seq = tg.ContractionSequence(3, [("k", 0, 1, 3), ("k", 2, 3, 4)])
+    with pytest.raises(tg.SequenceError, match=r"outside 0\.\.2"):
+        tg.verify_sequence(3, [edge], seq)
 
 
 # -- classification and levels ------------------------------------------------
