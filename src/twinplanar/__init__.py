@@ -15,7 +15,7 @@ from .layering import (BfsTree, LayeringError, bfs_layering,
                        left_aligned_bfs_tree, is_left_of, check_left_aligned,
                        vertical_path)
 from .trigraph import (Trigraph, ContractionSequence, WidthReport,
-                       SequenceError, contract, verify_sequence,
+                       SequenceError, verify_sequence,
                        classify_step, min_level_update, is_good_assignment,
                        restrict_sequence, parse_seq, write_seq,
                        LEVEL_PRESERVING, LEVEL_RESPECTING, VIOLATION)
@@ -39,7 +39,7 @@ __all__ = [
     "BfsTree", "LayeringError", "bfs_layering", "left_aligned_bfs_tree",
     "is_left_of", "check_left_aligned", "vertical_path",
     "Trigraph", "ContractionSequence", "WidthReport", "SequenceError",
-    "contract", "verify_sequence", "classify_step", "min_level_update",
+    "verify_sequence", "classify_step", "min_level_update",
     "is_good_assignment", "restrict_sequence", "parse_seq", "write_seq",
     "LEVEL_PRESERVING", "LEVEL_RESPECTING", "VIOLATION",
     "Bridge", "WrappedFace", "SkeletalError", "bridges", "natural_assignment",

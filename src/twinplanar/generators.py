@@ -23,13 +23,9 @@ class GeneratorError(ValueError):
     pass
 
 
+@pause_gc()
 def _stitch(n: int, faces: list[tuple[int, ...]], outer_idx: int) -> PlaneGraph:
     """Rotation system from consistently oriented face tuples."""
-    with pause_gc():
-        return _stitch_inner(n, faces, outer_idx)
-
-
-def _stitch_inner(n: int, faces: list[tuple[int, ...]], outer_idx: int) -> PlaneGraph:
     edges: list[tuple[int, int]] = []
     eid: dict[int, int] = {}  # keyed u * n + v
 

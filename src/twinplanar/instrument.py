@@ -51,8 +51,7 @@ class InvariantChecker:
 
     def bind(self, g: PlaneGraph, t: BfsTree) -> None:
         self.g, self.t = g, t
-        self.sim = Trigraph(g.n, g.edges, levels=t.depth,
-                            track_provenance=False)
+        self.sim = Trigraph(g.n, g.edges, levels=t.depth)
         self.pure = {v: t.depth[v] for v in range(g.n)}
 
     def push_region(self, spec) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -52,6 +53,15 @@ class PlaneGraph:
         edges: edge id -> (u, v); dart 2e leaves u, dart 2e+1 leaves v.
         rot: vertex -> ccw list of darts leaving it.
         outer_dart: a dart whose left face is the outer face.
+
+    ``build`` is the only constructor and derives the rest: per-dart
+    ``tail``, ``head``, ``pos`` (index in the tail's rotation) and
+    ``face_of``; the face walks ``faces`` in order of their smallest dart,
+    each starting there; ``outer_face``; and ``comp``, the component id of
+    every vertex (components numbered by smallest vertex), with ``ncomp``
+    components.  Nothing changes after ``build``, so the whole-graph checks
+    ``is_simple()`` and ``find_odd_cycle(g)`` run at most once per graph and
+    keep their result on it.
     """
 
     n: int
@@ -66,6 +76,12 @@ class PlaneGraph:
     face_of: list[int] = field(default_factory=list, repr=False)
     faces: list[list[int]] = field(default_factory=list, repr=False)
     outer_face: int = -1
+    comp: list[int] = field(default_factory=list, repr=False)
+    ncomp: int = 0
+    # whole-graph check results, filled on first use
+    _simple: bool | None = field(default=None, init=False, repr=False, compare=False)
+    _odd_cycle: list[int] | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     @property
     def m(self) -> int:
@@ -94,13 +110,12 @@ class PlaneGraph:
         return [self.head[d] for d in self.rot[v]]
 
     def is_simple(self) -> bool:
-        seen = set()
-        for u, v in self.edges:
-            key = (u, v) if u < v else (v, u)
-            if u == v or key in seen:
-                return False
-            seen.add(key)
-        return True
+        """No two edges join the same pair (``build`` rejects loops)."""
+        if self._simple is None:
+            n = self.n
+            keys = {u * n + v if u < v else v * n + u for u, v in self.edges}
+            self._simple = len(keys) == len(self.edges)
+        return self._simple
 
     def face_lengths(self) -> list[int]:
         return [len(w) for w in self.faces]
@@ -137,67 +152,70 @@ def build(n: int, edges: Sequence[tuple[int, int]], rotations: Sequence[Sequence
     """
     edges = list(edges)
     m = len(edges)
-    tail = [0] * (2 * m)
-    head = [0] * (2 * m)
     for e, (u, v) in enumerate(edges):
         if u == v:
             raise PlaneError(f"loop edge {e} at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise PlaneError(f"edge {e} endpoint out of range")
-        tail[2 * e], head[2 * e] = u, v
-        tail[2 * e + 1], head[2 * e + 1] = v, u
+    tail = list(chain.from_iterable(edges))  # u, v of edge e at 2e, 2e + 1
+    head = tail[:]
+    head[0::2], head[1::2] = tail[1::2], tail[0::2]
 
     if len(rotations) != n:
         raise PlaneError("rotation list count != n")
-    pos = [-1] * (2 * m)
+    nd = 2 * m
+    pos = [-1] * nd
+    nxt = [-1] * nd  # next_in_face, i.e. rot_prev(d ^ 1), per dart d
     for v, r in enumerate(rotations):
         for i, d in enumerate(r):
-            if not (0 <= d < 2 * m):
+            if not (0 <= d < nd):
                 raise PlaneError(f"unknown dart {d} at vertex {v}")
             if tail[d] != v:
                 raise PlaneError(f"dart {d} listed at {v} but leaves {tail[d]}")
             if pos[d] != -1:
                 raise PlaneError(f"dart {d} appears twice")
             pos[d] = i
-    if any(p == -1 for p in pos):
+            nxt[d ^ 1] = r[i - 1]
+    if sum(map(len, rotations)) != nd:  # each listed dart is distinct and valid
         raise PlaneError("dart missing from rotations")
-    if m > 0 and not (0 <= outer < 2 * m):
+    if m > 0 and not (0 <= outer < nd):
         raise PlaneError("outer dart out of range")
 
     g = PlaneGraph(n, edges, [list(r) for r in rotations], outer if m else 0,
                    tail=tail, head=head, pos=pos)
-    _trace_faces(g)
+    _trace_faces(g, nxt)
     _check_euler(g)
     return g
 
 
-def _trace_faces(g: PlaneGraph) -> None:
-    nd = 2 * g.m
-    face_of = [-1] * nd
+def _trace_faces(g: PlaneGraph, nxt: list[int]) -> None:
+    # every dart sits once in the rotations, so nxt is a permutation and
+    # each orbit closes on its first dart
+    face_of = [-1] * len(nxt)
     walks: list[list[int]] = []
-    for d0 in range(nd):
-        if face_of[d0] != -1:
+    for d0, traced in enumerate(face_of):
+        if traced != -1:
             continue
         f = len(walks)
-        walk = []
-        d = d0
-        while face_of[d] == -1:
+        walk = [d0]
+        face_of[d0] = f
+        d = nxt[d0]
+        while d != d0:
             face_of[d] = f
             walk.append(d)
-            d = g.next_in_face(d)
-        if d != d0:
-            raise PlaneError("face traversal does not close")
+            d = nxt[d]
         walks.append(walk)
-    if not walks:
-        walks = [[]]
     g.face_of = face_of
-    g.faces = walks
-    g.outer_face = face_of[g.outer_dart] if nd else 0
+    g.faces = walks or [[]]
+    g.outer_face = face_of[g.outer_dart] if walks else 0
 
 
 def _check_euler(g: PlaneGraph) -> None:
-    # V - E + F = 2 must hold per edge-bearing connected component; orbit
-    # faces never cross components, so count them by any boundary vertex.
+    # Labels the components, then checks Euler's formula on all of them at
+    # once: an edge-bearing component has V - E + F = 2 - 2 * genus <= 2, so
+    # the sums over the k such components reach 2k only if each is planar.
+    # Isolated vertices are the components without edges, and no face.
+    rot, head = g.rot, g.head
     comp = [-1] * g.n
     ncomp = 0
     for s in range(g.n):
@@ -206,30 +224,19 @@ def _check_euler(g: PlaneGraph) -> None:
         comp[s] = ncomp
         stack = [s]
         while stack:
-            v = stack.pop()
-            for d in g.rot[v]:
-                w = g.head[d]
+            for d in rot[stack.pop()]:
+                w = head[d]
                 if comp[w] == -1:
                     comp[w] = ncomp
                     stack.append(w)
         ncomp += 1
-    verts = [0] * ncomp
-    edge_cnt = [0] * ncomp
-    face_cnt = [0] * ncomp
-    for v in range(g.n):
-        verts[comp[v]] += 1
-    for u, _ in g.edges:
-        edge_cnt[comp[u]] += 1
-    for walk in g.faces:
-        if walk:
-            face_cnt[comp[g.tail[walk[0]]]] += 1
-    for c in range(ncomp):
-        if edge_cnt[c] == 0:
-            continue
-        if verts[c] - edge_cnt[c] + face_cnt[c] != 2:
-            raise PlaneError(
-                f"Euler violation on component {c}: "
-                f"V={verts[c]} E={edge_cnt[c]} F={face_cnt[c]}")
+    g.comp, g.ncomp = comp, ncomp
+    isolated = rot.count([])
+    chi = g.n - isolated - g.m + len(g.faces)
+    if g.m and chi != 2 * (ncomp - isolated):
+        raise PlaneError(
+            f"Euler violation: V - E + F = {chi} over {ncomp - isolated} "
+            f"components with edges, planar needs {2 * (ncomp - isolated)}")
 
 
 def faces(g: PlaneGraph) -> list[tuple[list[int], bool]]:
@@ -307,23 +314,11 @@ class _Splicer:
 
 
 def connected_components(g: PlaneGraph) -> list[list[int]]:
-    comp = [-1] * g.n
-    out: list[list[int]] = []
-    for s in range(g.n):
-        if comp[s] != -1:
-            continue
-        cur = [s]
-        comp[s] = len(out)
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for d in g.rot[v]:
-                w = g.head[d]
-                if comp[w] == -1:
-                    comp[w] = len(out)
-                    cur.append(w)
-                    stack.append(w)
-        out.append(cur)
+    """Vertex lists of the components, ordered by smallest vertex, each
+    ascending; grouped from the labels ``build`` derived."""
+    out: list[list[int]] = [[] for _ in range(g.ncomp)]
+    for v, c in enumerate(g.comp):
+        out[c].append(v)
     return out
 
 
@@ -333,15 +328,10 @@ def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, VertexMap]:
     Each merge re-embeds the next component inside a face of the anchor
     drawing; the new vertices create no cycle, so bipartiteness survives.
     """
-    comps = connected_components(g)
-    if len(comps) == 1:
+    if g.ncomp == 1:
         return g, VertexMap.identity(g.n)
-
-    cv = [0] * g.n
-    for i, c in enumerate(comps):
-        for v in c:
-            cv[v] = i
-    anchor_idx = cv[g.tail[g.outer_dart]] if g.m else 0
+    comps = connected_components(g)
+    anchor_idx = g.comp[g.tail[g.outer_dart]] if g.m else 0
     base = min(comps[anchor_idx])
 
     sp = _Splicer(g)
@@ -389,7 +379,15 @@ def two_coloring(g: PlaneGraph) -> list[int] | None:
 
 
 def find_odd_cycle(g: PlaneGraph) -> list[int] | None:
-    """An odd cycle as a vertex list, or None if bipartite."""
+    """An odd cycle as a vertex list, or None if bipartite; searched once
+    per graph, later calls return the kept result."""
+    if g._odd_cycle is None:
+        g._odd_cycle = _search_odd_cycle(g)
+    return list(g._odd_cycle) or None
+
+
+def _search_odd_cycle(g: PlaneGraph) -> list[int]:
+    """An odd cycle, or [] if bipartite."""
     color = [-1] * g.n
     par = [-1] * g.n
     for s in range(g.n):
@@ -416,8 +414,8 @@ def find_odd_cycle(g: PlaneGraph) -> list[int] | None:
                         pb.append(x)
                         x = par[x]
                     i = pa.index(x)
-                    return pa[:i + 1][::-1] + pb[::-1]
-    return None
+                    return pa[:i + 1][::-1] + pb  # x .. v, then w .. back below x
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +426,14 @@ def find_odd_cycle(g: PlaneGraph) -> list[int] | None:
 def _walk_has_repeats(g: PlaneGraph, walk: list[int]) -> bool:
     vs = [g.tail[d] for d in walk]
     return len(set(vs)) != len(vs)
+
+
+def _is_quad(tail: list[int], walk: list[int]) -> bool:
+    """Whether a face walk of a simple plane graph bounds a 4-cycle.
+    Consecutive corners differ (no loops), so only opposite ones can
+    coincide; for the same reason every 3-walk bounds a triangle."""
+    return (len(walk) == 4 and tail[walk[0]] != tail[walk[2]]
+            and tail[walk[1]] != tail[walk[3]])
 
 
 def triangulate(g0: PlaneGraph) -> tuple[PlaneGraph, VertexMap]:
@@ -441,16 +447,16 @@ def triangulate(g0: PlaneGraph) -> tuple[PlaneGraph, VertexMap]:
     """
     if not g0.is_simple():
         raise PlaneError("triangulate requires a simple graph")
-    if len(connected_components(g0)) != 1:
+    if g0.ncomp != 1:
         raise PlaneError("triangulate requires a connected graph (use connect_components)")
     g1 = _split_order2_faces(g0)
-    if all(len(w) == 3 for w in g1.faces) and g1 is g0:
+    if g1 is g0 and set(map(len, g1.faces)) == {3}:
         return g0, VertexMap.identity(g0.n)  # already a triangulation
 
     sp = _Splicer(g1)
     outer = g1.outer_dart
     for f, walk in enumerate(g1.faces):
-        if len(walk) == 3 and not _walk_has_repeats(g1, walk):
+        if len(walk) == 3:  # a triangle, see _is_quad
             continue
         if not _walk_has_repeats(g1, walk):
             apex = _stellate(sp, walk, g1)
@@ -536,9 +542,8 @@ def _ring_and_apex(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
 def _validate_triangulation(g: PlaneGraph, g0: PlaneGraph, vm: VertexMap) -> None:
     if not g.is_simple():
         raise PlaneError("triangulation is not simple")
-    for walk in g.faces:
-        if len(walk) != 3 or _walk_has_repeats(g, walk):
-            raise PlaneError("non-triangular face after triangulation")
+    if set(map(len, g.faces)) != {3}:  # simple, so 3-walks are triangles
+        raise PlaneError("non-triangular face after triangulation")
     _check_induced(g, g0, vm)
 
 
@@ -560,19 +565,19 @@ def quadrangulate(g0: PlaneGraph) -> tuple[PlaneGraph, VertexMap]:
     """
     if not g0.is_simple():
         raise PlaneError("quadrangulate requires a simple graph")
-    if len(connected_components(g0)) != 1:
+    if g0.ncomp != 1:
         raise PlaneError("quadrangulate requires a connected graph")
     odd = find_odd_cycle(g0)
     if odd is not None:
         raise PlaneError(f"not bipartite: odd cycle {odd}")
     g1 = _split_order2_faces(g0)
-    if (g1 is g0 and all(len(w) == 4 for w in g1.faces)
-            and not any(_walk_has_repeats(g1, w) for w in g1.faces)):
+    tail = g1.tail
+    if g1 is g0 and all(_is_quad(tail, w) for w in g1.faces):
         return g0, VertexMap.identity(g0.n)  # already a quadrangulation
     sp = _Splicer(g1)
     outer = g1.outer_dart
     for f, walk in enumerate(g1.faces):
-        if len(walk) == 4 and not _walk_has_repeats(g1, walk):
+        if _is_quad(tail, walk):
             continue
         x0 = _quad_ring(sp, walk, g1)
         if f == g1.outer_face:
@@ -616,9 +621,8 @@ def _quad_ring(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
 def _validate_quadrangulation(g: PlaneGraph, g0: PlaneGraph, vm: VertexMap) -> None:
     if not g.is_simple():
         raise PlaneError("quadrangulation is not simple")
-    for walk in g.faces:
-        if len(walk) != 4 or _walk_has_repeats(g, walk):
-            raise PlaneError("non-quadrangular face after quadrangulation")
+    if not all(_is_quad(g.tail, w) for w in g.faces):
+        raise PlaneError("non-quadrangular face after quadrangulation")
     if two_coloring(g) is None:
         raise PlaneError("quadrangulation lost bipartiteness")
     _check_induced(g, g0, vm)
@@ -682,6 +686,7 @@ def write_plane(g: PlaneGraph, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+@pause_gc()
 def parse_plane(text: str) -> PlaneGraph:
     n = m = -1
     edges: list[tuple[int, int] | None] = []
@@ -769,12 +774,19 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
         if not line or line.startswith("c"):
             continue
         parts = line.split()
-        if parts[0] == "p":
-            n = int(parts[2])
-        elif parts[0] == "e":
-            edges.append((int(parts[1]), int(parts[2])))
-        else:
-            raise FormatError(f"line {ln}: unknown record {parts[0]!r}")
+        try:
+            if parts[0] == "p":
+                n = int(parts[2])
+            elif parts[0] == "e":
+                u, v = int(parts[1]), int(parts[2])
+                if not (0 <= u < n and 0 <= v < n):
+                    raise FormatError(f"endpoint outside 0..{n - 1}" if n >= 0
+                                      else "edge before the 'p edge' header")
+                edges.append((u, v))
+            else:
+                raise FormatError(f"unknown record {parts[0]!r}")
+        except (IndexError, ValueError) as exc:
+            raise FormatError(f"line {ln}: {raw!r}: {exc}") from exc
     if n < 0:
         raise FormatError("missing 'p edge' header")
     return n, edges

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from .buildctx import BuildCtx, BuilderError, fold_contract, run_trampoline
 from .layering import BfsTree, check_left_aligned, left_aligned_bfs_tree
-from .plane_graph import PlaneGraph, connect_components, find_odd_cycle, quadrangulate
+from .plane_graph import (PlaneGraph, connect_components, find_odd_cycle,
+                          pause_gc, quadrangulate)
 from .seq_planar import RegionSpec
 from .trigraph import (ContractionSequence, WidthReport, restrict_sequence,
                        verify_sequence)
@@ -208,13 +209,8 @@ def bipartite_sequence(g0: PlaneGraph, checker=None,
     return seq0, report
 
 
+@pause_gc()
 def bipartite_sequence_full(g0: PlaneGraph, checker=None, verify: bool = True):
-    from .plane_graph import pause_gc
-    with pause_gc():
-        return _bipartite_sequence_full(g0, checker, verify)
-
-
-def _bipartite_sequence_full(g0: PlaneGraph, checker, verify):
     if g0.n == 0:
         raise BuilderError("empty graph: nothing to contract")
     if not g0.is_simple():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .buildctx import BuildCtx, BuilderError, fold_contract, run_trampoline
 from .layering import BfsTree, check_left_aligned, left_aligned_bfs_tree
-from .plane_graph import PlaneGraph, connect_components, triangulate
+from .plane_graph import PlaneGraph, connect_components, pause_gc, triangulate
 from .trigraph import (ContractionSequence, WidthReport, restrict_sequence,
                        verify_sequence)
 
@@ -355,13 +355,8 @@ def planar_sequence(g0: PlaneGraph, checker=None,
     return seq0, report
 
 
+@pause_gc()
 def planar_sequence_full(g0: PlaneGraph, checker=None, verify: bool = True):
-    from .plane_graph import pause_gc
-    with pause_gc():
-        return _planar_sequence_full(g0, checker, verify)
-
-
-def _planar_sequence_full(g0: PlaneGraph, checker, verify):
     if g0.n == 0:
         raise BuilderError("empty graph: nothing to contract")
     if not g0.is_simple():

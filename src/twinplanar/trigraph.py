@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .plane_graph import FormatError
+from .plane_graph import FormatError, pause_gc
 
 Step = tuple  # ("k", x, y, z) or ("d", x)
 
@@ -55,19 +55,16 @@ class WidthReport:
 
 
 class Trigraph:
-    """Mutable trigraph with black/red adjacency, levels and provenance.
+    """Mutable trigraph with black/red adjacency and optional levels.
 
-    Single-writer; ``contract`` merges the smaller provenance set into the
-    larger one so total bookkeeping stays near-linear.  ``_red_hist[d]``
-    counts the live vertices of red degree d and ``_max_red`` is the largest
-    d with a nonzero count; ``contract`` keeps both current, so
-    ``max_red_degree`` is O(1).  Writing to ``black``/``red`` directly
-    bypasses that bookkeeping.
+    Single-writer.  ``_red_hist[d]`` counts the live vertices of red degree
+    d and ``_max_red`` is the largest d with a nonzero count; ``contract``
+    keeps both current, so ``max_red_degree`` is O(1).  Writing to
+    ``black``/``red`` directly bypasses that bookkeeping.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
-                 levels: Sequence[int] | None = None,
-                 track_provenance: bool = True):
+                 levels: Sequence[int] | None = None):
         self.n0 = n
         self.black: dict[int, set[int]] = {v: set() for v in range(n)}
         self.red: dict[int, set[int]] = {v: set() for v in range(n)}
@@ -84,8 +81,6 @@ class Trigraph:
         self._max_red = 0
         self.level: dict[int, int] | None = (
             {v: levels[v] for v in range(n)} if levels is not None else None)
-        self.prov: dict[int, set[int]] | None = (
-            {v: {v} for v in range(n)} if track_provenance else None)
         self.next_id = n
 
     # -- queries ------------------------------------------------------------
@@ -149,12 +144,6 @@ class Trigraph:
         while mx and not hist[mx]:
             mx -= 1
         self._max_red = mx
-        if self.prov is not None:
-            px, py = self.prov.pop(x), self.prov.pop(y)
-            if len(px) < len(py):
-                px, py = py, px
-            px |= py
-            self.prov[z] = px
         if self.level is not None:
             self.level[z] = min(self.level.pop(x), self.level.pop(y))
         return z
@@ -171,12 +160,6 @@ class Trigraph:
                     f"illegal level decrease of {x}: neighbour {t} at level "
                     f"{self.level[t]} > {lx - 1}")
         self.level[x] = lx - 1
-
-
-def contract(t: Trigraph, x: int, y: int) -> tuple[Trigraph, int]:
-    """Functional wrapper around Trigraph.contract (mutates and returns t)."""
-    z = t.contract(x, y)
-    return t, z
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +239,7 @@ def is_good_assignment(t: Trigraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@pause_gc()
 def verify_sequence(n: int, edges: Iterable[tuple[int, int]],
                     seq: ContractionSequence,
                     levels: Sequence[int] | None = None,
@@ -266,15 +250,9 @@ def verify_sequence(n: int, edges: Iterable[tuple[int, int]],
     With ``debug_recheck=k`` the incremental red-degree maximum is recomputed
     from scratch every k steps to catch drift.
     """
-    from .plane_graph import pause_gc
     if seq.n != n:
         raise SequenceError(f"sequence is for n={seq.n}, graph has n={n}")
-    with pause_gc():
-        return _verify_inner(n, edges, seq, levels, debug_recheck)
-
-
-def _verify_inner(n, edges, seq, levels, debug_recheck):
-    t = Trigraph(n, edges, levels, track_provenance=False)
+    t = Trigraph(n, edges, levels)
     per_step: list[int] = []
     for idx, step in enumerate(seq.steps):
         try:

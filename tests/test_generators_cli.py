@@ -98,6 +98,16 @@ def test_cli_exact(tmp_path, capsys):
     assert out.strip() == "width 1"
 
 
+@pytest.mark.parametrize("record", ["e 0 5", "e 0 x"],
+                         ids=["endpoint-past-n", "non-integer"])
+def test_cli_exact_rejects_bad_edge_record(tmp_path, capsys, record):
+    p = tmp_path / "bad.edges"
+    p.write_text(f"p edge 3 1\n{record}\n")
+    code, _, err = run_cli(["exact", str(p)], capsys)
+    assert code == 1
+    assert f"line 2: {record!r}" in err
+
+
 def test_cli_prep_triangulate(tmp_path, capsys):
     p = tmp_path / "c4.plane"
     g = tp.gen_grid(2, 2)

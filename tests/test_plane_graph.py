@@ -1,6 +1,11 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinplanar import plane_graph as pg
+from twinplanar.generators import gen_grid, gen_triangulation
 
 
 def triangle():
@@ -196,6 +201,90 @@ def test_connect_k_components():
     g2, vm = pg.connect_components(g)
     assert len(vm.added) == 4
     assert len(pg.connected_components(g2)) == 1
+
+
+# -- facts derived once per graph ---------------------------------------------
+
+
+def thinned(g, keep, seed):
+    """g with each edge kept with probability ``keep``; the surviving darts
+    keep their rotation order, so the embedding stays planar."""
+    rng = random.Random(seed)
+    new_eid = [-1] * g.m
+    edges = []
+    for e, uv in enumerate(g.edges):
+        if rng.random() < keep:
+            new_eid[e] = len(edges)
+            edges.append(uv)
+    rotations = [[2 * new_eid[d >> 1] + (d & 1) for d in r if new_eid[d >> 1] >= 0]
+                 for r in g.rot]
+    return pg.build(g.n, edges, rotations, 0)
+
+
+@st.composite
+def thinned_plane_graphs(draw):
+    if draw(st.booleans()):
+        g = gen_triangulation(draw(st.integers(4, 200)), draw(st.integers(0, 999)))
+    else:
+        rows = draw(st.integers(2, 14))
+        g = gen_grid(rows, draw(st.integers(2, 200 // rows)))
+    return thinned(g, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 999)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(thinned_plane_graphs())
+def test_derived_facts_match_direct_computation(g):
+    # faces: the orbits of next_in_face, walked from darts 0..2m-1 in order
+    orbits, seen = [], set()
+    for d0 in range(2 * g.m):
+        if d0 in seen:
+            continue
+        walk, d = [], d0
+        while d not in seen:
+            seen.add(d)
+            walk.append(d)
+            d = g.next_in_face(d)
+        orbits.append(walk)
+    assert g.faces == (orbits or [[]])
+    assert all(g.face_of[d] == f for f, w in enumerate(g.faces) for d in w)
+
+    # components: an independent BFS over the edge list
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    comps, label = [], [None] * g.n
+    for s in range(g.n):
+        if label[s] is None:
+            label[s] = len(comps)
+            queue = [s]
+            for v in queue:
+                for w in adj[v]:
+                    if label[w] is None:
+                        label[w] = len(comps)
+                        queue.append(w)
+            comps.append(set(queue))
+    got = pg.connected_components(g)
+    assert [set(c) for c in got] == comps
+    assert sum(len(c) for c in got) == g.n
+
+    # whole-graph checks: the kept result equals the first one
+    simple = g.is_simple()
+    assert simple is True and g.is_simple() is simple
+    odd = pg.find_odd_cycle(g)
+    assert pg.find_odd_cycle(g) == odd
+    assert (odd is None) == (pg.two_coloring(g) is not None)
+    if odd is not None:
+        assert len(odd) % 2 == 1
+        pairs = {frozenset(e) for e in g.edges}
+        assert all(frozenset((odd[i - 1], odd[i])) in pairs
+                   for i in range(len(odd)))
+
+
+def test_is_simple_false_is_kept():
+    g = pg.build(2, [(0, 1), (0, 1)], [[0, 2], [3, 1]], 0)
+    assert g.is_simple() is False
+    assert g.is_simple() is False
 
 
 # -- formats ------------------------------------------------------------------

@@ -11,7 +11,7 @@ from twinplanar import trigraph as tg
 
 def test_contract_twins_stay_black():
     t = tg.Trigraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    _, z = tg.contract(t, 0, 1)
+    z = t.contract(0, 1)
     assert t.black[z] == {2, 3}
     assert t.red[z] == set()
 
@@ -19,7 +19,7 @@ def test_contract_twins_stay_black():
 def test_contract_symmetric_difference_goes_red():
     # N(0)={2,3}, N(1)={3,4}: z red to 2 and 4, black to 3
     t = tg.Trigraph(5, [(0, 2), (0, 3), (1, 3), (1, 4)])
-    _, z = tg.contract(t, 0, 1)
+    z = t.contract(0, 1)
     assert t.red[z] == {2, 4}
     assert t.black[z] == {3}
 
@@ -30,7 +30,7 @@ def test_contract_red_inherited():
     t.black[2].discard(0)
     t.red[0].add(2)
     t.red[2].add(0)
-    _, z = tg.contract(t, 0, 1)
+    z = t.contract(0, 1)
     assert t.red[z] == {2}
 
 
@@ -41,16 +41,6 @@ def test_contract_errors():
     t.contract(0, 1)
     with pytest.raises(tg.SequenceError):
         t.contract(0, 2)
-
-
-def test_provenance_partition():
-    t = tg.Trigraph(4, [(0, 1), (1, 2), (2, 3)])
-    z1 = t.contract(0, 1)
-    z2 = t.contract(z1, 2)
-    assert t.prov[z2] == {0, 1, 2}
-    assert t.prov[3] == {3}
-    got = sorted(v for s in t.prov.values() for v in s)
-    assert got == [0, 1, 2, 3]
 
 
 # -- verify_sequence ----------------------------------------------------------
