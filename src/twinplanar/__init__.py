@@ -16,7 +16,7 @@ from .layering import (BfsTree, LayeringError, bfs_layering,
                        vertical_path)
 from .trigraph import (Trigraph, ContractionSequence, WidthReport,
                        SequenceError, verify_sequence,
-                       classify_step, min_level_update, is_good_assignment,
+                       classify_step, is_good_assignment,
                        restrict_sequence, parse_seq, write_seq,
                        LEVEL_PRESERVING, LEVEL_RESPECTING, VIOLATION)
 from .skeletal import (Bridge, WrappedFace, SkeletalError, bridges,
@@ -39,8 +39,8 @@ __all__ = [
     "BfsTree", "LayeringError", "bfs_layering", "left_aligned_bfs_tree",
     "is_left_of", "check_left_aligned", "vertical_path",
     "Trigraph", "ContractionSequence", "WidthReport", "SequenceError",
-    "verify_sequence", "classify_step", "min_level_update",
-    "is_good_assignment", "restrict_sequence", "parse_seq", "write_seq",
+    "verify_sequence", "classify_step", "is_good_assignment",
+    "restrict_sequence", "parse_seq", "write_seq",
     "LEVEL_PRESERVING", "LEVEL_RESPECTING", "VIOLATION",
     "Bridge", "WrappedFace", "SkeletalError", "bridges", "natural_assignment",
     "check_s_aware", "wrapped_info", "is_k_reduced", "is_maximally_k_reduced",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import plane_graph as pg
@@ -26,16 +25,6 @@ from .seq_planar import planar_sequence
 
 PRNG_ID = "python-mt19937"
 DEBUG_RECHECK_DEFAULT = 64
-
-
-@dataclass
-class RunConfig:
-    """Benchmark/corpus run parameters; the seed fully determines outputs."""
-
-    mode: str
-    sizes: list[int]
-    seeds: int = 3
-    assert_mode: bool = False
 
 
 def _read(path: str) -> str:
@@ -63,7 +52,7 @@ def _load_graph(path: str, embed: bool) -> pg.PlaneGraph:
 
 def cmd_seq(args) -> int:
     g = _load_graph(args.graph, args.embed)
-    checker = InvariantChecker(args.mode) if getattr(args, "assert_mode", False) else None
+    checker = InvariantChecker(args.mode) if args.assert_mode else None
     if args.mode == "planar":
         seq, report = planar_sequence(g, checker=checker)
     else:
@@ -141,24 +130,17 @@ def cmd_tree(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = RunConfig(mode=args.mode, sizes=list(args.sizes), seeds=args.seeds)
-    return run_bench(cfg)
-
-
-def run_bench(cfg: RunConfig) -> int:
-    for n in cfg.sizes:
-        for seed in range(cfg.seeds):
-            if cfg.mode == "planar":
-                g = gen_triangulation(n, seed)
-                t0 = time.perf_counter()
-                _, report = planar_sequence(g)
-                ms = (time.perf_counter() - t0) * 1000.0
-            else:
-                g = gen_quadrangulation(n, seed)
-                t0 = time.perf_counter()
-                _, report = bipartite_sequence(g)
-                ms = (time.perf_counter() - t0) * 1000.0
-            print(f"{n}\t{cfg.mode}\t{report.width}\t{ms:.1f}")
+    """One TSV row (n, mode, verified width, build ms) per seeded graph."""
+    gen = gen_triangulation if args.mode == "planar" else gen_quadrangulation
+    build = planar_sequence if args.mode == "planar" else bipartite_sequence
+    for n in args.sizes:
+        for seed in range(args.seeds):
+            g = gen(n, seed)
+            checker = InvariantChecker(args.mode) if args.assert_mode else None
+            t0 = time.perf_counter()
+            _, report = build(g, checker=checker)
+            ms = (time.perf_counter() - t0) * 1000.0
+            print(f"{n}\t{args.mode}\t{report.width}\t{ms:.1f}")
     return 0
 
 
@@ -222,6 +204,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("planar", "bipartite"), default="planar")
     p.add_argument("--sizes", type=int, nargs="+", required=True)
     p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--assert", dest="assert_mode", action="store_true",
+                   help="run the per-step invariant suites while building")
     p.set_defaults(fn=cmd_bench)
     return ap
 

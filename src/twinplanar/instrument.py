@@ -3,7 +3,8 @@
 Replays every emitted step on a trigraph simulation and asserts, against
 the innermost active region of the recursion:
 
-* step discipline (min-level-respecting resp. level-preserving),
+* step discipline (level-respecting resp. level-preserving, as
+  ``trigraph.classify_step`` defines them),
 * goodness of the level assignment after every step,
 * strict level-crossing of all edges in bipartite runs,
 * the red-degree ceilings of the recursion: interior vertices at most
@@ -22,7 +23,7 @@ from .layering import BfsTree
 from .plane_graph import PlaneGraph
 from .seq_bipartite import WIDTH_BOUND as BIPARTITE_BOUND
 from .seq_planar import WIDTH_BOUND as PLANAR_BOUND
-from .trigraph import Trigraph
+from .trigraph import VIOLATION, Trigraph, classify_step
 
 
 class InvariantViolation(AssertionError):
@@ -37,6 +38,8 @@ class InvariantChecker:
         self.cap_global = PLANAR_BOUND if mode == "planar" else BIPARTITE_BOUND
         self.cap_boundary = 5 if mode == "planar" else 4
         self.cap_right = 3 if mode == "planar" else 2
+        # the step rule of the recursion (see trigraph.classify_step)
+        self.discipline = "respecting" if mode == "planar" else "preserving"
         self.g: PlaneGraph | None = None
         self.t: BfsTree | None = None
         self.sim: Trigraph | None = None
@@ -93,25 +96,12 @@ class InvariantChecker:
 
     def on_contract(self, x: int, y: int, z: int) -> None:
         sim = self.sim
-        t = self.t
         self.steps_checked += 1
-        lx, ly = sim.level[x], sim.level[y]
-        if not self.final_phase:
-            if self.mode == "bipartite":
-                if lx != ly:
-                    raise InvariantViolation(
-                        f"non level-preserving contraction ({x}@{lx}, {y}@{ly})")
-            else:
-                if lx != ly:
-                    if abs(lx - ly) != 1:
-                        raise InvariantViolation("level gap 2 contraction")
-                    hi = x if lx > ly else y
-                    lo = min(lx, ly)
-                    for w in sim.neighbors(hi):
-                        if sim.level[w] != lo:
-                            raise InvariantViolation(
-                                f"level-respecting broken: nbr {w} of {hi} at "
-                                f"{sim.level[w]} != {lo}")
+        if not self.final_phase and classify_step(
+                sim, ("k", x, y, z), self.discipline) == VIOLATION:
+            raise InvariantViolation(
+                f"contraction ({x}@{sim.level[x]}, {y}@{sim.level[y]}) is not "
+                f"level-{self.discipline}")
         got = sim.contract(x, y)
         if got != z:
             raise InvariantViolation(f"fresh id drift {got} != {z}")

@@ -359,25 +359,6 @@ def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, VertexMap]:
 # ---------------------------------------------------------------------------
 
 
-def two_coloring(g: PlaneGraph) -> list[int] | None:
-    """2-coloring, or None if an odd cycle exists."""
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = [s]
-        for v in queue:
-            for d in g.rot[v]:
-                w = g.head[d]
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return color
-
-
 def find_odd_cycle(g: PlaneGraph) -> list[int] | None:
     """An odd cycle as a vertex list, or None if bipartite; searched once
     per graph, later calls return the kept result."""
@@ -623,7 +604,7 @@ def _validate_quadrangulation(g: PlaneGraph, g0: PlaneGraph, vm: VertexMap) -> N
         raise PlaneError("quadrangulation is not simple")
     if not all(_is_quad(g.tail, w) for w in g.faces):
         raise PlaneError("non-quadrangular face after quadrangulation")
-    if two_coloring(g) is None:
+    if find_odd_cycle(g) is not None:
         raise PlaneError("quadrangulation lost bipartiteness")
     _check_induced(g, g0, vm)
     if g.n >= 3 and articulation_points(g):

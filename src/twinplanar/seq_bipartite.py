@@ -12,12 +12,10 @@ exactly one level.
 from __future__ import annotations
 
 from .buildctx import BuildCtx, BuilderError, fold_contract, run_trampoline
-from .layering import BfsTree, check_left_aligned, left_aligned_bfs_tree
-from .plane_graph import (PlaneGraph, connect_components, find_odd_cycle,
-                          pause_gc, quadrangulate)
-from .seq_planar import RegionSpec
-from .trigraph import (ContractionSequence, WidthReport, restrict_sequence,
-                       verify_sequence)
+from .layering import BfsTree
+from .plane_graph import PlaneGraph, find_odd_cycle, quadrangulate
+from .seq_planar import RegionSpec, run_pipeline
+from .trigraph import ContractionSequence, WidthReport
 
 WIDTH_BOUND = 6  # the verified width every bipartite_sequence result must meet
 
@@ -198,6 +196,32 @@ def _outer_quad_call(g: PlaneGraph, t: BfsTree) -> tuple[int, int]:
     return lid, t.root
 
 
+def _complete(g0: PlaneGraph, gc: PlaneGraph):
+    odd = find_odd_cycle(g0)
+    if odd is not None:
+        raise BuilderError(f"input not bipartite: odd cycle {odd}")
+    return quadrangulate(gc)
+
+
+def _run_core(ctx: BuildCtx) -> tuple[dict[int, int], int]:
+    lid_dart, sink = _outer_quad_call(ctx.g, ctx.t)
+    return run_trampoline(_bicore(ctx, lid_dart, sink)), lid_dart
+
+
+def _final_phase(ctx: BuildCtx, surv: dict[int, int], lid_dart: int) -> None:
+    """Drain interior survivors deepest-first, then pair the outer
+    quadrangle's opposite vertices (twins when nothing else is left)."""
+    g, r = ctx.g, ctx.t.root
+    v1, v2 = g.tail[lid_dart], g.head[lid_dart]
+    others = [g.tail[d] for d in g.faces[g.outer_face]]
+    w4 = next(v for v in others if v not in (r, v1, v2))
+    rem = fold_contract(ctx, list(surv.items()))
+    zh = ctx.contract(rem, v1) if rem is not None else v1
+    p = ctx.contract(*sorted((v2, w4)))
+    q = ctx.contract(zh, r)
+    ctx.contract(q, p)
+
+
 def bipartite_sequence(g0: PlaneGraph, checker=None,
                        ) -> tuple[ContractionSequence, WidthReport]:
     """Full contraction sequence of width <= 6 for a simple bipartite plane
@@ -209,51 +233,6 @@ def bipartite_sequence(g0: PlaneGraph, checker=None,
     return seq0, report
 
 
-@pause_gc()
 def bipartite_sequence_full(g0: PlaneGraph, checker=None, verify: bool = True):
-    if g0.n == 0:
-        raise BuilderError("empty graph: nothing to contract")
-    if not g0.is_simple():
-        raise BuilderError("input must be simple")
-    odd = find_odd_cycle(g0)
-    if odd is not None:
-        raise BuilderError(f"input not bipartite: odd cycle {odd}")
-    gc, vm1 = connect_components(g0)
-    g, vm2 = quadrangulate(gc)
-    vm = vm1.compose(vm2)
-    r = g.tail[g.outer_dart]
-    t = left_aligned_bfs_tree(g, r)
-    if checker is not None:
-        bad = check_left_aligned(g, t)
-        if bad is not None:
-            raise BuilderError(f"tree not left-aligned: {bad}")
-        checker.bind(g, t)
-    ctx = BuildCtx(g, t, checker)
-    lid_dart, sink = _outer_quad_call(g, t)
-    surv = run_trampoline(_bicore(ctx, lid_dart, sink))
-    if checker is not None:
-        checker.enter_final_phase()
-    # final phase: drain interior survivors deepest-first, then pair the
-    # outer quadrangle's opposite vertices (twins when nothing else is left)
-    v1 = g.tail[lid_dart]
-    v2 = g.head[lid_dart]
-    others = [g.tail[d] for d in g.faces[g.outer_face]]
-    w4 = next(v for v in others if v not in (r, v1, v2))
-    rem = fold_contract(ctx, [(lv, v) for lv, v in surv.items()])
-    zh = ctx.contract(rem, v1) if rem is not None else v1
-    p = ctx.contract(*sorted((v2, w4)))
-    q = ctx.contract(zh, r)
-    ctx.contract(q, p)
-    seq = ctx.sequence()
-    if not seq.is_full():
-        raise BuilderError("sequence does not contract to a single vertex")
-    if g.n == g0.n:
-        seq0 = seq  # nothing was added, the ids already match g0
-    else:
-        keep = [vm.old_to_new[v] for v in range(g0.n)]
-        seq0 = restrict_sequence(seq, keep)
-    report = verify_sequence(g0.n, g0.edges, seq0) if verify else None
-    if report is not None and report.width > WIDTH_BOUND:
-        raise BuilderError(
-            f"verified width {report.width} exceeds the bound {WIDTH_BOUND}")
-    return seq0, report, (seq, g, t)
+    return run_pipeline(g0, checker, verify, _complete, _run_core,
+                        _final_phase, WIDTH_BOUND)

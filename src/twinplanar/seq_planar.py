@@ -9,6 +9,9 @@ interior edges, or splits along a vertical path P0 into two recursive
 sub-calls plus a level-by-level merge, and finishes with the two-pass
 second stage that leaves at most one interior vertex per level (maximally
 1-reduced).
+
+``run_pipeline`` is the driver that this builder and the bipartite one in
+``seq_bipartite`` share.
 """
 
 from __future__ import annotations
@@ -340,6 +343,73 @@ def _outer_triangle_call(g: PlaneGraph, t: BfsTree) -> tuple[int, int]:
     return lid ^ 1, r
 
 
+def _complete(g0: PlaneGraph, gc: PlaneGraph):
+    return triangulate(gc)
+
+
+def _run_core(ctx: BuildCtx) -> tuple[dict[int, int], int]:
+    lid_dart, sink = _outer_triangle_call(ctx.g, ctx.t)
+    return run_trampoline(_core(ctx, lid_dart, sink, None, None)), lid_dart
+
+
+def _final_phase(ctx: BuildCtx, surv: dict[int, int], lid_dart: int) -> None:
+    """Fold the core's survivors and the outer triangle (at most 5
+    vertices) into one."""
+    g, dep = ctx.g, ctx.t.depth
+    leftovers = list(surv.items())
+    leftovers += [(dep[g.tail[d]], g.tail[d]) for d in g.faces[g.outer_face]]
+    fold_contract(ctx, leftovers)
+
+
+@pause_gc()
+def run_pipeline(g0: PlaneGraph, checker, verify: bool,
+                 complete, run_core, final_phase, width_bound: int):
+    """The pipeline both builders share; each mode supplies the steps that
+    differ.
+
+    ``complete(g0, gc)`` refuses g0 if the mode cannot take it and turns
+    ``gc``, g0 made connected, into a triangulation or quadrangulation
+    (keeping g0 induced),
+    ``run_core(ctx)`` runs the recursion on the outer face and returns its
+    survivors and lid dart, and ``final_phase(ctx, survivors, lid_dart)``
+    contracts what is left into one vertex.  The sequence is restricted
+    back to V(g0) and replayed by the independent verifier; returns
+    ``(seq0, report, (seq, g, t))`` with the completed graph's sequence,
+    graph and tree.
+    """
+    if g0.n == 0:
+        raise BuilderError("empty graph: nothing to contract")
+    if not g0.is_simple():
+        raise BuilderError("input must be simple")
+    gc, vm1 = connect_components(g0)
+    g, vm2 = complete(g0, gc)
+    r = g.tail[g.outer_dart]
+    t = left_aligned_bfs_tree(g, r)
+    if checker is not None:
+        bad = check_left_aligned(g, t)
+        if bad is not None:
+            raise BuilderError(f"tree not left-aligned: {bad}")
+        checker.bind(g, t)
+    ctx = BuildCtx(g, t, checker)
+    surv, lid_dart = run_core(ctx)
+    if checker is not None:
+        checker.enter_final_phase()
+    final_phase(ctx, surv, lid_dart)
+    seq = ctx.sequence()
+    if not seq.is_full():
+        raise BuilderError("sequence does not contract to a single vertex")
+    if g.n == g0.n:
+        seq0 = seq  # nothing was added, the ids already match g0
+    else:
+        vm = vm1.compose(vm2)
+        seq0 = restrict_sequence(seq, [vm.old_to_new[v] for v in range(g0.n)])
+    report = verify_sequence(g0.n, g0.edges, seq0) if verify else None
+    if report is not None and report.width > width_bound:
+        raise BuilderError(
+            f"verified width {report.width} exceeds the bound {width_bound}")
+    return seq0, report, (seq, g, t)
+
+
 def planar_sequence(g0: PlaneGraph, checker=None,
                     ) -> tuple[ContractionSequence, WidthReport]:
     """Full contraction sequence of width <= 8 for a simple plane graph.
@@ -355,43 +425,6 @@ def planar_sequence(g0: PlaneGraph, checker=None,
     return seq0, report
 
 
-@pause_gc()
 def planar_sequence_full(g0: PlaneGraph, checker=None, verify: bool = True):
-    if g0.n == 0:
-        raise BuilderError("empty graph: nothing to contract")
-    if not g0.is_simple():
-        raise BuilderError("input must be simple")
-    gc, vm1 = connect_components(g0)
-    g, vm2 = triangulate(gc)
-    vm = vm1.compose(vm2)
-    r = g.tail[g.outer_dart]
-    t = left_aligned_bfs_tree(g, r)
-    if checker is not None:
-        bad = check_left_aligned(g, t)
-        if bad is not None:
-            raise BuilderError(f"tree not left-aligned: {bad}")
-        checker.bind(g, t)
-    ctx = BuildCtx(g, t, checker)
-    lid_dart, sink = _outer_triangle_call(g, t)
-    surv = run_trampoline(_core(ctx, lid_dart, sink, None, None))
-    leftovers = [(lv, v) for lv, v in surv.items()]
-    owalk = g.faces[g.outer_face]
-    for d in owalk:
-        v = g.tail[d]
-        leftovers.append((t.depth[v], v))
-    if checker is not None:
-        checker.enter_final_phase()
-    fold_contract(ctx, leftovers)
-    seq = ctx.sequence()
-    if not seq.is_full():
-        raise BuilderError("sequence does not contract to a single vertex")
-    if g.n == g0.n:
-        seq0 = seq  # nothing was added, the ids already match g0
-    else:
-        keep = [vm.old_to_new[v] for v in range(g0.n)]
-        seq0 = restrict_sequence(seq, keep)
-    report = verify_sequence(g0.n, g0.edges, seq0) if verify else None
-    if report is not None and report.width > WIDTH_BOUND:
-        raise BuilderError(
-            f"verified width {report.width} exceeds the bound {WIDTH_BOUND}")
-    return seq0, report, (seq, g, t)
+    return run_pipeline(g0, checker, verify, _complete, _run_core,
+                        _final_phase, WIDTH_BOUND)

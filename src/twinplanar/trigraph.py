@@ -205,19 +205,6 @@ def classify_step(t: Trigraph, step: Step, mode: str = "min") -> str:
     return VIOLATION
 
 
-def min_level_update(t: Trigraph, step: Step) -> Trigraph:
-    """Apply a step under the minimum level assignment: a contraction gives
-    the new vertex the smaller level; a d-step decreases by one (validated)."""
-    if step[0] == "d":
-        t.decrease_level(step[1])
-        return t
-    _, x, y, z = step
-    got = t.contract(x, y)
-    if got != z:
-        raise SequenceError(f"fresh id mismatch: expected {z}, produced {got}")
-    return t
-
-
 def is_good_assignment(t: Trigraph) -> bool:
     """True iff every (black or red) edge spans at most one level."""
     if t.level is None:

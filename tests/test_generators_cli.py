@@ -5,7 +5,7 @@ import pytest
 
 import twinplanar as tp
 from twinplanar import plane_graph as pg
-from twinplanar import seq_bipartite, seq_planar
+from twinplanar import seq_planar
 from twinplanar.cli import main
 
 
@@ -30,7 +30,7 @@ def test_generated_graphs_pass_invariants():
         q = tp.gen_stacked_quadrangulation(50, seed)
         assert q.is_simple()
         assert set(q.face_lengths()) == {4}
-        assert pg.two_coloring(q) is not None
+        assert pg.find_odd_cycle(q) is None
 
 
 def test_same_seed_byte_identical():
@@ -130,15 +130,25 @@ def test_cli_tree(tmp_path, capsys):
     assert len(parents) == 10 and parents.count(-1) == 1
 
 
-def test_cli_bench(tmp_path, capsys):
+@pytest.mark.parametrize("extra", [[], ["--assert"]], ids=["plain", "assert"])
+def test_cli_bench(tmp_path, capsys, monkeypatch, extra):
+    bound = []  # graphs an InvariantChecker was bound to
+    real_bind = tp.InvariantChecker.bind
+
+    def bind(self, g, t):
+        bound.append(g.n)
+        real_bind(self, g, t)
+
+    monkeypatch.setattr(tp.InvariantChecker, "bind", bind)
     code, out, _ = run_cli(["bench", "--mode", "planar", "--sizes", "30",
-                            "--seeds", "2"], capsys)
+                            "--seeds", "2", *extra], capsys)
     assert code == 0
     rows = [l.split("\t") for l in out.strip().splitlines()]
     assert len(rows) == 2
     for n, mode, width, ms in rows:
         assert n == "30" and mode == "planar" and int(width) <= 8
         float(ms)
+    assert bound == ([30, 30] if extra else [])
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -183,15 +193,15 @@ def test_cli_empty_graph_is_a_typed_error(tmp_path, mode):
     assert "empty graph" in r.stderr
 
 
-@pytest.mark.parametrize("mode, module, width", [
-    ("planar", seq_planar, 9), ("bipartite", seq_bipartite, 7)],
-    ids=["planar", "bipartite"])
+@pytest.mark.parametrize("mode, width", [("planar", 9), ("bipartite", 7)],
+                         ids=["planar", "bipartite"])
 def test_cli_seq_enforces_width_bound(tmp_path, capsys, monkeypatch, mode,
-                                      module, width):
+                                      width):
     def over_bound(n, edges, seq):
         return tp.WidthReport(width, [width] * len(seq.steps), True)
 
-    monkeypatch.setattr(module, "verify_sequence", over_bound)
+    # both builders verify through the one pipeline driver in seq_planar
+    monkeypatch.setattr(seq_planar, "verify_sequence", over_bound)
     p = tmp_path / "grid.plane"
     p.write_text(pg.write_plane(tp.gen_grid(3, 3)))
     code, out, err = run_cli(["seq", str(p), "--mode", mode], capsys)

@@ -148,16 +148,17 @@ def test_vertical_path():
 
 def test_linear_runtime_scaling():
     import time
-    def run(n):
-        trials = []
-        for seed in range(10):
+    # the two sizes alternate seed by seed, so that drift in machine speed
+    # hits both means alike
+    trials = {20000: [], 40000: []}
+    for seed in range(10):
+        for n, times in trials.items():
             g = tp.gen_triangulation(n, seed)
             t0 = time.perf_counter()
             ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
-            trials.append(time.perf_counter() - t0)
-        return sum(trials) / len(trials)
-    small = run(20000)
-    big = run(40000)
+            times.append(time.perf_counter() - t0)
+    small = sum(trials[20000]) / 10
+    big = sum(trials[40000]) / 10
     assert big <= 3.0 * small, (small, big)
 
 

@@ -150,7 +150,7 @@ def test_quadrangulate_c6_ring_and_hub():
     # a ring matched to each hexagonal side plus a hub, per face
     assert all(l == 4 for l in g2.face_lengths())
     assert g2.is_simple()
-    assert pg.two_coloring(g2) is not None
+    assert pg.find_odd_cycle(g2) is None
     hub_candidates = [v for v in range(6, g2.n) if len(g2.rot[v]) == 3]
     assert hub_candidates  # alternate ring vertices keep degree 3
 
@@ -160,7 +160,7 @@ def test_quadrangulate_k2():
     g2, _ = pg.quadrangulate(g)
     assert all(l == 4 for l in g2.face_lengths())
     assert g2.is_simple()
-    assert pg.two_coloring(g2) is not None
+    assert pg.find_odd_cycle(g2) is None
     assert pg.articulation_points(g2) == []
     old = {(u, v) for u, v in g2.edges if u < 2 and v < 2}
     assert old == {(0, 1)}
@@ -193,7 +193,7 @@ def test_connect_two_disjoint_edges():
     g2, vm = pg.connect_components(g)
     assert len(vm.added) == 1
     assert len(pg.connected_components(g2)) == 1
-    assert pg.two_coloring(g2) is not None
+    assert pg.find_odd_cycle(g2) is None
 
 
 def test_connect_k_components():
@@ -248,12 +248,12 @@ def test_derived_facts_match_direct_computation(g):
     assert g.faces == (orbits or [[]])
     assert all(g.face_of[d] == f for f, w in enumerate(g.faces) for d in w)
 
-    # components: an independent BFS over the edge list
+    # components and a 2-colouring: an independent BFS over the edge list
     adj = [[] for _ in range(g.n)]
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    comps, label = [], [None] * g.n
+    comps, label, colour = [], [None] * g.n, [0] * g.n
     for s in range(g.n):
         if label[s] is None:
             label[s] = len(comps)
@@ -262,6 +262,7 @@ def test_derived_facts_match_direct_computation(g):
                 for w in adj[v]:
                     if label[w] is None:
                         label[w] = len(comps)
+                        colour[w] = colour[v] ^ 1
                         queue.append(w)
             comps.append(set(queue))
     got = pg.connected_components(g)
@@ -273,7 +274,7 @@ def test_derived_facts_match_direct_computation(g):
     assert simple is True and g.is_simple() is simple
     odd = pg.find_odd_cycle(g)
     assert pg.find_odd_cycle(g) == odd
-    assert (odd is None) == (pg.two_coloring(g) is not None)
+    assert (odd is None) == all(colour[u] != colour[v] for u, v in g.edges)
     if odd is not None:
         assert len(odd) % 2 == 1
         pairs = {frozenset(e) for e in g.edges}

@@ -162,13 +162,13 @@ def test_classify_violation():
 
 def test_min_level_update_and_decrease():
     t = tg.Trigraph(3, [(0, 1), (1, 2)], levels=[3, 4, 3])
-    tg.min_level_update(t, ("k", 0, 1, 3))
+    assert t.contract(0, 1) == 3
     assert t.level[3] == 3
     t2 = tg.Trigraph(2, [(0, 1)], levels=[3, 2])
-    tg.min_level_update(t2, ("d", 0))
+    t2.decrease_level(0)
     assert t2.level[0] == 2
-    with pytest.raises(tg.SequenceError):
-        tg.min_level_update(t2, ("d", 1))
+    with pytest.raises(tg.SequenceError, match="illegal level decrease"):
+        t2.decrease_level(1)
 
 
 def test_good_assignment():
@@ -186,7 +186,10 @@ def test_min_level_respecting_keeps_goodness():
     sim = tg.Trigraph(G.n, G.edges, levels=t.depth)
     nfinal = 4  # final-phase steps are outside the level discipline
     for step in full_seq.steps[:-nfinal]:
-        tg.min_level_update(sim, step)
+        if step[0] == "d":
+            sim.decrease_level(step[1])
+        else:
+            assert sim.contract(step[1], step[2]) == step[3]
         assert tg.is_good_assignment(sim)
 
 
@@ -272,3 +275,25 @@ def test_classify_modes():
     assert tg.classify_step(t2, ("d", 0), mode="respecting") == tg.VIOLATION
     with pytest.raises(ValueError):
         tg.classify_step(t2, step, mode="bogus")
+
+
+@pytest.mark.parametrize("mode, x, y, rule", [
+    ("planar", 0, 1, "level-respecting"),   # 1 keeps its deeper neighbour 2
+    ("planar", 0, 2, "level-respecting"),   # two levels apart
+    ("bipartite", 1, 2, "level-preserving"),
+], ids=["planar-deeper-neighbour", "planar-two-apart", "bipartite-one-apart"])
+def test_checker_rejects_steps_off_the_level_rule(mode, x, y, rule):
+    # the path 0-1-2 rooted at 0: levels 0, 1, 2
+    g = tp.build(3, [(0, 1), (1, 2)], [[0], [1, 2], [3]], 0)
+    chk = tp.InvariantChecker(mode)
+    chk.bind(g, tp.left_aligned_bfs_tree(g, 0))
+    with pytest.raises(tp.InvariantViolation, match=f"is not {rule}"):
+        chk.on_contract(x, y, 3)
+
+
+def test_checker_accepts_a_level_respecting_step():
+    g = tp.build(3, [(0, 1), (1, 2)], [[0], [1, 2], [3]], 0)
+    chk = tp.InvariantChecker("planar")
+    chk.bind(g, tp.left_aligned_bfs_tree(g, 0))
+    chk.on_contract(1, 2, 3)  # every neighbour of 2 sits on level 1
+    assert chk.sim.level[3] == 1
