@@ -1,5 +1,15 @@
 """Per-step invariant checking for the sequence builders (--assert mode).
 
+Checks the entry geometry of every region of the recursion, in O(1) tree
+queries per region:
+
+* the region's cycle D is T-wrapped: its lid is no tree edge and its sink
+  lies above both lid ends (both modes),
+* in planar runs, the side faces B1 and B2 divide D as a vertical/
+  horizontal division: horizontal lids, no triangles, B1 sharing D's sink
+  and wrapping paths, B2 wrapped inside P1 and P0 (plus P2 without B1),
+  edge-disjoint from B1.
+
 Replays every emitted step on a trigraph simulation and asserts, against
 the innermost active region of the recursion:
 
@@ -58,6 +68,7 @@ class InvariantChecker:
         self.pure = {v: t.depth[v] for v in range(g.n)}
 
     def push_region(self, spec) -> None:
+        self._check_division(spec)
         self.stack.append((self._next_rid, spec))
         self._next_rid += 1
 
@@ -129,6 +140,55 @@ class InvariantChecker:
 
     # -- condition checks ---------------------------------------------------
 
+    def _check_division(self, spec) -> None:
+        """Entry geometry of a region, in O(1) tree queries.
+
+        D (sink, lid v1-v2, wrapping paths P1 from v1 and P2 from v2 up to
+        the sink) must be T-wrapped.  In planar runs (B1, B2) must divide D
+        as a vh-division does; the messages carry its clause labels.  Clause
+        (a) holds by construction, since C is D ^ B1 ^ B2 and never
+        materialised, and clause (c) needs the skeleton, which the builder
+        keeps implicit.
+        """
+        t = self.t
+        dep, parent, on_vertical = t.depth, t.parent, t.on_vertical
+        s, v1, v2 = spec.sink, spec.v1, spec.v2
+        if parent[v1] == v2 or parent[v2] == v1:
+            raise InvariantViolation(
+                f"(wrapped) D lid is a tree edge: ({v1},{v2})")
+        if not (t.is_ancestor(s, v1) and t.is_ancestor(s, v2)):
+            raise InvariantViolation(
+                f"(wrapped) D sink is not above both lid ends: sink {s}, "
+                f"lid ({v1},{v2})")
+        b1, b2 = spec.b1, spec.b2
+        if b1 is not None:
+            a1, b1v = b1
+            _check_side_lid(t, "B1", a1, b1v, s)
+            if not (on_vertical(a1, v1, s) and on_vertical(b1v, v2, s)):
+                raise InvariantViolation(
+                    f"(b) B1 wrapping paths not subpaths of D's: lid "
+                    f"({a1},{b1v}), D lid ({v1},{v2}), sink {s}")
+        if b2 is None:
+            return
+        a2, b2v, u1, v0 = b2
+        u1_on_p1 = on_vertical(u1, v1, s)
+        s2 = u1 if u1_on_p1 else s  # the sink of B2
+        _check_side_lid(t, "B2", a2, b2v, s2)
+        if b1 is not None and not (u1_on_p1 and dep[u1] >= dep[a1]):
+            raise InvariantViolation(
+                f"(d) B2 not edge-disjoint from B1: B2 sink {s2}, B1 lid "
+                f"({a1},{b1v})")
+        if not on_vertical(a2, v1, s2):
+            raise InvariantViolation(
+                f"(d) B2 left wrapping path not inside P1: {a2} up to {s2}")
+        # P0 runs from v0 up to u1; B2's right path continues along P2 to
+        # the sink when u1 sits there
+        if not (t.is_ancestor(u1, b2v) and t.is_ancestor(b2v, v0)
+                and (u1_on_p1 or b1 is None and on_vertical(u1, v2, s))):
+            raise InvariantViolation(
+                f"(d) B2 right wrapping path not inside P0 (or P0+P2): "
+                f"{b2v} up to {u1}, P0 from {v0}")
+
     def _check_red_caps(self, z: int) -> None:
         sim = self.sim
         for v in (z, *sim.red[z]):
@@ -169,3 +229,16 @@ class InvariantChecker:
             raise InvariantViolation(
                 f"sink-protection broken: {z} adjacent to sink {s} stems from "
                 f"mixed levels")
+
+
+def _check_side_lid(t: BfsTree, name: str, a: int, b: int, sink: int) -> None:
+    """(pre) of a vh-division: a side face's lid is horizontal and the side
+    face is no triangle."""
+    dep = t.depth
+    if dep[a] != dep[b]:
+        raise InvariantViolation(
+            f"(pre) {name} lid is not horizontal: ({a},{b}) at levels "
+            f"{dep[a]}, {dep[b]}")
+    if dep[a] - dep[sink] == 1:
+        raise InvariantViolation(
+            f"(pre) {name} is a triangle: lid ({a},{b}), sink {sink}")

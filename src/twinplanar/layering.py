@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .plane_graph import PlaneGraph
 
@@ -228,13 +227,3 @@ def check_left_aligned(g: PlaneGraph, t: BfsTree) -> tuple[int, int] | None:
         if is_left_of(g, t, u, v):
             return (u, v)
     return None
-
-
-def vertical_path(t: BfsTree, v: int,
-                  stop: Callable[[int], bool] | None = None) -> list[int]:
-    """Follow parent darts from v until ``stop`` accepts a vertex or the
-    root is reached; the stopping vertex is included."""
-    path = [v]
-    while t.parent[path[-1]] != -1 and not (stop is not None and stop(path[-1])):
-        path.append(t.parent[path[-1]])
-    return path

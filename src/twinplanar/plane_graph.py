@@ -87,9 +87,6 @@ class PlaneGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def rev(self, d: int) -> int:
-        return d ^ 1
-
     def rot_next(self, d: int) -> int:
         """CCW successor of dart d around its tail."""
         r = self.rot[self.tail[d]]
@@ -102,9 +99,6 @@ class PlaneGraph:
     def next_in_face(self, d: int) -> int:
         """Next dart of the face on the left of d."""
         return self.rot_prev(d ^ 1)
-
-    def darts_at(self, v: int) -> list[int]:
-        return self.rot[v]
 
     def neighbors(self, v: int) -> list[int]:
         return [self.head[d] for d in self.rot[v]]
@@ -237,15 +231,6 @@ def _check_euler(g: PlaneGraph) -> None:
         raise PlaneError(
             f"Euler violation: V - E + F = {chi} over {ncomp - isolated} "
             f"components with edges, planar needs {2 * (ncomp - isolated)}")
-
-
-def faces(g: PlaneGraph) -> list[tuple[list[int], bool]]:
-    """All face walks as dart lists, flagged outer."""
-    return [(list(w), f == g.outer_face) for f, w in enumerate(g.faces)]
-
-
-def face_vertices(g: PlaneGraph, f: int) -> list[int]:
-    return [g.tail[d] for d in g.faces[f]]
 
 
 # ---------------------------------------------------------------------------
@@ -703,42 +688,40 @@ def parse_plane(text: str) -> PlaneGraph:
         raise FormatError("missing 'p plane' header")
     if None in edges:
         raise FormatError("missing edge record")
+    # each edge id maps to the dart leaving v; a loop or an id listed twice
+    # yields a repeated dart, which ``build`` rejects
     rotations: list[list[int]] = []
     for v in range(n):
         darts = []
-        seen: dict[int, int] = {}
-        for eid in rot_eids.get(v, []):
+        for eid in rot_eids.get(v, ()):
             if not 0 <= eid < m:
                 raise FormatError(f"rotation at {v}: unknown edge {eid}")
             u0, v0 = edges[eid]
-            k = seen.get(eid, 0)
-            seen[eid] = k + 1
-            if k == 0:
-                if u0 == v:
-                    darts.append(2 * eid)
-                elif v0 == v:
-                    darts.append(2 * eid + 1)
-                else:
-                    raise FormatError(f"edge {eid} not incident to {v}")
-            elif k == 1:
-                # an eid twice at v: both darts of the edge, in list order
-                darts.append(2 * eid + (1 if darts.count(2 * eid) else 0))
+            if u0 == v:
+                darts.append(2 * eid)
+            elif v0 == v:
+                darts.append(2 * eid + 1)
             else:
-                raise FormatError(f"edge {eid} listed more than twice at {v}")
+                raise FormatError(f"edge {eid} not incident to {v}")
         rotations.append(darts)
-    if m == 0:
-        return build(n, edges, rotations, 0)
-    if outer_spec is None:
-        raise FormatError("missing 'outer' record")
-    eid, v = outer_spec
-    u0, v0 = edges[eid]
-    if u0 == v:
-        outer = 2 * eid
-    elif v0 == v:
-        outer = 2 * eid + 1
-    else:
-        raise FormatError("outer record not incident to its vertex")
-    return build(n, edges, rotations, outer)
+    outer = 0
+    if m:
+        if outer_spec is None:
+            raise FormatError("missing 'outer' record")
+        eid, v = outer_spec
+        if not 0 <= eid < m:
+            raise FormatError(f"outer record: unknown edge {eid}")
+        u0, v0 = edges[eid]
+        if u0 == v:
+            outer = 2 * eid
+        elif v0 == v:
+            outer = 2 * eid + 1
+        else:
+            raise FormatError("outer record not incident to its vertex")
+    try:
+        return build(n, edges, rotations, outer)
+    except PlaneError as exc:
+        raise FormatError(f"not a plane graph: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def _bicore(ctx: BuildCtx, lid_dart: int, sink: int):
     v1, v2 = g.tail[lid_dart], g.head[lid_dart]
     if dep[v1] != dep[v2] + 1:
         raise BuilderError("lid ends not one level apart (left-alignment broken)")
-    spec = RegionSpec(sink, v1, v2, None, None, bipartite=True)
+    spec = RegionSpec(sink, v1, v2, None, None)
     ctx.push_region(spec)
 
     def on_p1(z: int) -> bool:

@@ -40,7 +40,6 @@ class RegionSpec:
     v2: int
     b1: tuple[int, int] | None
     b2: tuple[int, int, int, int] | None
-    bipartite: bool = False
 
     def on_left(self, t: BfsTree, v: int) -> bool:
         return t.on_vertical(v, self.v1, self.sink)

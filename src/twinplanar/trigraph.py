@@ -43,9 +43,6 @@ class ContractionSequence:
     def is_full(self) -> bool:
         return self.contract_count == self.n - 1
 
-    def contractions(self) -> list[tuple[int, int, int]]:
-        return [(s[1], s[2], s[3]) for s in self.steps if s[0] == "k"]
-
 
 @dataclass
 class WidthReport:
@@ -84,15 +81,6 @@ class Trigraph:
         self.next_id = n
 
     # -- queries ------------------------------------------------------------
-
-    def live(self) -> list[int]:
-        return sorted(self.black)
-
-    def is_live(self, v: int) -> bool:
-        return v in self.black
-
-    def red_degree(self, v: int) -> int:
-        return len(self.red[v])
 
     def max_red_degree(self) -> int:
         return self._max_red
@@ -171,27 +159,23 @@ LEVEL_RESPECTING = "level-respecting"
 VIOLATION = "violation"
 
 
-def classify_step(t: Trigraph, step: Step, mode: str = "min") -> str:
-    """Classify a step against Definition-style level rules.
+def classify_step(t: Trigraph, step: Step, mode: str) -> str:
+    """Classify a contraction against Definition-style level rules.
 
     Contractions of equal levels are level-preserving; a one-apart pair is
     level-respecting iff every neighbour of the deeper vertex sits on the
     shallower level.  ``mode`` selects the discipline being enforced:
     "preserving" accepts only same-level contractions, "respecting" also
-    the one-apart case, and "min" additionally admits legal dummy level
-    decreases (the recursive minimum-level rule).
+    the one-apart case.  A dummy level decrease is no contraction and
+    classifies as a violation; ``Trigraph.decrease_level`` checks its
+    legality.
     """
-    if mode not in ("preserving", "respecting", "min"):
+    if mode not in ("preserving", "respecting"):
         raise ValueError(f"unknown mode {mode!r}")
     if t.level is None:
         raise SequenceError("no level assignment present")
     if step[0] == "d":
-        if mode != "min":
-            return VIOLATION
-        x = step[1]
-        lx = t.level[x]
-        ok = all(t.level[w] <= lx - 1 for w in t.neighbors(x))
-        return LEVEL_RESPECTING if ok else VIOLATION
+        return VIOLATION
     _, x, y, _z = step
     lx, ly = t.level[x], t.level[y]
     if lx == ly:
@@ -203,22 +187,6 @@ def classify_step(t: Trigraph, step: Step, mode: str = "min") -> str:
     if all(t.level[w] == lo_level for w in t.neighbors(hi)):
         return LEVEL_RESPECTING
     return VIOLATION
-
-
-def is_good_assignment(t: Trigraph) -> bool:
-    """True iff every (black or red) edge spans at most one level."""
-    if t.level is None:
-        raise SequenceError("no level assignment present")
-    lev = t.level
-    for v, bl in t.black.items():
-        lv = lev[v]
-        for w in bl:
-            if abs(lv - lev[w]) > 1:
-                return False
-        for w in t.red[v]:
-            if abs(lv - lev[w]) > 1:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +167,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "odd cycle" in err
 
 
+@pytest.mark.parametrize("text, msg", [
+    ("p plane 2 1\ne 0 0 1\nr 0 0 0\nr 1 0\nouter 0 0\n", "appears twice"),
+    ("p plane 1 1\ne 0 0 0\nr 0 0 0\nouter 0 0\n", "loop edge"),
+    ("p plane 2 1\ne 0 0 1\nr 0 0\nr 1 0\nouter 3 0\n", "unknown edge 3"),
+], ids=["eid-twice-at-a-vertex", "loop-record", "outer-unknown-edge"])
+def test_cli_seq_rejects_a_malformed_plane_file(tmp_path, capsys, text, msg):
+    p = tmp_path / "bad.plane"
+    p.write_text(text)
+    code, out, err = run_cli(["seq", str(p), "--mode", "planar"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and msg in err
+    assert out == ""
+
+
 def test_cli_embed_flag_required_for_edge_lists(tmp_path, capsys):
     p = tmp_path / "g.edges"
     p.write_text(pg.write_edge_list(3, [(0, 1), (1, 2)]))
@@ -180,6 +196,38 @@ def test_console_entrypoint():
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert "twinplanar" in r.stdout
+
+
+SUPPORTED_API = {
+    "PlaneGraph", "PlaneError", "FormatError", "build", "parse_plane",
+    "write_plane", "parse_edge_list", "write_edge_list", "embed_abstract",
+    "ContractionSequence", "WidthReport", "SequenceError", "verify_sequence",
+    "restrict_sequence", "parse_seq", "write_seq",
+    "planar_sequence", "planar_sequence_full",
+    "bipartite_sequence", "bipartite_sequence_full",
+    "ExactResult", "OracleError", "exact_twinwidth", "reference_verify",
+    "gen_triangulation", "gen_quadrangulation", "gen_grid",
+    "gen_stacked_quadrangulation", "platonic_solids",
+    "InvariantChecker", "InvariantViolation", "BuilderError",
+}
+
+
+def test_package_exports_the_supported_api():
+    assert len(tp.__all__) == len(SUPPORTED_API)
+    assert set(tp.__all__) == SUPPORTED_API
+    for name in tp.__all__:
+        getattr(tp, name)
+    # the benchmark reads the package through tp.<name>, `from twinplanar
+    # import ...` and the ("twinplanar", "<name>") span targets
+    used = set()
+    for f in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"):
+        text = f.read_text()
+        used |= set(re.findall(r"\btp\.(\w+)", text))
+        for names in re.findall(r"^from twinplanar import (.+)$", text, re.M):
+            used |= {x.strip() for x in names.split(",")}
+        used |= set(re.findall(r"\(\"twinplanar\", \"(\w+)\"", text))
+    assert "parse_plane" in used and "PlaneGraph" in used
+    assert used <= SUPPORTED_API, sorted(used - SUPPORTED_API)
 
 
 @pytest.mark.parametrize("mode", ["planar", "bipartite"])

@@ -135,17 +135,6 @@ def test_multigraph_left_aligned():
     assert ly.check_left_aligned(g, t) is None
 
 
-def test_vertical_path():
-    g = pg.build(4, [(0, 1), (1, 2), (2, 3)], [[0], [2, 1], [4, 3], [5]], 0)
-    t = ly.left_aligned_bfs_tree(g, 0)
-    assert ly.vertical_path(t, 0) == [0]
-    assert ly.vertical_path(t, 3) == [3, 2, 1, 0]
-    assert ly.vertical_path(t, 3, stop=lambda v: v == 1) == [3, 2, 1]
-    path = ly.vertical_path(t, 3)
-    depths = [t.depth[v] for v in path]
-    assert depths == sorted(depths, reverse=True)
-
-
 def test_linear_runtime_scaling():
     import time
     # the two sizes alternate seed by seed, so that drift in machine speed

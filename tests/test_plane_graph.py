@@ -43,7 +43,7 @@ def test_k4_four_faces():
 
 def test_path_boundary_walk_visits_middle_twice():
     g = path3()
-    (walk, _outer), = pg.faces(g)[:1]
+    walk = g.faces[g.outer_face]
     assert len(walk) == 4
     vs = [g.tail[d] for d in walk]
     assert vs.count(1) == 2

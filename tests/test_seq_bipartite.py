@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinplanar as tp
+from twinplanar import layering as ly
 from twinplanar import plane_graph as pg
 from twinplanar.buildctx import BuildCtx
 from twinplanar.instrument import InvariantChecker
@@ -117,7 +118,7 @@ def test_every_step_level_preserving_until_final_phase():
 
 def test_bi_second_stage_empty_and_pairs():
     g = tp.gen_grid(5, 5)
-    t = tp.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
+    t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
     ctx = BuildCtx(g, t)
     assert _bi_second_stage(ctx, {}, t.root) == {}
     by_level = {}

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinplanar as tp
+from twinplanar import layering as ly
 from twinplanar import plane_graph as pg
 from twinplanar.buildctx import BuildCtx
 from twinplanar.instrument import InvariantChecker
@@ -97,7 +98,7 @@ def test_second_stage_drain_only_when_one_per_level():
     # a 1-reduced face only needs the drain pass: every emitted contraction
     # joins consecutive levels, and dummy decreases fill the gaps
     g = tp.gen_triangulation(30, 2)
-    t = tp.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
+    t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
     ctx = BuildCtx(g, t)
     by_level = {}
     for v in range(g.n):
@@ -124,7 +125,7 @@ def _pick_lid(g, t):
 def test_second_stage_ladder_two_per_level():
     # two vertices per level: pass one contracts exactly one pair per level
     g = tp.gen_triangulation(40, 3)
-    t = tp.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
+    t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
     ctx = BuildCtx(g, t)
     by_level = {}
     for v in range(g.n):

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinplanar as tp
+from twinplanar import layering as ly
 from twinplanar import trigraph as tg
 
 
@@ -143,21 +146,37 @@ def test_verify_rejects_edge_endpoint_out_of_range(edge):
 # -- classification and levels ------------------------------------------------
 
 
+def is_good_assignment(t: tg.Trigraph) -> bool:
+    """True iff every (black or red) edge spans at most one level."""
+    if t.level is None:
+        raise tg.SequenceError("no level assignment present")
+    lev = t.level
+    for v, bl in t.black.items():
+        lv = lev[v]
+        for w in bl:
+            if abs(lv - lev[w]) > 1:
+                return False
+        for w in t.red[v]:
+            if abs(lv - lev[w]) > 1:
+                return False
+    return True
+
+
 def test_classify_level_preserving():
     t = tg.Trigraph(4, [(0, 1), (2, 3)], levels=[5, 5, 5, 5])
-    assert tg.classify_step(t, ("k", 0, 1, 4)) == tg.LEVEL_PRESERVING
+    assert tg.classify_step(t, ("k", 0, 1, 4), "preserving") == tg.LEVEL_PRESERVING
 
 
 def test_classify_level_respecting_case():
     # y at level 5, every neighbour of y at level 4
     t = tg.Trigraph(3, [(0, 1), (1, 2)], levels=[4, 5, 4])
-    assert tg.classify_step(t, ("k", 0, 1, 3)) == tg.LEVEL_RESPECTING
+    assert tg.classify_step(t, ("k", 0, 1, 3), "respecting") == tg.LEVEL_RESPECTING
 
 
 def test_classify_violation():
     # y at level 5 keeps a level-6 neighbour
     t = tg.Trigraph(4, [(0, 1), (1, 2), (1, 3)], levels=[4, 5, 4, 6])
-    assert tg.classify_step(t, ("k", 0, 1, 4)) == tg.VIOLATION
+    assert tg.classify_step(t, ("k", 0, 1, 4), "respecting") == tg.VIOLATION
 
 
 def test_min_level_update_and_decrease():
@@ -173,9 +192,9 @@ def test_min_level_update_and_decrease():
 
 def test_good_assignment():
     t = tg.Trigraph(3, [(0, 1), (1, 2)], levels=[0, 1, 2])
-    assert tg.is_good_assignment(t)
+    assert is_good_assignment(t)
     t2 = tg.Trigraph(2, [(0, 1)], levels=[0, 2])
-    assert not tg.is_good_assignment(t2)
+    assert not is_good_assignment(t2)
 
 
 def test_min_level_respecting_keeps_goodness():
@@ -190,14 +209,14 @@ def test_min_level_respecting_keeps_goodness():
             sim.decrease_level(step[1])
         else:
             assert sim.contract(step[1], step[2]) == step[3]
-        assert tg.is_good_assignment(sim)
+        assert is_good_assignment(sim)
 
 
 def test_claim_new_red_edges_stay_within_one_layer():
     rng = random.Random(1)
     for _ in range(10):
         g = tp.gen_triangulation(rng.randrange(6, 30), rng.randrange(10 ** 6))
-        t = tp.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
+        t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
         sim = tg.Trigraph(g.n, g.edges, levels=list(t.depth))
         # contract two same-level vertices and inspect the new red edges
         by_level = {}
@@ -271,7 +290,6 @@ def test_classify_modes():
     assert tg.classify_step(t, step, mode="respecting") == tg.LEVEL_RESPECTING
     assert tg.classify_step(t, step, mode="preserving") == tg.VIOLATION
     t2 = tg.Trigraph(2, [(0, 1)], levels=[3, 2])
-    assert tg.classify_step(t2, ("d", 0), mode="min") == tg.LEVEL_RESPECTING
     assert tg.classify_step(t2, ("d", 0), mode="respecting") == tg.VIOLATION
     with pytest.raises(ValueError):
         tg.classify_step(t2, step, mode="bogus")
@@ -286,7 +304,7 @@ def test_checker_rejects_steps_off_the_level_rule(mode, x, y, rule):
     # the path 0-1-2 rooted at 0: levels 0, 1, 2
     g = tp.build(3, [(0, 1), (1, 2)], [[0], [1, 2], [3]], 0)
     chk = tp.InvariantChecker(mode)
-    chk.bind(g, tp.left_aligned_bfs_tree(g, 0))
+    chk.bind(g, ly.left_aligned_bfs_tree(g, 0))
     with pytest.raises(tp.InvariantViolation, match=f"is not {rule}"):
         chk.on_contract(x, y, 3)
 
@@ -294,6 +312,84 @@ def test_checker_rejects_steps_off_the_level_rule(mode, x, y, rule):
 def test_checker_accepts_a_level_respecting_step():
     g = tp.build(3, [(0, 1), (1, 2)], [[0], [1, 2], [3]], 0)
     chk = tp.InvariantChecker("planar")
-    chk.bind(g, tp.left_aligned_bfs_tree(g, 0))
+    chk.bind(g, ly.left_aligned_bfs_tree(g, 0))
     chk.on_contract(1, 2, 3)  # every neighbour of 2 sits on level 1
     assert chk.sim.level[3] == 1
+
+
+# -- region checks of the checker -----------------------------------------------
+
+
+def captured_regions(mode, g):
+    """The completed graph, its tree, and a copy of every RegionSpec that a
+    checked build pushes (the planar peel loop later moves v1/v2)."""
+    chk = tp.InvariantChecker(mode)
+    specs = []
+    push = chk.push_region
+
+    def spy(spec):
+        specs.append(dataclasses.replace(spec))
+        push(spec)
+
+    chk.push_region = spy
+    build = (tp.planar_sequence_full if mode == "planar"
+             else tp.bipartite_sequence_full)
+    _, _, (_, G, T) = build(g, checker=chk, verify=False)
+    return G, T, specs
+
+
+def shape(spec):
+    return spec.b1 is not None, spec.b2 is not None
+
+
+def test_checker_sees_every_division_shape():
+    # seed 0 holds the one region with both side faces
+    shapes = set()
+    for seed in (0, 5):
+        _, _, specs = captured_regions("planar", tp.gen_triangulation(400, seed))
+        shapes |= {shape(s) for s in specs}
+    assert shapes == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def b2_end_off_p0(t, s):
+    a2, b2v, u1, v0 = s.b2
+    w = next(w for w in range(len(t.depth))
+             if t.depth[w] == t.depth[b2v] and w != a2
+             and not t.is_ancestor(w, v0))
+    return dataclasses.replace(s, b2=(a2, w, u1, v0))
+
+
+@pytest.mark.parametrize("mode, region, corrupt, clause", [
+    ("planar", (False, False),
+     lambda t, s: dataclasses.replace(s, v2=t.parent[s.v1]),
+     "(wrapped) D lid is a tree edge"),
+    ("planar", (False, False),
+     lambda t, s: dataclasses.replace(s, sink=s.v2),
+     "(wrapped) D sink is not above both lid ends"),
+    ("planar", (True, False),
+     lambda t, s: dataclasses.replace(s, b1=(s.b1[0], t.parent[s.b1[1]])),
+     "(pre) B1 lid is not horizontal"),
+    ("planar", (True, False),
+     lambda t, s: dataclasses.replace(s, b1=s.b1[::-1]),
+     "(b) B1 wrapping paths not subpaths of D's"),
+    ("planar", (False, True),
+     lambda t, s: dataclasses.replace(
+         s, b2=(s.b2[0], t.parent[s.b2[1]], *s.b2[2:])),
+     "(pre) B2 lid is not horizontal"),
+    ("planar", (False, True), b2_end_off_p0,
+     "(d) B2 right wrapping path not inside P0 (or P0+P2)"),
+    ("bipartite", (False, False),
+     lambda t, s: dataclasses.replace(s, v2=t.parent[s.v1]),
+     "(wrapped) D lid is a tree edge"),
+], ids=["tree-edge-lid", "sink-not-above", "b1-lid-not-horizontal",
+        "b1-off-p1-p2", "b2-lid-not-horizontal", "b2-off-p0",
+        "bipartite-tree-edge-lid"])
+def test_checker_rejects_a_corrupted_region(mode, region, corrupt, clause):
+    g = tp.gen_triangulation(20, 1) if mode == "planar" else tp.gen_grid(4, 5)
+    G, T, specs = captured_regions(mode, g)
+    spec = next(s for s in specs if shape(s) == region)
+    chk = tp.InvariantChecker(mode)
+    chk.bind(G, T)
+    chk.push_region(spec)  # the region as built passes
+    with pytest.raises(tp.InvariantViolation, match=re.escape(clause)):
+        chk.push_region(corrupt(T, spec))
