@@ -25,28 +25,20 @@ class BuildCtx:
     def __init__(self, g: PlaneGraph, t: BfsTree, checker=None):
         self.g = g
         self.t = t
-        self.dep = t.depth
         self.steps: list[Step] = []
         self.next_id = g.n
         self.checker = checker
-        # levels of contracted vertices (originals use t.depth)
-        self._lev: dict[int, int] = {}
-
-    def level(self, v: int) -> int:
-        return self._lev[v] if v >= self.g.n else self.dep[v]
 
     def contract(self, x: int, y: int) -> int:
         z = self.next_id
         self.next_id += 1
         self.steps.append(("k", x, y, z))
-        self._lev[z] = min(self.level(x), self.level(y))
         if self.checker is not None:
             self.checker.on_contract(x, y, z)
         return z
 
     def decrease(self, x: int) -> None:
         self.steps.append(("d", x))
-        self._lev[x] = self.level(x) - 1
         if self.checker is not None:
             self.checker.on_decrease(x)
 
@@ -76,6 +68,32 @@ def run_trampoline(gen: Generator):
             stack.append(child)
             value = None
     return value
+
+
+def merge_survivors(ctx: BuildCtx, base: dict[int, int], adds, top: int,
+                    where: str) -> dict[int, int]:
+    """Merge the ``(level, id)`` pairs ``adds`` into the survivor dict
+    ``base`` in place, then contract each level that now holds two vertices,
+    deepest first, as the sorted pair; returns ``base``.
+
+    Python code visits only the levels in ``adds``, so handing a child's
+    survivors up does not cost a loop over every level it spans; the one
+    whole-dict pass is the bound check's ``min()``.  Every level must lie
+    strictly below ``top`` (``where`` names that level in the error)."""
+    pairs: dict[int, int] = {}
+    for i, w in adds:
+        if i in pairs:
+            raise BuilderError(f"level {i} holds 3 vertices")
+        if i in base:
+            pairs[i] = w
+        else:
+            base[i] = w
+    if base and min(base) <= top:
+        raise BuilderError(f"interior vertex at or above {where}")
+    for i in sorted(pairs, reverse=True):
+        a, b = sorted((base[i], pairs[i]))
+        base[i] = ctx.contract(a, b)
+    return base
 
 
 def fold_contract(ctx: BuildCtx, items: list[tuple[int, int]]) -> int | None:

@@ -677,7 +677,12 @@ def parse_plane(text: str) -> PlaneGraph:
                     raise FormatError(f"second record for edge {e}")
                 edges[e] = (u, v)
             elif parts[0] == "r":
-                rot_eids[int(parts[1])] = [int(x) for x in parts[2:]]
+                v = int(parts[1])
+                if not 0 <= v < n:
+                    raise FormatError(f"vertex {v} outside 0..{n - 1}")
+                if v in rot_eids:
+                    raise FormatError(f"second rotation record for vertex {v}")
+                rot_eids[v] = [int(x) for x in parts[2:]]
             elif parts[0] == "outer":
                 outer_spec = (int(parts[1]), int(parts[2]))
             else:

@@ -11,7 +11,8 @@ exactly one level.
 
 from __future__ import annotations
 
-from .buildctx import BuildCtx, BuilderError, fold_contract, run_trampoline
+from .buildctx import (BuildCtx, BuilderError, fold_contract, merge_survivors,
+                       run_trampoline)
 from .layering import BfsTree
 from .plane_graph import PlaneGraph, find_odd_cycle, quadrangulate
 from .seq_planar import RegionSpec, run_pipeline
@@ -68,7 +69,7 @@ def _bicore(ctx: BuildCtx, lid_dart: int, sink: int):
             if v4 == parent[v1]:
                 # (a): shrink across A, lid (v3, v2)
                 surv = yield _bicore(ctx, d1 ^ 1, sink)
-                return ret(_bi_second_stage(ctx, _with_extras(surv, [(dep[v3], v3)]), sink))
+                return ret(_bi_second_stage(ctx, surv, ((dep[v3], v3),), sink))
             p3_from = v3  # (e)
             c1_lid, c2_lid = d3 ^ 1, d1 ^ 1  # (v1, v4) and (v3, v2)
         else:
@@ -77,11 +78,11 @@ def _bicore(ctx: BuildCtx, lid_dart: int, sink: int):
             if v4 == parent[v1]:
                 # (b): shrink across A, lid (v4, v3)
                 surv = yield _bicore(ctx, d2 ^ 1, sink)
-                return ret(_bi_second_stage(ctx, _with_extras(surv, []), sink))
+                return ret(_bi_second_stage(ctx, surv, (), sink))
             if parent[v4] == v3:
                 # (c): shrink across A, lid (v1, v4)
                 surv = yield _bicore(ctx, d3 ^ 1, sink)
-                return ret(_bi_second_stage(ctx, _with_extras(surv, [(dep[v4], v4)]), sink))
+                return ret(_bi_second_stage(ctx, surv, ((dep[v4], v4),), sink))
             p3_from = v4  # (f)
             c1_lid, c2_lid = d3 ^ 1, d2 ^ 1  # (v1, v4) and (v4, v3)
     else:
@@ -93,7 +94,7 @@ def _bicore(ctx: BuildCtx, lid_dart: int, sink: int):
             # (d): shrink across A, lid (v4, v3)
             surv = yield _bicore(ctx, d2 ^ 1, sink)
             return ret(_bi_second_stage(
-                ctx, _with_extras(surv, [(dep[v3], v3), (dep[v4], v4)]), sink))
+                ctx, surv, ((dep[v3], v3), (dep[v4], v4)), sink))
         p3_from = v3  # (g)
         v4_off_p3 = True  # v4 hangs below A, off the vertical path
         c1_lid, c2_lid = d2 ^ 1, d1 ^ 1  # (v4, v3) and (v3, v2)
@@ -116,22 +117,17 @@ def _bicore(ctx: BuildCtx, lid_dart: int, sink: int):
 
     # ---- merge pi3: pair the right side with P3 (deep levels) or C1's
     # survivors (levels above P3) ------------------------------------------
+    # deepest first; only the smaller child is walked above P3
     k = min(u3_levels)
     m = max(u3_levels)
-    merged: dict[int, int] = {}
-    if surv2:
-        for i in range(max(surv2), k, -1):
-            zz = surv2.get(i)
-            if zz is None:
-                continue
-            if i <= m:
-                y = u3_levels.pop(i)
-            else:
-                y = surv1.pop(i, None)
-                if y is None:
-                    continue
-            del surv2[i]
-            merged[i] = ctx.contract(y, zz)
+    adds: list[tuple[int, int]] = []
+    small, big = (surv1, surv2) if len(surv1) <= len(surv2) else (surv2, surv1)
+    for i in sorted((i for i in small if i > m and i in big), reverse=True):
+        adds.append((i, ctx.contract(surv1.pop(i), surv2.pop(i))))
+    for i in range(m, k, -1):
+        zz = surv2.pop(i, None)
+        if zz is not None:
+            adds.append((i, ctx.contract(u3_levels.pop(i), zz)))
     # level k (right below u3) may still hold three vertices; the P3 vertex
     # and the survivors inside the sub-cycle sunk at u3 are all black to u3
     # (their constituents' parents are u3), so pairing those two is the one
@@ -140,41 +136,24 @@ def _bicore(ctx: BuildCtx, lid_dart: int, sink: int):
         y = u3_levels[k]
         if sink1 == u3 and k in surv1:
             u3_levels.pop(k)
-            merged[k] = ctx.contract(y, surv1.pop(k))
+            adds.append((k, ctx.contract(y, surv1.pop(k))))
         elif sink2 == u3 and k in surv2:
             u3_levels.pop(k)
-            merged[k] = ctx.contract(y, surv2.pop(k))
+            adds.append((k, ctx.contract(y, surv2.pop(k))))
 
-    byl: dict[int, list[int]] = {i: [w] for i, w in merged.items()}
-    for src in (u3_levels, surv1, surv2):
-        for i, w in src.items():
-            byl.setdefault(i, []).append(w)
-    return ret(_bi_second_stage(ctx, byl, sink))
-
-
-def _with_extras(surv: dict[int, int],
-                 extras: list[tuple[int, int]]) -> dict[int, list[int]]:
-    byl: dict[int, list[int]] = {i: [w] for i, w in surv.items()}
-    for lv, w in extras:
-        byl.setdefault(lv, []).append(w)
-    return byl
+    # the larger child's survivors are the base the rest merges into
+    if len(surv1) < len(surv2):
+        surv1, surv2 = surv2, surv1
+    adds += u3_levels.items()
+    adds += surv2.items()
+    return ret(_bi_second_stage(ctx, surv1, adds, sink))
 
 
-def _bi_second_stage(ctx: BuildCtx, byl: dict[int, list[int]],
+def _bi_second_stage(ctx: BuildCtx, base: dict[int, int], adds,
                      sink: int) -> dict[int, int]:
-    """One pairwise pass per level, deepest first; leaves the face 1-reduced."""
-    if not byl:
-        return {}
-    if min(byl) <= ctx.t.depth[sink]:
-        raise BuilderError("interior vertex at or above the sink level")
-    for i in sorted(byl, reverse=True):
-        lst = byl[i]
-        if len(lst) == 2:
-            a, b = sorted(lst)
-            byl[i] = [ctx.contract(a, b)]
-        elif len(lst) > 2:
-            raise BuilderError(f"level {i} holds {len(lst)} vertices")
-    return {i: lst[0] for i, lst in byl.items()}
+    """Merge ``adds`` into the child survivors ``base`` with one pairwise
+    pass, deepest first; leaves the face 1-reduced, in ``base``."""
+    return merge_survivors(ctx, base, adds, ctx.t.depth[sink], "the sink level")
 
 
 # ---------------------------------------------------------------------------

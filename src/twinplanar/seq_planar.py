@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .buildctx import BuildCtx, BuilderError, fold_contract, run_trampoline
+from .buildctx import (BuildCtx, BuilderError, fold_contract, merge_survivors,
+                       run_trampoline)
 from .layering import BfsTree, check_left_aligned, left_aligned_bfs_tree
 from .plane_graph import PlaneGraph, connect_components, pause_gc, triangulate
 from .trigraph import (ContractionSequence, WidthReport, restrict_sequence,
@@ -139,21 +140,15 @@ def _core(ctx: BuildCtx, lid_dart: int, sink: int,
         # vertical shortcut cases: P0 is the single parental edge
         if parent[v0] == v1:
             surv = yield _core(ctx, d1 ^ 1, sink, b1, None)  # lid (v0, v2)
-            byl = {lv: [w] for lv, w in surv.items()}
-            byl.setdefault(dep[v0], []).append(v0)
-            kc = _min_boundary_level(ctx, sink, spec.v1, b1, None)
-            out = _second_stage(ctx, byl, kc, spec.v1, spec.v2, ec)
-            ctx.pop_region(out)
-            return out
-        if parent[v0] == v2:
+        elif parent[v0] == v2:
             surv = yield _core(ctx, d2 ^ 1, sink, b1, None)  # lid (v1, v0)
-            byl = {lv: [w] for lv, w in surv.items()}
-            byl.setdefault(dep[v0], []).append(v0)
-            kc = _min_boundary_level(ctx, sink, spec.v1, b1, None)
-            out = _second_stage(ctx, byl, kc, spec.v1, spec.v2, ec)
-            ctx.pop_region(out)
-            return out
-        break
+        else:
+            break
+        kc = _min_boundary_level(ctx, sink, spec.v1, b1, None)
+        out = _second_stage(ctx, surv, ((dep[v0], v0),), kc,
+                            spec.v1, spec.v2, ec)
+        ctx.pop_region(out)
+        return out
 
     v1, v2 = spec.v1, spec.v2
 
@@ -231,7 +226,7 @@ def _core(ctx: BuildCtx, lid_dart: int, sink: int,
 
     # ---- merge pi3 --------------------------------------------------------
     # (vacuous when B2's right wrapping path already covers all of P0)
-    merged: dict[int, int] = {}
+    adds: list[tuple[int, int]] = []
     if interior:
         k = dep[interior[0]]
         for idx in range(len(interior) - 1, -1, -1):
@@ -241,18 +236,17 @@ def _core(ctx: BuildCtx, lid_dart: int, sink: int,
                 # the top P0 vertex neighbours u1 (its tree parent); pairing
                 # it with the right side would put a red edge on C1's sink
                 tt = surv1.pop(i, None)
-                merged[i] = ctx.contract(y, tt) if tt is not None else y
+                adds.append((i, ctx.contract(y, tt) if tt is not None else y))
             else:
                 zz = surv2.pop(i, None)
-                merged[i] = ctx.contract(y, zz) if zz is not None else y
+                adds.append((i, ctx.contract(y, zz) if zz is not None else y))
 
-    byl: dict[int, list[int]] = {i: [w] for i, w in merged.items()}
-    for i, w in surv1.items():
-        byl.setdefault(i, []).append(w)
-    for i, w in surv2.items():
-        byl.setdefault(i, []).append(w)
+    # the larger child's survivors are the base the rest merges into
+    if len(surv1) < len(surv2):
+        surv1, surv2 = surv2, surv1
+    adds += surv2.items()
     kc = _min_boundary_level(ctx, sink, v1, b1, b2)
-    out = _second_stage(ctx, byl, kc, v1, v2, ec)
+    out = _second_stage(ctx, surv1, adds, kc, v1, v2, ec)
     ctx.pop_region(out)
     return out
 
@@ -286,36 +280,29 @@ def _edge_count(ctx: BuildCtx, sink: int, v1: int, v2: int,
     return ec
 
 
-def _second_stage(ctx: BuildCtx, byl: dict[int, list[int]],
+def _second_stage(ctx: BuildCtx, base: dict[int, int], adds,
                   kc: int, v1: int, v2: int, ec: int) -> dict[int, int]:
-    """Pairwise per-level pass, then the downward drain with contractions or
-    dummy level decreases, stopping at the boundary maximum (one deeper for
-    triangles).  ``kc`` is the minimum level on the boundary of C.
-    Leaves at most one vertex per level."""
+    """Merge ``adds`` into the child survivors ``base`` with the pairwise
+    per-level pass, then drain downwards with contractions or dummy level
+    decreases, stopping at the boundary maximum (one deeper for triangles).
+    ``kc`` is the minimum level on the boundary of C.  Leaves at most one
+    vertex per level, in ``base``, which is returned."""
     dep = ctx.t.depth
-    if not byl:
-        return {}
-    if min(byl) <= kc:
-        raise BuilderError("interior vertex at or above the boundary minimum")
-    for i in sorted(byl, reverse=True):
-        lst = byl[i]
-        if len(lst) == 2:
-            a, b = sorted(lst)
-            byl[i] = [ctx.contract(a, b)]
-        elif len(lst) > 2:
-            raise BuilderError(f"level {i} holds {len(lst)} vertices before stage 2")
+    surv = merge_survivors(ctx, base, adds, kc, "the boundary minimum")
+    if not surv:
+        return surv
     ell = kc + 2 if ec == 3 else max(dep[v1], dep[v2])
-    j = max(byl)
+    j = max(surv)
     while j > ell:
-        if j in byl:
-            xv = byl.pop(j)[0]
-            if j - 1 in byl:
-                byl[j - 1] = [ctx.contract(xv, byl[j - 1][0])]
+        if j in surv:
+            xv = surv.pop(j)
+            if j - 1 in surv:
+                surv[j - 1] = ctx.contract(xv, surv[j - 1])
             else:
                 ctx.decrease(xv)
-                byl[j - 1] = [xv]
+                surv[j - 1] = xv
         j -= 1
-    return {i: lst[0] for i, lst in byl.items()}
+    return surv
 
 
 # ---------------------------------------------------------------------------

@@ -171,13 +171,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     ("p plane 2 1\ne 0 0 1\nr 0 0 0\nr 1 0\nouter 0 0\n", "appears twice"),
     ("p plane 1 1\ne 0 0 0\nr 0 0 0\nouter 0 0\n", "loop edge"),
     ("p plane 2 1\ne 0 0 1\nr 0 0\nr 1 0\nouter 3 0\n", "unknown edge 3"),
-], ids=["eid-twice-at-a-vertex", "loop-record", "outer-unknown-edge"])
+    ("p plane 2 1\ne 0 0 1\nr 0 0\nr 1 0\nr 5 0\nouter 0 0\n",
+     "line 5: 'r 5 0': vertex 5 outside 0..1"),
+    ("p plane 3 2\ne 0 0 1\ne 1 0 2\nr 0 0\nr 0 0 1\nr 1 0\nr 2 1\n"
+     "outer 0 0\n", "line 5: 'r 0 0 1': second rotation record for vertex 0"),
+], ids=["eid-twice-at-a-vertex", "loop-record", "outer-unknown-edge",
+        "rotation-vertex-out-of-range", "rotation-vertex-twice"])
 def test_cli_seq_rejects_a_malformed_plane_file(tmp_path, capsys, text, msg):
     p = tmp_path / "bad.plane"
     p.write_text(text)
     code, out, err = run_cli(["seq", str(p), "--mode", "planar"], capsys)
     assert code == 1
     assert err.startswith("error:") and msg in err
+    assert "Traceback" not in err
     assert out == ""
 
 

@@ -30,6 +30,11 @@ def _grid():
     return tp.gen_grid(12, 17)
 
 
+def _grid64():
+    # BFS depth about 64: deep split merges, where survivors are handed up
+    return tp.gen_grid(64, 64)
+
+
 def _stacked_thinned():
     return _thinned(tp.gen_triangulation(200, 3), 4)
 
@@ -46,6 +51,10 @@ CASES = {
         "cbf10f7d4b3a0e41eaa536c6e70d257dcd5f68bb3ddbad0184d11c856da91588"),
     "grid-bipartite": (_grid, tp.bipartite_sequence_full, False,
         "cdbb45a5ea18f6d75f858bf76462ff11d68b372740eb3fb0d92dcf8bec613f58"),
+    "grid64-planar": (_grid64, tp.planar_sequence_full, True,
+        "ed1e3d24ce3d5ea7084e1dcd7caffd3d16b913644d6efb00a0b98d5363b216ae"),
+    "grid64-bipartite": (_grid64, tp.bipartite_sequence_full, False,
+        "6f857cae3ae56078c4e73354ad0b64e3461dbde0b1e2fd3b64838fd5ca82a6e1"),
     "thinned-stacked-planar": (_stacked_thinned, tp.planar_sequence_full, True,
         "573e1867feaeff6f66c4029e9f371182df5ff1043436a7fc64b8ee78f546e397"),
     "thinned-grid-planar": (_grid_thinned, tp.planar_sequence_full, True,

@@ -120,16 +120,52 @@ def test_bi_second_stage_empty_and_pairs():
     g = tp.gen_grid(5, 5)
     t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
     ctx = BuildCtx(g, t)
-    assert _bi_second_stage(ctx, {}, t.root) == {}
+    assert _bi_second_stage(ctx, {}, (), t.root) == {}
+    by_level = _by_level(g, t)
+    base = {lv: vs[0] for lv, vs in by_level.items() if len(vs) >= 2}
+    adds = [(lv, by_level[lv][1]) for lv in base]
+    levels = sorted(base)
+    k = len(levels)
+    out = _bi_second_stage(ctx, base, adds, t.root)
+    assert sum(1 for s in ctx.steps if s[0] == "k") == k  # one per level
+    assert sorted(out) == levels
+
+
+def _by_level(g, t):
     by_level = {}
     for v in range(g.n):
         if t.depth[v] >= 1:
             by_level.setdefault(t.depth[v], []).append(v)
-    byl = {lv: vs[:2] for lv, vs in by_level.items() if len(vs) >= 2}
-    k = len(byl)
-    out = _bi_second_stage(ctx, dict(byl), t.root)
-    assert sum(1 for s in ctx.steps if s[0] == "k") == k  # one per level
-    assert sorted(out) == sorted(byl)
+    return by_level
+
+
+def test_bi_second_stage_rejects_a_third_vertex_on_a_level():
+    g = tp.gen_grid(5, 5)
+    t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
+    lv, vs = next((lv, vs) for lv, vs in sorted(_by_level(g, t).items())
+                  if len(vs) >= 3)
+    a, b, c = vs[:3]
+    for base, adds in (({lv: a}, [(lv, b), (lv, c)]),
+                       ({}, [(lv, a), (lv, b), (lv, c)])):
+        ctx = BuildCtx(g, t)
+        with pytest.raises(tp.BuilderError, match=f"level {lv} holds 3 vertices"):
+            _bi_second_stage(ctx, base, adds, t.root)
+        assert ctx.steps == []
+
+
+def test_bi_second_stage_rejects_an_added_vertex_at_the_sink_level():
+    # the bound covers the merged dict and is checked before any pairing
+    g = tp.gen_grid(5, 5)
+    t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
+    ctx = BuildCtx(g, t)
+    by_level = _by_level(g, t)
+    lv = next(lv for lv, vs in sorted(by_level.items())
+              if len(vs) >= 2 and len(by_level.get(lv - 1, ())) >= 2)
+    a, b = by_level[lv][:2]
+    sink, x = by_level[lv - 1][:2]
+    with pytest.raises(tp.BuilderError, match="sink level"):
+        _bi_second_stage(ctx, {lv: a}, [(lv, b), (lv - 1, x)], sink)
+    assert ctx.steps == []
 
 
 def test_strict_level_crossing_along_core():

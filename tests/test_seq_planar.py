@@ -100,12 +100,12 @@ def test_second_stage_drain_only_when_one_per_level():
     g = tp.gen_triangulation(30, 2)
     t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
     ctx = BuildCtx(g, t)
-    by_level = {}
+    base = {}
     for v in range(g.n):
-        by_level.setdefault(t.depth[v], [v])
-    byl = {lv: list(vs) for lv, vs in by_level.items() if lv >= 1}
-    levels = {v: lv for lv, vs in byl.items() for v in vs}
-    out = _second_stage(ctx, byl, 0, *_pick_lid(g, t), 99)
+        if t.depth[v] >= 1:
+            base.setdefault(t.depth[v], v)
+    levels = {v: lv for lv, v in base.items()}
+    out = _second_stage(ctx, base, (), 0, *_pick_lid(g, t), 99)
     for s in ctx.steps:
         if s[0] == "k":
             assert abs(levels[s[1]] - levels[s[2]]) == 1
@@ -131,16 +131,49 @@ def test_second_stage_ladder_two_per_level():
     for v in range(g.n):
         if t.depth[v] >= 1:
             by_level.setdefault(t.depth[v], []).append(v)
-    byl = {lv: vs[:2] for lv, vs in by_level.items() if len(vs) >= 2}
-    if not byl:
+    base = {lv: vs[0] for lv, vs in by_level.items() if len(vs) >= 2}
+    adds = [(lv, by_level[lv][1]) for lv in base]
+    if not base:
         pytest.skip("no doubled level")
-    levels = sorted(byl)
+    levels = sorted(base)
     n_pairs = len(levels)
-    out = _second_stage(ctx, dict(byl), min(levels) - 1, *_pick_lid(g, t), 99)
+    out = _second_stage(ctx, base, adds, min(levels) - 1, *_pick_lid(g, t), 99)
     pair_steps = sum(1 for s in ctx.steps if s[0] == "k")
     assert pair_steps >= n_pairs  # one pairing per level, plus drains
     assert max(out) <= max(levels)
     assert all(len([w]) == 1 for w in out.values())
+
+
+def _three_at_depth(g, t):
+    by_level = {}
+    for v in range(g.n):
+        by_level.setdefault(t.depth[v], []).append(v)
+    return next((lv, vs[:3]) for lv, vs in sorted(by_level.items())
+                if len(vs) >= 3)
+
+
+def test_second_stage_rejects_a_third_vertex_on_a_level():
+    g = tp.gen_triangulation(40, 3)
+    t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
+    lv, (a, b, c) = _three_at_depth(g, t)
+    for base, adds in (({lv: a}, [(lv, b), (lv, c)]),
+                       ({}, [(lv, a), (lv, b), (lv, c)])):
+        ctx = BuildCtx(g, t)
+        with pytest.raises(tp.BuilderError, match=f"level {lv} holds 3 vertices"):
+            _second_stage(ctx, base, adds, 0, *_pick_lid(g, t), 99)
+        assert ctx.steps == []
+
+
+def test_second_stage_rejects_an_added_vertex_at_the_bound():
+    # the bound covers the merged dict and is checked before any pairing
+    g = tp.gen_triangulation(40, 3)
+    t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
+    ctx = BuildCtx(g, t)
+    lv, (a, b, c) = _three_at_depth(g, t)
+    with pytest.raises(tp.BuilderError, match="boundary minimum"):
+        _second_stage(ctx, {lv: a}, [(lv, b), (lv - 1, t.parent[c])], lv - 1,
+                      *_pick_lid(g, t), 99)
+    assert ctx.steps == []
 
 
 def test_verify_roundtrip_on_completed_graph():
