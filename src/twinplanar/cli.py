@@ -94,15 +94,11 @@ def cmd_exact(args) -> int:
 
 
 def cmd_prep(args) -> int:
-    g = _load_graph(args.graph, args.embed)
-    if len(pg.connected_components(g)) > 1:
-        g, _ = pg.connect_components(g)
-    if args.kind == "triangulate":
-        g2, vm = pg.triangulate(g)
-    else:
-        g2, vm = pg.quadrangulate(g)
-    comments = [f"prep {args.kind}"] + [
-        f"map {old} {new}" for old, new in sorted(vm.old_to_new.items())]
+    g, _ = pg.connect_components(_load_graph(args.graph, args.embed))
+    complete = pg.triangulate if args.kind == "triangulate" else pg.quadrangulate
+    g2, _ = complete(g)
+    # the completion keeps the ids of g, the input made connected
+    comments = [f"prep {args.kind}"] + [f"map {v} {v}" for v in range(g.n)]
     _write(args.out, pg.write_plane(g2, comments))
     return 0
 

@@ -150,7 +150,7 @@ def gen_grid(rows: int, cols: int) -> PlaneGraph:
             rotations.append(r)
     outer = dart(vid(0, 1), vid(0, 0))  # westbound along the bottom row
     g = build(n, edges, rotations, outer)
-    g2, _vm = quadrangulate(g)
+    g2, _ = quadrangulate(g)
     return g2
 
 

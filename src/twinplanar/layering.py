@@ -25,9 +25,9 @@ class BfsTree:
     """BFS tree of a plane graph, rooted on the outer face.
 
     ``parent_dart[v]`` is the dart v -> parent(v) (-1 at the root);
-    ``depth`` holds graph distances from the root.  ``anchor[v]`` is the
-    dart at v from which the ccw child order starts: the rotation successor
-    of the parental dart, or of the outer-face gap at the root.
+    ``depth`` holds graph distances from the root.  The ccw child order at
+    v starts at rotation position ``_anchor_pos(t, v)``: just after the
+    parental dart, or after the outer-face gap at the root.
     """
 
     g: PlaneGraph

@@ -157,13 +157,10 @@ class _Search:
 
 
 def exact_twinwidth(n: int, edges: Iterable[tuple[int, int]],
-                    limit: int = 10,
-                    upper_bound_hint: int | None = None) -> ExactResult:
+                    limit: int = 10) -> ExactResult:
     """Minimum width over all contraction sequences, with a replayable
     witness.  n above ``limit`` is rejected: the search space explodes
-    combinatorially (the default 10 keeps runtimes in seconds).
-    ``upper_bound_hint`` must be a valid upper bound if given; it tightens
-    pruning without affecting the result."""
+    combinatorially (the default 10 keeps runtimes in seconds)."""
     if n > limit:
         raise OracleError(f"n={n} exceeds the exact-search limit {limit}")
     if n == 0:
@@ -177,11 +174,7 @@ def exact_twinwidth(n: int, edges: Iterable[tuple[int, int]],
     red = {v: 0 for v in range(n)}
 
     search = _Search(n)
-    alpha0 = _INF if upper_bound_hint is None else upper_bound_hint + 1
-    width = search.value(dict(black), dict(red), tuple(range(n)), alpha0)
-    if width is _INF or (upper_bound_hint is not None and width > upper_bound_hint):
-        raise OracleError("upper_bound_hint was not a valid upper bound")
-    width = int(width)
+    width = int(search.value(dict(black), dict(red), tuple(range(n)), _INF))
 
     # extract a witness by following exact values within the budget
     b, r = dict(black), dict(red)

@@ -100,9 +100,6 @@ class PlaneGraph:
         """Next dart of the face on the left of d."""
         return self.rot_prev(d ^ 1)
 
-    def neighbors(self, v: int) -> list[int]:
-        return [self.head[d] for d in self.rot[v]]
-
     def is_simple(self) -> bool:
         """No two edges join the same pair (``build`` rejects loops)."""
         if self._simple is None:
@@ -113,24 +110,6 @@ class PlaneGraph:
 
     def face_lengths(self) -> list[int]:
         return [len(w) for w in self.faces]
-
-
-@dataclass
-class VertexMap:
-    """Maps input vertex ids into a completed graph (old ids are kept)."""
-
-    old_to_new: dict[int, int]
-    added: set[int]
-
-    @classmethod
-    def identity(cls, n: int) -> "VertexMap":
-        return cls({v: v for v in range(n)}, set())
-
-    def compose(self, later: "VertexMap") -> "VertexMap":
-        return VertexMap(
-            {v: later.old_to_new[w] for v, w in self.old_to_new.items()},
-            set(later.added) | {later.old_to_new[w] for w in self.added},
-        )
 
 
 def build(n: int, edges: Sequence[tuple[int, int]], rotations: Sequence[Sequence[int]],
@@ -307,27 +286,27 @@ def connected_components(g: PlaneGraph) -> list[list[int]]:
     return out
 
 
-def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, VertexMap]:
+def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, range]:
     """Join all components with fresh degree-2 vertices (one per merge).
 
     Each merge re-embeds the next component inside a face of the anchor
     drawing; the new vertices create no cycle, so bipartiteness survives.
+    Like the completions below, it keeps ``g``'s vertex and edge ids and
+    returns the ids it appended; a connected ``g`` comes back as it is.
     """
     if g.ncomp == 1:
-        return g, VertexMap.identity(g.n)
+        return g, range(g.n, g.n)
     comps = connected_components(g)
     anchor_idx = g.comp[g.tail[g.outer_dart]] if g.m else 0
     base = min(comps[anchor_idx])
 
     sp = _Splicer(g)
-    added: set[int] = set()
     outer = g.outer_dart if g.m else None
     for ci, comp_vs in enumerate(comps):
         if ci == anchor_idx:
             continue
         b = min(comp_vs)
         w = sp.add_vertex()
-        added.add(w)
         e1 = sp.add_edge(base, w)
         e2 = sp.add_edge(b, w)
         sp.attach_anywhere(base, 2 * e1)
@@ -336,7 +315,7 @@ def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, VertexMap]:
         if outer is None:
             outer = 2 * e1
     g2 = sp.finalize(outer if outer is not None else 0)
-    return g2, VertexMap({v: v for v in range(g.n)}, added)
+    return g2, range(g.n, g2.n)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +368,9 @@ def _search_odd_cycle(g: PlaneGraph) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _walk_has_repeats(g: PlaneGraph, walk: list[int]) -> bool:
-    vs = [g.tail[d] for d in walk]
-    return len(set(vs)) != len(vs)
+def _is_triangle(tail: list[int], walk: list[int]) -> bool:
+    """Whether a face walk of a simple plane graph bounds a triangle."""
+    return len(walk) == 3  # see _is_quad
 
 
 def _is_quad(tail: list[int], walk: list[int]) -> bool:
@@ -402,7 +381,46 @@ def _is_quad(tail: list[int], walk: list[int]) -> bool:
             and tail[walk[1]] != tail[walk[3]])
 
 
-def triangulate(g0: PlaneGraph) -> tuple[PlaneGraph, VertexMap]:
+def _complete_faces(g0: PlaneGraph, what: str, is_done, fill) -> tuple[PlaneGraph, range]:
+    """Fill every face of a simple connected plane graph that fails
+    ``is_done(tail, walk)`` with ``fill(sp, walk, g)``.  A fill adds new
+    vertices inside the face only and returns one whose first rotation dart
+    has a new face on its left; the outer marker moves there.
+
+    ``g0``'s vertex and edge ids are kept and the new ones appended, so
+    ``g0`` stays induced.  Returns the completion and the appended vertex
+    ids, after checking that it is simple, that every face passes
+    ``is_done`` and that ``g0`` is still induced.
+    """
+    if not g0.is_simple():
+        raise PlaneError(f"{what} requires a simple graph")
+    if g0.ncomp != 1:
+        raise PlaneError(f"{what} requires a connected graph (use connect_components)")
+    g1 = _split_order2_faces(g0)
+    tail = g1.tail
+    if g1 is g0 and all(is_done(tail, w) for w in g1.faces):
+        return g0, range(g0.n, g0.n)  # already complete
+
+    sp = _Splicer(g1)
+    outer = g1.outer_dart
+    for f, walk in enumerate(g1.faces):
+        if is_done(tail, walk):
+            continue
+        x = fill(sp, walk, g1)
+        if f == g1.outer_face:
+            outer = sp.new_rot[x][0]
+    g = sp.finalize(outer)
+    if not g.is_simple():
+        raise PlaneError(f"{what} result is not simple")
+    if not all(is_done(g.tail, w) for w in g.faces):
+        raise PlaneError(f"incomplete face after {what}")
+    n0, m0 = g0.n, g0.m
+    if g.edges[:m0] != g0.edges or any(u < n0 and v < n0 for u, v in g.edges[m0:]):
+        raise PlaneError("completion changed the induced subgraph on old vertices")
+    return g, range(n0, g.n)
+
+
+def triangulate(g0: PlaneGraph) -> tuple[PlaneGraph, range]:
     """Complete a simple connected plane graph to a simple plane triangulation.
 
     Only new-to-old and new-to-new edges are added, so ``g0`` stays induced.
@@ -411,31 +429,27 @@ def triangulate(g0: PlaneGraph) -> tuple[PlaneGraph, VertexMap]:
     walk positions plus an apex.  The outer face is completed like any other
     and the marker moves onto one of its new triangles.
     """
-    if not g0.is_simple():
-        raise PlaneError("triangulate requires a simple graph")
-    if g0.ncomp != 1:
-        raise PlaneError("triangulate requires a connected graph (use connect_components)")
-    g1 = _split_order2_faces(g0)
-    if g1 is g0 and set(map(len, g1.faces)) == {3}:
-        return g0, VertexMap.identity(g0.n)  # already a triangulation
+    return _complete_faces(g0, "triangulate", _is_triangle, _fill_triangles)
 
-    sp = _Splicer(g1)
-    outer = g1.outer_dart
-    for f, walk in enumerate(g1.faces):
-        if len(walk) == 3:  # a triangle, see _is_quad
-            continue
-        if not _walk_has_repeats(g1, walk):
-            apex = _stellate(sp, walk, g1)
-            if f == g1.outer_face:
-                outer = sp.new_rot[apex][0]  # left face: triangle (w0, w1, apex)
-        else:
-            x0 = _ring_and_apex(sp, walk, g1)
-            if f == g1.outer_face:
-                outer = sp.new_rot[x0][0]  # spoke x0->w0; left face (w0, w1, x0)
-    g = sp.finalize(outer)
-    vm = VertexMap({v: v for v in range(g0.n)}, set(range(g0.n, g.n)))
-    _validate_triangulation(g, g0, vm)
-    return g, vm
+
+def quadrangulate(g0: PlaneGraph) -> tuple[PlaneGraph, range]:
+    """Complete a simple connected bipartite plane graph to a simple
+    2-connected plane quadrangulation.
+
+    Every face that is not a simple 4-cycle receives a ring cycle matched to
+    its boundary-walk positions (spokes x_i-v_i) plus one hub joined to
+    alternate ring vertices, yielding quadrilateral strip and hub faces.
+    """
+    odd = find_odd_cycle(g0)
+    if odd is not None:
+        raise PlaneError(f"not bipartite: odd cycle {odd}")
+    g, added = _complete_faces(g0, "quadrangulate", _is_quad, _quad_ring)
+    if added:  # else g0 is bipartite and all its faces are 4-cycles
+        if find_odd_cycle(g) is not None:
+            raise PlaneError("quadrangulation lost bipartiteness")
+        if articulation_points(g):
+            raise PlaneError("quadrangulation is not 2-connected")
+    return g, added
 
 
 def _split_order2_faces(g: PlaneGraph) -> PlaneGraph:
@@ -455,8 +469,16 @@ def _split_order2_faces(g: PlaneGraph) -> PlaneGraph:
     return g
 
 
+def _fill_triangles(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
+    vs = [g.tail[d] for d in walk]
+    if len(set(vs)) == len(vs):
+        return _stellate(sp, walk, g)
+    return _ring_and_apex(sp, walk, g)
+
+
 def _stellate(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
-    """One apex joined to every vertex of a simple face walk."""
+    """One apex joined to every vertex of a simple face walk; returns the
+    apex, whose first spoke has the triangle (w0, w1, apex) on its left."""
     apex = sp.add_vertex()
     spokes = []
     for d in walk:
@@ -468,17 +490,21 @@ def _stellate(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
     return apex
 
 
+def _ring(sp: _Splicer, m: int) -> tuple[list[int], list[int]]:
+    """A cycle of m new vertices x_0..x_{m-1}; returns them and, per i, the
+    dart x_i -> x_{i+1} (so ``fwd[i - 1] ^ 1`` is x_i -> x_{i-1})."""
+    ring = [sp.add_vertex() for _ in range(m)]
+    fwd = [2 * sp.add_edge(ring[i], ring[(i + 1) % m]) for i in range(m)]
+    return ring, fwd
+
+
 def _ring_and_apex(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
     """Ring of |walk| new vertices (spoke x_i-w_i, diagonal x_i-w_{i+1}) and
     a stellating apex inside; every strip face is a triangle on a distinct
-    boundary dart, so repeated boundary vertices are fine."""
+    boundary dart, so repeated boundary vertices are fine.  Returns x_0,
+    whose first dart is the spoke x_0->w_0 with (w0, w1, x0) on its left."""
     m = len(walk)
-    ring = [sp.add_vertex() for _ in range(m)]
-    rd: dict[tuple[int, int], int] = {}
-    for i in range(m):
-        e = sp.add_edge(ring[i], ring[(i + 1) % m])
-        rd[(i, (i + 1) % m)] = 2 * e
-        rd[((i + 1) % m, i)] = 2 * e + 1
+    ring, fwd = _ring(sp, m)
     spoke = []
     diag = []
     for i, d in enumerate(walk):
@@ -494,106 +520,33 @@ def _ring_and_apex(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
     for i in range(m):
         e = sp.add_edge(apex, ring[i])
         apex_darts.append(2 * e)
-        sp.set_new_rotation(ring[i], [
-            spoke[i],
-            diag[(i + 1) % m],
-            rd[(i, (i + 1) % m)],
-            2 * e + 1,
-            rd[(i, (i - 1) % m)],
-        ])
+        sp.set_new_rotation(ring[i], [spoke[i], diag[(i + 1) % m], fwd[i],
+                                      2 * e + 1, fwd[i - 1] ^ 1])
     sp.set_new_rotation(apex, apex_darts)
     return ring[0]
 
 
-def _validate_triangulation(g: PlaneGraph, g0: PlaneGraph, vm: VertexMap) -> None:
-    if not g.is_simple():
-        raise PlaneError("triangulation is not simple")
-    if set(map(len, g.faces)) != {3}:  # simple, so 3-walks are triangles
-        raise PlaneError("non-triangular face after triangulation")
-    _check_induced(g, g0, vm)
-
-
-def _check_induced(g: PlaneGraph, g0: PlaneGraph, vm: VertexMap) -> None:
-    n_old = len(vm.old_to_new)
-    old = {(min(u, v), max(u, v)) for u, v in g0.edges if u < n_old and v < n_old}
-    got = {(min(u, v), max(u, v)) for u, v in g.edges if u < n_old and v < n_old}
-    if old != got:
-        raise PlaneError("completion changed the induced subgraph on old vertices")
-
-
-def quadrangulate(g0: PlaneGraph) -> tuple[PlaneGraph, VertexMap]:
-    """Complete a simple connected bipartite plane graph to a simple
-    2-connected plane quadrangulation.
-
-    Every face that is not a simple 4-cycle receives a ring cycle matched to
-    its boundary-walk positions (spokes x_i-v_i) plus one hub joined to
-    alternate ring vertices, yielding quadrilateral strip and hub faces.
-    """
-    if not g0.is_simple():
-        raise PlaneError("quadrangulate requires a simple graph")
-    if g0.ncomp != 1:
-        raise PlaneError("quadrangulate requires a connected graph")
-    odd = find_odd_cycle(g0)
-    if odd is not None:
-        raise PlaneError(f"not bipartite: odd cycle {odd}")
-    g1 = _split_order2_faces(g0)
-    tail = g1.tail
-    if g1 is g0 and all(_is_quad(tail, w) for w in g1.faces):
-        return g0, VertexMap.identity(g0.n)  # already a quadrangulation
-    sp = _Splicer(g1)
-    outer = g1.outer_dart
-    for f, walk in enumerate(g1.faces):
-        if _is_quad(tail, walk):
-            continue
-        x0 = _quad_ring(sp, walk, g1)
-        if f == g1.outer_face:
-            outer = sp.new_rot[x0][0]  # spoke x0->v0; left face (v0, v1, x1, x0)
-    g = sp.finalize(outer)
-    vm = VertexMap({v: v for v in range(g0.n)}, set(range(g0.n, g.n)))
-    _validate_quadrangulation(g, g0, vm)
-    return g, vm
-
-
 def _quad_ring(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
+    """Ring of |walk| new vertices (spoke x_i-v_i) and a hub joined to the
+    odd ring positions.  Returns x_0, whose first dart is the spoke x_0->v_0
+    with (v0, v1, x1, x0) on its left."""
     m = len(walk)  # even: bipartite face walks have even length
-    ring = [sp.add_vertex() for _ in range(m)]
-    rd: dict[tuple[int, int], int] = {}
-    for i in range(m):
-        e = sp.add_edge(ring[i], ring[(i + 1) % m])
-        rd[(i, (i + 1) % m)] = 2 * e
-        rd[((i + 1) % m, i)] = 2 * e + 1
+    ring, fwd = _ring(sp, m)
     spoke = []
     for i, d in enumerate(walk):
         e = sp.add_edge(g.tail[d], ring[i])
         sp.insert_after(d, 2 * e)
         spoke.append(2 * e + 1)
     hub = sp.add_vertex()
-    hub_darts = []
-    hub_dart_of: dict[int, int] = {}
-    for i in range(1, m, 2):
-        e = sp.add_edge(hub, ring[i])
-        hub_darts.append(2 * e)
-        hub_dart_of[i] = 2 * e + 1
+    hub_darts = [2 * sp.add_edge(hub, ring[i]) for i in range(1, m, 2)]
     sp.set_new_rotation(hub, hub_darts)
     for i in range(m):
-        r = [spoke[i], rd[(i, (i + 1) % m)]]
+        r = [spoke[i], fwd[i]]
         if i % 2 == 1:
-            r.append(hub_dart_of[i])
-        r.append(rd[(i, (i - 1) % m)])
+            r.append(hub_darts[i // 2] ^ 1)
+        r.append(fwd[i - 1] ^ 1)
         sp.set_new_rotation(ring[i], r)
     return ring[0]
-
-
-def _validate_quadrangulation(g: PlaneGraph, g0: PlaneGraph, vm: VertexMap) -> None:
-    if not g.is_simple():
-        raise PlaneError("quadrangulation is not simple")
-    if not all(_is_quad(g.tail, w) for w in g.faces):
-        raise PlaneError("non-quadrangular face after quadrangulation")
-    if find_odd_cycle(g) is not None:
-        raise PlaneError("quadrangulation lost bipartiteness")
-    _check_induced(g, g0, vm)
-    if g.n >= 3 and articulation_points(g):
-        raise PlaneError("quadrangulation is not 2-connected")
 
 
 def articulation_points(g: PlaneGraph) -> list[int]:
@@ -652,6 +605,23 @@ def write_plane(g: PlaneGraph, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_header(parts: list[str], kind: str, seen: bool) -> tuple[int, int]:
+    """The two counts of a ``p <kind> <a> <b>`` header record.
+
+    Raises:
+        FormatError: a second header, another kind, or a negative count
+            (IndexError or ValueError when a count is missing or no integer).
+    """
+    if seen:
+        raise FormatError("second 'p' header")
+    if parts[1] != kind:
+        raise FormatError(f"expected 'p {kind}'")
+    a, b = int(parts[2]), int(parts[3])
+    if a < 0 or b < 0:
+        raise FormatError("negative count")
+    return a, b
+
+
 @pause_gc()
 def parse_plane(text: str) -> PlaneGraph:
     n = m = -1
@@ -665,9 +635,7 @@ def parse_plane(text: str) -> PlaneGraph:
         parts = line.split()
         try:
             if parts[0] == "p":
-                if parts[1] != "plane":
-                    raise FormatError("expected 'p plane'")
-                n, m = int(parts[2]), int(parts[3])
+                n, m = read_header(parts, "plane", n >= 0)
                 edges = [None] * m
             elif parts[0] == "e":
                 e, u, v = int(parts[1]), int(parts[2]), int(parts[3])
@@ -684,6 +652,8 @@ def parse_plane(text: str) -> PlaneGraph:
                     raise FormatError(f"second rotation record for vertex {v}")
                 rot_eids[v] = [int(x) for x in parts[2:]]
             elif parts[0] == "outer":
+                if outer_spec is not None:
+                    raise FormatError("second 'outer' record")
                 outer_spec = (int(parts[1]), int(parts[2]))
             else:
                 raise FormatError(f"unknown record {parts[0]!r}")
@@ -736,7 +706,8 @@ def parse_plane(text: str) -> PlaneGraph:
 
 def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
     """DIMACS-style ``p edge n m`` / ``e u v`` (0-based) input."""
-    n = -1
+    n = m = -1
+    header = ""  # "line <ln>: <record>" of the header
     edges: list[tuple[int, int]] = []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -745,7 +716,8 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
         parts = line.split()
         try:
             if parts[0] == "p":
-                n = int(parts[2])
+                n, m = read_header(parts, "edge", n >= 0)
+                header = f"line {ln}: {raw!r}"
             elif parts[0] == "e":
                 u, v = int(parts[1]), int(parts[2])
                 if not (0 <= u < n and 0 <= v < n):
@@ -758,6 +730,8 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
             raise FormatError(f"line {ln}: {raw!r}: {exc}") from exc
     if n < 0:
         raise FormatError("missing 'p edge' header")
+    if m != len(edges):
+        raise FormatError(f"{header}: declared {m} edges, found {len(edges)}")
     return n, edges
 
 
@@ -794,7 +768,7 @@ def embed_abstract(n: int, edges: Sequence[tuple[int, int]]) -> PlaneGraph:
             nbrs = []
         # networkx hands out clockwise order; our convention is ccw
         rotations.append([eidx[(v, w)] for w in reversed(nbrs)])
-    g = build(n, elist, rotations, 0 if elist else 0)
+    g = build(n, elist, rotations, 0)
     best = max(range(len(g.faces)), key=lambda f: len(g.faces[f]))
     if g.faces[best]:
         g = build(n, elist, rotations, g.faces[best][0])

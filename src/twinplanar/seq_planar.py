@@ -354,8 +354,8 @@ def run_pipeline(g0: PlaneGraph, checker, verify: bool,
     differ.
 
     ``complete(g0, gc)`` refuses g0 if the mode cannot take it and turns
-    ``gc``, g0 made connected, into a triangulation or quadrangulation
-    (keeping g0 induced),
+    ``gc``, g0 made connected, into a triangulation or quadrangulation;
+    both steps keep g0's ids and append the vertices they add,
     ``run_core(ctx)`` runs the recursion on the outer face and returns its
     survivors and lid dart, and ``final_phase(ctx, survivors, lid_dart)``
     contracts what is left into one vertex.  The sequence is restricted
@@ -367,8 +367,8 @@ def run_pipeline(g0: PlaneGraph, checker, verify: bool,
         raise BuilderError("empty graph: nothing to contract")
     if not g0.is_simple():
         raise BuilderError("input must be simple")
-    gc, vm1 = connect_components(g0)
-    g, vm2 = complete(g0, gc)
+    gc, _ = connect_components(g0)
+    g, _ = complete(g0, gc)
     r = g.tail[g.outer_dart]
     t = left_aligned_bfs_tree(g, r)
     if checker is not None:
@@ -384,11 +384,7 @@ def run_pipeline(g0: PlaneGraph, checker, verify: bool,
     seq = ctx.sequence()
     if not seq.is_full():
         raise BuilderError("sequence does not contract to a single vertex")
-    if g.n == g0.n:
-        seq0 = seq  # nothing was added, the ids already match g0
-    else:
-        vm = vm1.compose(vm2)
-        seq0 = restrict_sequence(seq, [vm.old_to_new[v] for v in range(g0.n)])
+    seq0 = seq if g.n == g0.n else restrict_sequence(seq, range(g0.n))
     report = verify_sequence(g0.n, g0.edges, seq0) if verify else None
     if report is not None and report.width > width_bound:
         raise BuilderError(

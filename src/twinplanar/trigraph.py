@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .plane_graph import FormatError, pause_gc
+from .plane_graph import FormatError, pause_gc, read_header
 
 Step = tuple  # ("k", x, y, z) or ("d", x)
 
@@ -306,9 +306,7 @@ def parse_seq(text: str) -> ContractionSequence:
         parts = line.split()
         try:
             if parts[0] == "p":
-                if parts[1] != "tww-seq":
-                    raise FormatError("expected 'p tww-seq'")
-                n, declared = int(parts[2]), int(parts[3])
+                n, declared = read_header(parts, "tww-seq", n >= 0)
             elif parts[0] == "k":
                 steps.append(("k", int(parts[1]), int(parts[2]), int(parts[3])))
             elif parts[0] == "d":

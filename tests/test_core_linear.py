@@ -3,7 +3,8 @@
 A grid's BFS depth grows like its side, so any per-call cost that is
 proportional to a region's depth shows up as Python line events per input
 vertex growing with the side.  The guard counts those events in the
-builder modules (both recursions and their shared ``buildctx``) instead of
+builder modules (both recursions and their shared ``buildctx``, the
+completion in ``plane_graph`` and the BFS tree in ``layering``) instead of
 timing the build, so machine noise cannot flake it.
 """
 
@@ -18,7 +19,8 @@ import twinplanar as tp
 from twinplanar.seq_bipartite import bipartite_sequence_full
 from twinplanar.seq_planar import planar_sequence_full
 
-BUILDER_FILES = {"seq_planar.py", "seq_bipartite.py", "buildctx.py"}
+BUILDER_FILES = {"seq_planar.py", "seq_bipartite.py", "buildctx.py",
+                 "plane_graph.py", "layering.py"}
 
 
 def _lines_per_vertex(build, g: tp.PlaneGraph) -> float:

@@ -100,14 +100,24 @@ def test_cli_exact(tmp_path, capsys):
     assert out.strip() == "width 1"
 
 
-@pytest.mark.parametrize("record", ["e 0 5", "e 0 x"],
-                         ids=["endpoint-past-n", "non-integer"])
-def test_cli_exact_rejects_bad_edge_record(tmp_path, capsys, record):
+@pytest.mark.parametrize("text, msg", [
+    ("p edge 3 1\ne 0 5\n", "line 2: 'e 0 5'"),
+    ("p edge 3 1\ne 0 x\n", "line 2: 'e 0 x'"),
+    ("p foo 3 1\ne 0 1\n", "line 1: 'p foo 3 1': expected 'p edge'"),
+    ("p edge 3\ne 0 1\n", "line 1: 'p edge 3'"),
+    ("p edge 3 5\ne 0 1\ne 1 2\n",
+     "line 1: 'p edge 3 5': declared 5 edges, found 2"),
+    ("p edge 3 1\ne 0 1\np edge 3 1\n",
+     "line 3: 'p edge 3 1': second 'p' header"),
+], ids=["endpoint-past-n", "non-integer", "header-kind", "header-without-m",
+        "edge-count-differs", "second-header"])
+def test_cli_exact_rejects_bad_edge_record(tmp_path, capsys, text, msg):
     p = tmp_path / "bad.edges"
-    p.write_text(f"p edge 3 1\n{record}\n")
+    p.write_text(text)
     code, _, err = run_cli(["exact", str(p)], capsys)
     assert code == 1
-    assert f"line 2: {record!r}" in err
+    assert msg in err
+    assert "Traceback" not in err
 
 
 def test_cli_prep_triangulate(tmp_path, capsys):
@@ -175,8 +185,15 @@ def test_cli_exit_codes(tmp_path, capsys):
      "line 5: 'r 5 0': vertex 5 outside 0..1"),
     ("p plane 3 2\ne 0 0 1\ne 1 0 2\nr 0 0\nr 0 0 1\nr 1 0\nr 2 1\n"
      "outer 0 0\n", "line 5: 'r 0 0 1': second rotation record for vertex 0"),
+    ("p plane 2 1\ne 0 0 1\nr 0 0\nr 1 0\nouter 0 1\nouter 0 0\n",
+     "line 6: 'outer 0 0': second 'outer' record"),
+    ("p plane 2 1\ne 0 0 1\np plane 2 1\nr 0 0\nr 1 0\nouter 0 0\n",
+     "line 3: 'p plane 2 1': second 'p' header"),
+    ("p plane -1 0\n", "line 1: 'p plane -1 0': negative count"),
+    ("p plane 2 -3\n", "line 1: 'p plane 2 -3': negative count"),
 ], ids=["eid-twice-at-a-vertex", "loop-record", "outer-unknown-edge",
-        "rotation-vertex-out-of-range", "rotation-vertex-twice"])
+        "rotation-vertex-out-of-range", "rotation-vertex-twice",
+        "outer-twice", "second-header", "negative-n", "negative-m"])
 def test_cli_seq_rejects_a_malformed_plane_file(tmp_path, capsys, text, msg):
     p = tmp_path / "bad.plane"
     p.write_text(text)

@@ -80,16 +80,6 @@ def test_limit_enforced():
     tp.exact_twinwidth(11, [(0, 1)], limit=11)
 
 
-def test_upper_bound_hint_never_changes_result():
-    rng = random.Random(3)
-    for _ in range(10):
-        n = rng.randrange(3, 7)
-        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
-        base = tp.exact_twinwidth(n, edges).width
-        hinted = tp.exact_twinwidth(n, edges, upper_bound_hint=base).width
-        assert hinted == base
-
-
 def cograph(rng, size):
     """Random cograph by union/join composition; returns (n, edges)."""
     if size == 1:

@@ -85,23 +85,23 @@ def test_build_rejects_nonplanar_rotation():
 def test_triangulate_k4_identity():
     from twinplanar.generators import gen_triangulation
     g = gen_triangulation(4, 0)
-    g2, vm = pg.triangulate(g)
+    g2, added = pg.triangulate(g)
     assert g2 is g
-    assert vm.added == set()
+    assert not added
 
 
 def test_triangulate_c4_two_apexes():
     g = square_cycle()
-    g2, vm = pg.triangulate(g)
+    g2, added = pg.triangulate(g)
     assert g2.n == 6
     assert len(g2.faces) == 8
     assert all(l == 3 for l in g2.face_lengths())
-    assert len(vm.added) == 2
+    assert added == range(4, 6)  # the two apexes, appended
 
 
 def test_triangulate_p3_ring_completion():
     g = path3()
-    g2, _vm = pg.triangulate(g)
+    g2, _ = pg.triangulate(g)
     # independent face-length scan: all faces simple triangles
     assert all(l == 3 for l in g2.face_lengths())
     for walk in g2.faces:
@@ -115,10 +115,10 @@ def test_triangulate_p3_ring_completion():
 
 def test_triangulate_single_vertex_and_edge():
     g1 = pg.build(1, [], [[]], 0)
-    t1, vm1 = pg.triangulate(g1)
+    t1, _ = pg.triangulate(g1)
     assert all(l == 3 for l in t1.face_lengths())
     g2 = pg.build(2, [(0, 1)], [[0], [1]], 0)
-    t2, vm2 = pg.triangulate(g2)
+    t2, _ = pg.triangulate(g2)
     assert all(l == 3 for l in t2.face_lengths())
     assert t2.is_simple()
     assert (0, 1) in t2.edges
@@ -138,15 +138,15 @@ def test_triangulate_requires_simple_and_connected():
 
 def test_quadrangulate_c4_identity():
     g = square_cycle()
-    g2, vm = pg.quadrangulate(g)
-    assert g2 is g and vm.added == set()
+    g2, added = pg.quadrangulate(g)
+    assert g2 is g and not added
 
 
 def test_quadrangulate_c6_ring_and_hub():
     edges = [(i, (i + 1) % 6) for i in range(6)]
     rots = [[2 * i, 2 * ((i - 1) % 6) + 1] for i in range(6)]
     g = pg.build(6, edges, rots, 1)
-    g2, vm = pg.quadrangulate(g)
+    g2, _ = pg.quadrangulate(g)
     # a ring matched to each hexagonal side plus a hub, per face
     assert all(l == 4 for l in g2.face_lengths())
     assert g2.is_simple()
@@ -183,23 +183,24 @@ def test_quadrangulate_two_connected():
 
 def test_connect_identity_when_connected():
     g = triangle()
-    g2, vm = pg.connect_components(g)
+    g2, added = pg.connect_components(g)
     assert g2 is g
-    assert vm.added == set()
+    assert not added
 
 
 def test_connect_two_disjoint_edges():
     g = pg.build(4, [(0, 1), (2, 3)], [[0], [1], [2], [3]], 0)
-    g2, vm = pg.connect_components(g)
-    assert len(vm.added) == 1
+    g2, added = pg.connect_components(g)
+    assert added == range(4, 5)
+    assert g2.edges[:2] == g.edges  # input edge ids kept
     assert len(pg.connected_components(g2)) == 1
     assert pg.find_odd_cycle(g2) is None
 
 
 def test_connect_k_components():
     g = pg.build(5, [], [[] for _ in range(5)], 0)
-    g2, vm = pg.connect_components(g)
-    assert len(vm.added) == 4
+    g2, added = pg.connect_components(g)
+    assert added == range(5, 9)
     assert len(pg.connected_components(g2)) == 1
 
 

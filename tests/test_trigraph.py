@@ -284,6 +284,16 @@ def test_seq_format_rejects_bad_fresh():
         tg.parse_seq("p tww-seq 3 2\nk 0 1 3\n")
 
 
+@pytest.mark.parametrize("text, msg", [
+    ("p tww-seq 2 1\nk 0 1 2\np tww-seq 2 0\n",
+     "line 3: 'p tww-seq 2 0': second 'p' header"),
+    ("p tww-seq -2 0\n", "line 1: 'p tww-seq -2 0': negative count"),
+], ids=["second-header", "negative-n"])
+def test_parse_seq_rejects_a_bad_header(text, msg):
+    with pytest.raises(tp.FormatError, match=msg):
+        tg.parse_seq(text)
+
+
 def test_classify_modes():
     t = tg.Trigraph(3, [(0, 1), (1, 2)], levels=[4, 5, 4])
     step = ("k", 0, 1, 3)
