@@ -1,13 +1,16 @@
 """Shared machinery for the two sequence builders.
 
-The recursions have Theta(n) depth in the worst case, so recursive calls
-are written as generators that ``yield`` sub-calls and are driven by a
-trampoline with an explicit stack.
+The recursions have Theta(n) depth in the worst case, so they do not
+recurse on the Python stack.  A region call does its entry work at once;
+when it finishes without a sub-call it returns its result, and otherwise
+it returns a generator for the rest, which ``yield``s each sub-call's
+return value (either kind) and gets the finished result back.
+``run_trampoline`` drives the generators with an explicit stack.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from types import GeneratorType
 
 from .layering import BfsTree
 from .plane_graph import PlaneGraph
@@ -54,20 +57,32 @@ class BuildCtx:
         return ContractionSequence(self.g.n, list(self.steps))
 
 
-def run_trampoline(gen: Generator):
-    """Drive nested generator calls with an explicit stack."""
-    stack = [gen]
+def run_trampoline(call, *args):
+    """Return the result of ``call(*args)``, a region call of the protocol
+    above, with every nested sub-call driven on an explicit stack.
+
+    A finished value, at the root or yielded by a generator, goes straight
+    back to the caller; a generator is pushed and run until it returns."""
+    gen = call(*args)
+    if type(gen) is not GeneratorType:
+        return gen
+    stack = []
     value = None
-    while stack:
+    while True:
         try:
-            child = stack[-1].send(value)
+            child = gen.send(value)
         except StopIteration as stop:
             value = stop.value
-            stack.pop()
+            if not stack:
+                return value
+            gen = stack.pop()
         else:
-            stack.append(child)
-            value = None
-    return value
+            if type(child) is GeneratorType:
+                stack.append(gen)
+                gen = child
+                value = None
+            else:
+                value = child
 
 
 def merge_survivors(ctx: BuildCtx, base: dict[int, int], adds, top: int,

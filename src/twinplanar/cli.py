@@ -119,7 +119,9 @@ def cmd_gen(args) -> int:
 
 def cmd_tree(args) -> int:
     g = _load_graph(args.graph, args.embed)
-    root = args.root if args.root is not None else g.tail[g.outer_dart]
+    root = args.root
+    if root is None:
+        root = g.tail[g.outer_dart] if g.m else 0
     t = left_aligned_bfs_tree(g, root)
     print(" ".join(str(p) for p in t.parent))
     return 0

@@ -4,9 +4,10 @@ A plane graph is stored as a rotation system: for every vertex the
 counter-clockwise cyclic order of its incident darts, plus one marked
 outer-face dart.  Edge ``e`` between ``u`` and ``v`` owns two darts,
 ``2*e`` (leaving ``u``) and ``2*e + 1`` (leaving ``v``); ``d ^ 1`` is the
-reversed dart.  Faces are the orbits of ``d -> rot_prev(d ^ 1)``; every face
-lies to the LEFT of its darts, so bounded faces come out counter-clockwise
-and the outer face clockwise.
+reversed dart.  The next dart of the face on the left of ``d`` is the
+rotation predecessor of ``d ^ 1`` at its tail (``face_next``); faces are
+the orbits of that map, and every face lies to the LEFT of its darts, so
+bounded faces come out counter-clockwise and the outer face clockwise.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class PlaneGraph:
         outer_dart: a dart whose left face is the outer face.
 
     ``build`` is the only constructor and derives the rest: per-dart
-    ``tail``, ``head``, ``pos`` (index in the tail's rotation) and
+    ``tail``, ``head``, ``pos`` (index in the tail's rotation),
+    ``face_next`` (the next dart of the face on the dart's left) and
     ``face_of``; the face walks ``faces`` in order of their smallest dart,
     each starting there; ``outer_face``; and ``comp``, the component id of
     every vertex (components numbered by smallest vertex), with ``ncomp``
@@ -73,6 +75,7 @@ class PlaneGraph:
     tail: list[int] = field(default_factory=list, repr=False)
     head: list[int] = field(default_factory=list, repr=False)
     pos: list[int] = field(default_factory=list, repr=False)
+    face_next: list[int] = field(default_factory=list, repr=False)
     face_of: list[int] = field(default_factory=list, repr=False)
     faces: list[list[int]] = field(default_factory=list, repr=False)
     outer_face: int = -1
@@ -91,14 +94,6 @@ class PlaneGraph:
         """CCW successor of dart d around its tail."""
         r = self.rot[self.tail[d]]
         return r[(self.pos[d] + 1) % len(r)]
-
-    def rot_prev(self, d: int) -> int:
-        r = self.rot[self.tail[d]]
-        return r[self.pos[d] - 1]
-
-    def next_in_face(self, d: int) -> int:
-        """Next dart of the face on the left of d."""
-        return self.rot_prev(d ^ 1)
 
     def is_simple(self) -> bool:
         """No two edges join the same pair (``build`` rejects loops)."""
@@ -138,7 +133,7 @@ def build(n: int, edges: Sequence[tuple[int, int]], rotations: Sequence[Sequence
         raise PlaneError("rotation list count != n")
     nd = 2 * m
     pos = [-1] * nd
-    nxt = [-1] * nd  # next_in_face, i.e. rot_prev(d ^ 1), per dart d
+    nxt = [-1] * nd  # face_next: the rotation predecessor of d ^ 1
     for v, r in enumerate(rotations):
         for i, d in enumerate(r):
             if not (0 <= d < nd):
@@ -155,7 +150,7 @@ def build(n: int, edges: Sequence[tuple[int, int]], rotations: Sequence[Sequence
         raise PlaneError("outer dart out of range")
 
     g = PlaneGraph(n, edges, [list(r) for r in rotations], outer if m else 0,
-                   tail=tail, head=head, pos=pos)
+                   tail=tail, head=head, pos=pos, face_next=nxt)
     _trace_faces(g, nxt)
     _check_euler(g)
     return g
@@ -293,7 +288,10 @@ def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, range]:
     drawing; the new vertices create no cycle, so bipartiteness survives.
     Like the completions below, it keeps ``g``'s vertex and edge ids and
     returns the ids it appended; a connected ``g`` comes back as it is.
+    A graph without vertices raises ``PlaneError``.
     """
+    if g.n == 0:
+        raise PlaneError("empty graph: nothing to connect")
     if g.ncomp == 1:
         return g, range(g.n, g.n)
     comps = connected_components(g)

@@ -21,55 +21,41 @@ from .trigraph import ContractionSequence, WidthReport
 WIDTH_BOUND = 6  # the verified width every bipartite_sequence result must meet
 
 
-def _quad_face(g: PlaneGraph, lid_dart: int) -> tuple[int, int, int, int, int]:
-    walk = g.faces[g.face_of[lid_dart]]
-    if len(walk) != 4:
-        raise BuilderError("quadrangulation face of length != 4")
-    i0 = walk.index(lid_dart)
-    d1 = walk[i0 - 3]
-    d2 = walk[i0 - 2]
-    d3 = walk[i0 - 1]
-    return d1, d2, d3, g.head[d1], g.head[d2]
-
-
 def _bicore(ctx: BuildCtx, lid_dart: int, sink: int):
-    """Generator form of the recursion; returns {level: surviving id}."""
+    """One region of the recursion, under the sub-call protocol of
+    ``buildctx``: returns {level: surviving id} if the lid face is the whole
+    region, or else a generator for the rest."""
     g, t = ctx.g, ctx.t
     dep = t.depth
     parent = t.parent
-    v1, v2 = g.tail[lid_dart], g.head[lid_dart]
+    head, nxt = g.head, g.face_next
+    v1, v2 = g.tail[lid_dart], head[lid_dart]
     if dep[v1] != dep[v2] + 1:
         raise BuilderError("lid ends not one level apart (left-alignment broken)")
     spec = RegionSpec(sink, v1, v2, None, None)
     ctx.push_region(spec)
 
-    def on_p1(z: int) -> bool:
-        return t.on_vertical(z, v1, sink)
-
-    def on_p2(z: int) -> bool:
-        return t.on_vertical(z, v2, sink)
-
-    def ret(out: dict[int, int]):
-        ctx.pop_region(out)
-        return out
-
-    d1, d2, d3, v3, v4 = _quad_face(g, lid_dart)
+    d1 = nxt[lid_dart]
+    d2 = nxt[d1]
+    d3 = nxt[d2]
+    if nxt[d3] != lid_dart or d2 == lid_dart:
+        raise BuilderError("quadrangulation face of length != 4")
+    v3, v4 = head[d1], head[d2]
     ec = dep[v1] + dep[v2] - 2 * dep[sink] + 1
 
     # base: the lid face is the whole region
     if v4 == parent[v1] and v3 == parent[v2] and ec == 4:
-        return ret({})
+        ctx.pop_region({})
+        return {}
 
-    p3_from = None
-    v4_off_p3 = False
+    off_p3 = -1
     if dep[v4] == dep[v1] - 1:
         if dep[v3] == dep[v2] + 1:
             if parent[v3] != v4:
                 raise BuilderError("v3's vertical path must continue through v4")
             if v4 == parent[v1]:
                 # (a): shrink across A, lid (v3, v2)
-                surv = yield _bicore(ctx, d1 ^ 1, sink)
-                return ret(_bi_second_stage(ctx, surv, ((dep[v3], v3),), sink))
+                return _bishrink(ctx, d1 ^ 1, sink, ((dep[v3], v3),))
             p3_from = v3  # (e)
             c1_lid, c2_lid = d3 ^ 1, d1 ^ 1  # (v1, v4) and (v3, v2)
         else:
@@ -77,12 +63,10 @@ def _bicore(ctx: BuildCtx, lid_dart: int, sink: int):
                 raise BuilderError("v3 one level up must sit on the right path")
             if v4 == parent[v1]:
                 # (b): shrink across A, lid (v4, v3)
-                surv = yield _bicore(ctx, d2 ^ 1, sink)
-                return ret(_bi_second_stage(ctx, surv, (), sink))
+                return _bishrink(ctx, d2 ^ 1, sink, ())
             if parent[v4] == v3:
                 # (c): shrink across A, lid (v1, v4)
-                surv = yield _bicore(ctx, d3 ^ 1, sink)
-                return ret(_bi_second_stage(ctx, surv, ((dep[v4], v4),), sink))
+                return _bishrink(ctx, d3 ^ 1, sink, ((dep[v4], v4),))
             p3_from = v4  # (f)
             c1_lid, c2_lid = d3 ^ 1, d2 ^ 1  # (v1, v4) and (v4, v3)
     else:
@@ -92,26 +76,50 @@ def _bicore(ctx: BuildCtx, lid_dart: int, sink: int):
             raise BuilderError("v4's vertical path must continue through v1")
         if parent[v3] == v2:
             # (d): shrink across A, lid (v4, v3)
-            surv = yield _bicore(ctx, d2 ^ 1, sink)
-            return ret(_bi_second_stage(
-                ctx, surv, ((dep[v3], v3), (dep[v4], v4)), sink))
+            return _bishrink(ctx, d2 ^ 1, sink, ((dep[v3], v3), (dep[v4], v4)))
         p3_from = v3  # (g)
-        v4_off_p3 = True  # v4 hangs below A, off the vertical path
+        off_p3 = v4  # v4 hangs below A, off the vertical path
         c1_lid, c2_lid = d2 ^ 1, d1 ^ 1  # (v4, v3) and (v3, v2)
+    return _bisplit(ctx, spec, p3_from, off_p3, c1_lid, c2_lid)
+
+
+def _bishrink(ctx: BuildCtx, lid_dart: int, sink: int, adds):
+    """Rest of a region shrunk across its lid face: one sub-call, then the
+    second stage with ``adds``."""
+    surv = yield _bicore(ctx, lid_dart, sink)
+    out = _bi_second_stage(ctx, surv, adds, sink)
+    ctx.pop_region(out)
+    return out
+
+
+def _bisplit(ctx: BuildCtx, spec: RegionSpec, p3_from: int, off_p3: int,
+             c1_lid: int, c2_lid: int):
+    """Rest of a region split along the vertical path P3 from ``p3_from``
+    (``off_p3`` is v4 when it hangs below the lid face off P3, else -1):
+    the sub-calls on c1_lid and c2_lid and the merge pi3."""
+    t = ctx.t
+    dep, parent, tin, tout = t.depth, t.parent, t.tin, t.tout
+    sink = spec.sink
+    ds = dep[sink]
+    t1, t2 = tin[spec.v1], tin[spec.v2]
 
     # ---- subcases with the vertical path P3 -------------------------------
     p3 = [p3_from]
     z = parent[p3_from]
-    while not (on_p1(z) or on_p2(z)):
+    # up to the first vertex on P1 or P2
+    while not (dep[z] >= ds and (tin[z] <= t1 < tout[z]
+                                 or tin[z] <= t2 < tout[z])):
         p3.append(z)
         z = parent[z]
     u3 = z
     u3_levels = {dep[w]: w for w in p3}
-    if v4_off_p3:
-        u3_levels[dep[v4]] = v4
+    if off_p3 != -1:
+        u3_levels[dep[off_p3]] = off_p3
 
-    sink1 = u3 if on_p1(u3) else sink
-    sink2 = u3 if (on_p2(u3) and u3 != sink) else sink
+    du3 = dep[u3]
+    sink1 = u3 if du3 >= ds and tin[u3] <= t1 < tout[u3] else sink
+    sink2 = (u3 if du3 >= ds and tin[u3] <= t2 < tout[u3] and u3 != sink
+             else sink)
     surv1 = yield _bicore(ctx, c1_lid, sink1)
     surv2 = yield _bicore(ctx, c2_lid, sink2)
 
@@ -146,7 +154,9 @@ def _bicore(ctx: BuildCtx, lid_dart: int, sink: int):
         surv1, surv2 = surv2, surv1
     adds += u3_levels.items()
     adds += surv2.items()
-    return ret(_bi_second_stage(ctx, surv1, adds, sink))
+    out = _bi_second_stage(ctx, surv1, adds, sink)
+    ctx.pop_region(out)
+    return out
 
 
 def _bi_second_stage(ctx: BuildCtx, base: dict[int, int], adds,
@@ -184,7 +194,7 @@ def _complete(g0: PlaneGraph, gc: PlaneGraph):
 
 def _run_core(ctx: BuildCtx) -> tuple[dict[int, int], int]:
     lid_dart, sink = _outer_quad_call(ctx.g, ctx.t)
-    return run_trampoline(_bicore(ctx, lid_dart, sink)), lid_dart
+    return run_trampoline(_bicore, ctx, lid_dart, sink), lid_dart
 
 
 def _final_phase(ctx: BuildCtx, surv: dict[int, int], lid_dart: int) -> None:

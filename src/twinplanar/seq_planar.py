@@ -77,47 +77,37 @@ class RegionSpec:
         return False
 
 
-def _lid_face(g: PlaneGraph, lid_dart: int) -> tuple[int, int, int]:
-    """Darts (d1, d2) following the lid inside the disk and the third vertex."""
-    walk = g.faces[g.face_of[lid_dart]]
-    if len(walk) != 3:
-        raise BuilderError("triangulation face of length != 3")
-    i0 = walk.index(lid_dart)
-    d1 = walk[i0 - 2]
-    d2 = walk[i0 - 1]
-    return d1, d2, g.head[d1]
-
-
 def _core(ctx: BuildCtx, lid_dart: int, sink: int,
           b1: tuple[int, int] | None,
           b2: tuple[int, int, int, int] | None):
-    """Generator form of the recursion; returns {level: surviving id}."""
+    """One region of the recursion, under the sub-call protocol of
+    ``buildctx``: peels the lid, then returns {level: surviving id} if the
+    region was a single triangle, or else a generator for the rest."""
     g, t = ctx.g, ctx.t
-    dep = t.depth
-    parent = t.parent
-    spec = RegionSpec(sink, g.tail[lid_dart], g.head[lid_dart], b1, b2)
+    dep, parent, tin, tout = t.depth, t.parent, t.tin, t.tout
+    head, nxt = g.head, g.face_next
+    v1, v2 = g.tail[lid_dart], head[lid_dart]
+    spec = RegionSpec(sink, v1, v2, b1, b2)
     ctx.push_region(spec)
-
-    def on_p1(z: int) -> bool:
-        return t.on_vertical(z, spec.v1, sink)
-
-    def on_p2(z: int) -> bool:
-        return t.on_vertical(z, spec.v2, sink)
-
-    ec = _edge_count(ctx, sink, spec.v1, spec.v2, b1, b2)
+    ec = _edge_count(ctx, sink, v1, v2, b1, b2)
+    ds = dep[sink]
 
     # ---- peel loop -----------------------------------------------------
     while True:
-        v1, v2 = spec.v1, spec.v2
         if dep[v1] < dep[v2]:
             raise BuilderError("lid deeper on the right (left-alignment broken)")
-        d1, d2, x = _lid_face(g, lid_dart)
+        d1 = nxt[lid_dart]
+        d2 = nxt[d1]
+        if nxt[d2] != lid_dart:
+            raise BuilderError("triangulation face of length != 3")
+        x = head[d1]
         if b2 is not None:
             if x != b2[3]:
                 raise BuilderError("lid face is not the empty division triangle")
-            v0 = x
             break
-        if on_p1(x) or on_p2(x):
+        # x on P1 or P2: an ancestor of v1 or v2 no higher than the sink
+        tx, ox = tin[x], tout[x]
+        if dep[x] >= ds and (tx <= tin[v1] < ox or tx <= tin[v2] < ox):
             if ec == 3:
                 ctx.pop_region({})
                 return {}
@@ -125,38 +115,57 @@ def _core(ctx: BuildCtx, lid_dart: int, sink: int,
                 if b1 is not None and dep[x] < dep[b1[0]]:
                     raise BuilderError("peel would cross the B1 lid")
                 lid_dart = d1 ^ 1  # (x -> v2)
-                spec.v1 = x
+                spec.v1 = v1 = x
                 ec -= 1
                 continue
             if x == parent[v2]:
                 if b1 is not None and dep[x] < dep[b1[1]]:
                     raise BuilderError("peel would cross the B1 lid")
                 lid_dart = d2 ^ 1  # (v1 -> x)
-                spec.v2 = x
+                spec.v2 = v2 = x
                 ec -= 1
                 continue
             raise BuilderError("boundary vertex of the lid face is no peel candidate")
-        v0 = x
-        # vertical shortcut cases: P0 is the single parental edge
-        if parent[v0] == v1:
-            surv = yield _core(ctx, d1 ^ 1, sink, b1, None)  # lid (v0, v2)
-        elif parent[v0] == v2:
-            surv = yield _core(ctx, d2 ^ 1, sink, b1, None)  # lid (v1, v0)
-        else:
-            break
-        kc = _min_boundary_level(ctx, sink, spec.v1, b1, None)
-        out = _second_stage(ctx, surv, ((dep[v0], v0),), kc,
-                            spec.v1, spec.v2, ec)
-        ctx.pop_region(out)
-        return out
+        # x is the apex v0, off P1 and P2; vertical shortcut cases: P0 is
+        # v0's parental edge
+        if parent[x] == v1:
+            return _shrink(ctx, spec, d1 ^ 1, x, ec)  # lid (v0, v2)
+        if parent[x] == v2:
+            return _shrink(ctx, spec, d2 ^ 1, x, ec)  # lid (v1, v0)
+        break
+    return _split(ctx, spec, lid_dart, d1, d2, x, ec)
 
-    v1, v2 = spec.v1, spec.v2
+
+def _shrink(ctx: BuildCtx, spec: RegionSpec, lid_dart: int, v0: int, ec: int):
+    """Rest of a region whose P0 is v0's parental edge: one sub-call on the
+    cycle past v0, then the second stage with v0 added."""
+    sink, b1 = spec.sink, spec.b1
+    surv = yield _core(ctx, lid_dart, sink, b1, None)
+    kc = _min_boundary_level(ctx, sink, spec.v1, b1, None)
+    out = _second_stage(ctx, surv, ((ctx.t.depth[v0], v0),), kc,
+                        spec.v1, spec.v2, ec)
+    ctx.pop_region(out)
+    return out
+
+
+def _split(ctx: BuildCtx, spec: RegionSpec, lid_dart: int, d1: int, d2: int,
+           v0: int, ec: int):
+    """Rest of a region split along the vertical path P0 from v0: the
+    sub-calls pi1 and pi2, the merge pi3 and the second stage."""
+    g, t = ctx.g, ctx.t
+    dep, parent, tin, tout = t.depth, t.parent, t.tin, t.tout
+    head = g.head
+    sink, v1, v2, b1, b2 = spec.sink, spec.v1, spec.v2, spec.b1, spec.b2
+    ds = dep[sink]
+    t1, t2 = tin[v1], tin[v2]
 
     # ---- the vertical path P0 ------------------------------------------
     if b2 is None:
         p0 = [v0]
         z = parent[v0]
-        while not (on_p1(z) or on_p2(z)):
+        # up to the first vertex on P1 or P2
+        while not (dep[z] >= ds and (tin[z] <= t1 < tout[z]
+                                     or tin[z] <= t2 < tout[z])):
             p0.append(z)
             z = parent[z]
         u1 = z
@@ -173,34 +182,36 @@ def _core(ctx: BuildCtx, lid_dart: int, sink: int,
         p0.append(u1)
         p0.reverse()
         interior = [w for w in p0 if dep[w] > dep[b2v]]
-    u1_on_p1 = on_p1(u1)
+    u1_on_p1 = dep[u1] >= ds and tin[u1] <= t1 < tout[u1]
     if b1 is not None:
         lo_ok = dep[b1[0]] if u1_on_p1 else dep[b1[1]]
         if dep[u1] < lo_ok:
             raise BuilderError("P0 exits through a B1 wrapping path")
 
     # ---- the horizontal edge f1 ------------------------------------------
+    # the first interior x2, top down, with a P1 neighbour x1 on its level,
+    # below B1's lid and outside B2's part of P1, that is not adjacent to
+    # u1 on P1; below u1 only u1's child on P0 can be adjacent to it
     f1_dart = -1
-    lo = dep[b1[0]] if b1 is not None else dep[sink]
+    lo = max(dep[b1[0]] if b1 is not None else ds, ds)
     if b2 is not None:
         s_b2 = u1 if u1_on_p1 else sink  # sink of B2
+        b2_lo, b2_hi = dep[s_b2], dep[b2[0]]
     for x2 in interior:
-        rot = g.rot[x2]
-        if u1_on_p1 and any(g.head[d] == u1 for d in rot):
-            continue
         lx2 = dep[x2]
-        for d in rot:
-            q = g.head[d]
-            if dep[q] == lx2 and on_p1(q) and dep[q] >= lo:
-                if b2 is not None and dep[s_b2] <= dep[q] <= dep[b2[0]]:
-                    continue
+        if (lx2 < lo or u1_on_p1 and parent[x2] == u1
+                or b2 is not None and b2_lo <= lx2 <= b2_hi):
+            continue
+        for d in g.rot[x2]:
+            q = head[d]
+            if dep[q] == lx2 and tin[q] <= t1 < tout[q]:
                 f1_dart = d ^ 1  # (x1 -> x2)
                 break
         if f1_dart != -1:
             break
     # the search may return the edge {v1, v0} itself (when horizontal); the
     # pi2 shape is keyed on the edge identity, not on how it was found
-    fallback = f1_dart == -1 or (g.tail[f1_dart] == v1 and g.head[f1_dart] == v0)
+    fallback = f1_dart == -1 or (g.tail[f1_dart] == v1 and head[f1_dart] == v0)
     if f1_dart == -1:
         f1_dart = d2 ^ 1  # (v1 -> v0)
     sink_d1 = u1 if u1_on_p1 else sink
@@ -215,7 +226,7 @@ def _core(ctx: BuildCtx, lid_dart: int, sink: int,
 
     b1pp = b1 if (b1 is not None and u1_on_p1) else None
     if not fallback:
-        x1, x2 = g.tail[f1_dart], g.head[f1_dart]
+        x1, x2 = g.tail[f1_dart], head[f1_dart]
         surv2 = yield _core(ctx, lid_dart, sink, b1pp, (x1, x2, u1, v0))
         # pi2's region swallowed P0 strictly below x2; only the rest is
         # still alive for the merge
@@ -335,7 +346,7 @@ def _complete(g0: PlaneGraph, gc: PlaneGraph):
 
 def _run_core(ctx: BuildCtx) -> tuple[dict[int, int], int]:
     lid_dart, sink = _outer_triangle_call(ctx.g, ctx.t)
-    return run_trampoline(_core(ctx, lid_dart, sink, None, None)), lid_dart
+    return run_trampoline(_core, ctx, lid_dart, sink, None, None), lid_dart
 
 
 def _final_phase(ctx: BuildCtx, surv: dict[int, int], lid_dart: int) -> None:

@@ -142,6 +142,23 @@ def test_cli_tree(tmp_path, capsys):
     assert len(parents) == 10 and parents.count(-1) == 1
 
 
+@pytest.mark.parametrize("cmd", [
+    ["tree"], ["prep", "triangulate"], ["prep", "quadrangulate"],
+    ["seq", "--mode", "planar"], ["seq", "--mode", "bipartite"],
+], ids=["tree", "triangulate", "quadrangulate", "seq-planar", "seq-bipartite"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_cli_edgeless_graphs_exit_cleanly(tmp_path, capsys, cmd, n):
+    p = tmp_path / "edgeless.plane"
+    p.write_text(f"p plane {n} 0\n")
+    code, out, err = run_cli(cmd + [str(p)], capsys)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith(("error:", "invariant violation:"))
+    if cmd == ["tree"] and n == 1:
+        assert out.split() == ["-1"]
+
+
 @pytest.mark.parametrize("extra", [[], ["--assert"]], ids=["plain", "assert"])
 def test_cli_bench(tmp_path, capsys, monkeypatch, extra):
     bound = []  # graphs an InvariantChecker was bound to

@@ -204,6 +204,11 @@ def test_connect_k_components():
     assert len(pg.connected_components(g2)) == 1
 
 
+def test_connect_rejects_the_empty_graph():
+    with pytest.raises(pg.PlaneError, match="empty graph"):
+        pg.connect_components(pg.build(0, [], [], 0))
+
+
 # -- facts derived once per graph ---------------------------------------------
 
 
@@ -235,7 +240,13 @@ def thinned_plane_graphs(draw):
 @settings(max_examples=80, deadline=None)
 @given(thinned_plane_graphs())
 def test_derived_facts_match_direct_computation(g):
-    # faces: the orbits of next_in_face, walked from darts 0..2m-1 in order
+    # face_next: the rotation predecessor of the reversed dart, and faces:
+    # its orbits, walked from darts 0..2m-1 in order
+    succ = [-1] * (2 * g.m)
+    for r in g.rot:
+        for i, d in enumerate(r):
+            succ[d ^ 1] = r[i - 1]
+    assert g.face_next == succ
     orbits, seen = [], set()
     for d0 in range(2 * g.m):
         if d0 in seen:
@@ -244,7 +255,7 @@ def test_derived_facts_match_direct_computation(g):
         while d not in seen:
             seen.add(d)
             walk.append(d)
-            d = g.next_in_face(d)
+            d = succ[d]
         orbits.append(walk)
     assert g.faces == (orbits or [[]])
     assert all(g.face_of[d] == f for f, w in enumerate(g.faces) for d in w)
