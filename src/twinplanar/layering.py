@@ -10,7 +10,6 @@ upper endpoint lies to the left of the lower one.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .plane_graph import PlaneGraph
@@ -59,17 +58,16 @@ def bfs_layering(g: PlaneGraph, r: int) -> list[int]:
         raise LayeringError(f"root {r} out of range")
     dist = [-1] * g.n
     dist[r] = 0
-    q = deque([r])
-    head = g.head
-    while q:
-        v = q.popleft()
+    q = [r]
+    head, rot = g.head, g.rot
+    for v in q:  # grows while it is walked: a FIFO queue
         dv = dist[v] + 1
-        for d in g.rot[v]:
+        for d in rot[v]:
             w = head[d]
             if dist[w] == -1:
                 dist[w] = dv
                 q.append(w)
-    if any(x == -1 for x in dist):
+    if -1 in dist:
         raise LayeringError("graph is disconnected")
     return dist
 
@@ -97,11 +95,8 @@ def left_aligned_bfs_tree(g: PlaneGraph, r: int) -> BfsTree:
     n = g.n
     parent = [-1] * n
     parent_dart = [-1] * n
-    intree = [False] * n
-    intree[r] = True
     order: list[int] = []
     tin = [0] * n
-    tout = [0] * n
     clock = 0
 
     head = g.head
@@ -116,47 +111,45 @@ def left_aligned_bfs_tree(g: PlaneGraph, r: int) -> BfsTree:
         clock += 1
         order.append(v)
         rv = rot[v]
-        deg = len(rv)
-        if deg == 0:
+        if not rv:
             continue
-        if v == r:
-            start = pos[_root_anchor(g, r)]
-        else:
-            start = (pos[parent_dart[v]] + 1) % deg
+        s = pos[_root_anchor(g, r)] if v == r else pos[parent_dart[v]] + 1
         dv1 = depth[v] + 1
         # one dart per fresh next-layer neighbour (lowest edge id among
-        # multiedges), ordered by the ccw rank of the chosen dart
-        chosen: dict[int, tuple[int, int]] = {}
+        # multiedges), ordered by the ccw rank of the chosen dart; the
+        # rotation is walked once, from the anchor on
+        walk = rv[s:] + rv[:s]
         kids: list[int] = []
-        for i in range(deg):
-            d = rv[(start + i) % deg]
+        moved = False
+        for d in walk:
             w = head[d]
-            if depth[w] == dv1 and not intree[w]:
-                cur = chosen.get(w)
-                if cur is None:
-                    chosen[w] = (i, d)
-                    kids.append(w)
-                elif (d >> 1) < (cur[1] >> 1):
-                    chosen[w] = (i, d)
-        for w in kids:
-            intree[w] = True
-            parent[w] = v
-            parent_dart[w] = chosen[w][1] ^ 1
-        kids.sort(key=lambda w: chosen[w][0])
-        for w in reversed(kids):
-            stack.append(w)
-    t = BfsTree(g, r, parent, parent_dart, depth, order, tin, tout)
+            if depth[w] != dv1:
+                continue
+            p = parent[w]  # only the root has no parent, and it is on layer 0
+            if p == -1:
+                parent[w] = v
+                parent_dart[w] = d ^ 1
+                kids.append(w)
+            elif p == v and d >> 1 < parent_dart[w] >> 1:
+                parent_dart[w] = d ^ 1  # a lower-id parallel edge, later
+                moved = True
+        if moved:
+            rank = {d: i for i, d in enumerate(walk)}
+            kids.sort(key=lambda w: rank[parent_dart[w] ^ 1])
+        kids.reverse()
+        stack += kids
+    t = BfsTree(g, r, parent, parent_dart, depth, order, tin)
     _fill_tout(t)
     return t
 
 
 def _fill_tout(t: BfsTree) -> None:
     # tin was assigned in preorder; tout[v] = max tin in v's subtree + 1
-    n = t.g.n
-    tout = [t.tin[v] + 1 for v in range(n)]
-    for v in reversed(t.order):
-        p = t.parent[v]
-        if p != -1 and tout[v] > tout[p]:
+    tout = [i + 1 for i in t.tin]
+    parent = t.parent
+    for v in t.order[:0:-1]:  # children before parents, root left out
+        p = parent[v]
+        if tout[v] > tout[p]:
             tout[p] = tout[v]
     t.tout = tout
 

@@ -209,6 +209,13 @@ def exact_twinwidth(n: int, edges: Iterable[tuple[int, int]],
     return ExactResult(width, seq)
 
 
+def _check_ids(idx: int, ids, bound: int) -> None:
+    # a list would wrap a negative id and overrun a not yet created one
+    for v in ids:
+        if not 0 <= v < bound:
+            raise SequenceError(f"step {idx}: id {v} outside 0..{bound - 1}")
+
+
 def reference_verify(n: int, edges: Iterable[tuple[int, int]],
                      seq: ContractionSequence) -> WidthReport:
     """Dense-matrix replay (0 none, 1 black, 2 red); O(n^2) per step on
@@ -230,6 +237,7 @@ def reference_verify(n: int, edges: Iterable[tuple[int, int]],
             _, x, y, z = step
             if z != expected:
                 raise SequenceError(f"step {idx}: bad fresh id")
+            _check_ids(idx, (x, y), z)
             expected += 1
             if x == y or not (live[x] and live[y]):
                 raise SequenceError(f"step {idx}: dead or equal endpoints")
@@ -244,6 +252,7 @@ def reference_verify(n: int, edges: Iterable[tuple[int, int]],
             for w in range(size):
                 M[x][w] = M[w][x] = M[y][w] = M[w][y] = 0
         elif step[0] == "d":
+            _check_ids(idx, step[1:], expected)
             if not live[step[1]]:
                 raise SequenceError(f"step {idx}: d-step on dead vertex")
         else:

@@ -10,6 +10,13 @@ A sequence's width is the maximum red degree seen after any step; dummy
 trigraph keeps a histogram of red degrees, updated by each contraction
 only at z and its red neighbours, so the verifier reads the running
 maximum after every step in O(1).
+
+A trigraph stores its adjacency and levels in lists indexed by the dense
+ids of the sequence, 0..2n-2: ``black[v]`` and ``red[v]`` are sets, and
+both are ``None`` once v is contracted; ``level`` is a list as well.
+``Trigraph.replay`` holds the one definition of a step: the verifier
+replays a whole sequence through it, and ``contract`` and
+``decrease_level`` are one-step replays.
 """
 
 from __future__ import annotations
@@ -54,100 +61,174 @@ class WidthReport:
 class Trigraph:
     """Mutable trigraph with black/red adjacency and optional levels.
 
+    Vertices carry the dense ids of a sequence: the originals 0..n-1, then
+    one fresh id per contraction, so ``black``, ``red`` and ``level`` are
+    lists indexed by id (length ``next_id``).  ``black[v]`` and ``red[v]``
+    are sets of live ids; once v is contracted, ``black[v]``, ``red[v]``
+    and ``level[v]`` are ``None``.  ``level`` is ``None`` altogether when
+    no level assignment is given.
+
     Single-writer.  ``_red_hist[d]`` counts the live vertices of red degree
-    d and ``_max_red`` is the largest d with a nonzero count; ``contract``
-    keeps both current, so ``max_red_degree`` is O(1).  Writing to
-    ``black``/``red`` directly bypasses that bookkeeping.
+    d and ``_max_red`` is the largest d with a nonzero count; ``replay``
+    keeps both current, so it reads the maximum after each step in O(1).
+    ``steps_done`` counts the steps replayed.  Writing to ``black``/``red``
+    directly bypasses that bookkeeping.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  levels: Sequence[int] | None = None):
-        self.n0 = n
-        self.black: dict[int, set[int]] = {v: set() for v in range(n)}
-        self.red: dict[int, set[int]] = {v: set() for v in range(n)}
+        black: list[set[int] | None] = [set() for _ in range(n)]
         try:
             for u, v in edges:
                 if u == v:
                     raise SequenceError(f"loop edge at {u}")
-                self.black[u].add(v)
-                self.black[v].add(u)
-        except KeyError as exc:
+                if u < 0 or v < 0:
+                    raise IndexError  # a list would wrap a negative id
+                black[u].add(v)
+                black[v].add(u)
+        except IndexError:
+            bad = v if 0 <= u < n else u
             raise SequenceError(
-                f"edge endpoint {exc.args[0]} outside 0..{n - 1}") from None
+                f"edge endpoint {bad} outside 0..{n - 1}") from None
+        self.black = black
+        self.red: list[set[int] | None] = [set() for _ in range(n)]
         self._red_hist = [n] + [0] * n  # all n vertices start at red degree 0
         self._max_red = 0
-        self.level: dict[int, int] | None = (
-            {v: levels[v] for v in range(n)} if levels is not None else None)
+        self.level: list[int | None] | None = (
+            [levels[v] for v in range(n)] if levels is not None else None)
         self.next_id = n
+        self.steps_done = 0
 
     # -- queries ------------------------------------------------------------
-
-    def max_red_degree(self) -> int:
-        return self._max_red
 
     def neighbors(self, v: int) -> set[int]:
         return self.black[v] | self.red[v]
 
     # -- operations ----------------------------------------------------------
 
+    def replay(self, steps: Iterable[Step], per_step: list[int],
+               recheck: int = 0) -> None:
+        """Apply ``steps`` in order, appending the maximum red degree after
+        each one to ``per_step``.
+
+        This is the one definition of a step.  ``("k", x, y, z)`` contracts
+        the live x, y into the fresh z: common black neighbours keep a black
+        edge to z, every other neighbour of x or y becomes red to z.
+        ``("d", x)`` lowers the level of the live x by one, legal only if
+        no neighbour sits deeper than the new level; without levels it only
+        checks that x is live.  Errors are ``SequenceError("step i: ...")``
+        with i counted over every step this trigraph has replayed, and so
+        is the rescan: with ``recheck=K`` the red degrees are recounted
+        from scratch after every K-th step to catch drift in the histogram.
+        """
+        black, red, hist, level = self.black, self.red, self._red_hist, self.level
+        append = per_step.append
+        z = self.next_id
+        mx = self._max_red
+        idx = self.steps_done  # global index of ``step``
+        try:
+            for step in steps:
+                if step[0] == "k":
+                    _, x, y, fresh = step
+                    if fresh != z:
+                        raise SequenceError(f"fresh id {fresh} != expected {z}")
+                    if x == y:
+                        raise SequenceError("cannot contract a vertex with itself")
+                    if x < 0 or y < 0:
+                        raise IndexError  # a list would wrap a negative id
+                    bx, by = black[x], black[y]
+                    if bx is None or by is None:
+                        raise IndexError
+                    rx, ry = red[x], red[y]
+                    black[x] = black[y] = red[x] = red[y] = None
+                    hist[len(rx)] -= 1
+                    hist[len(ry)] -= 1
+                    # z takes over the sets of x: bx becomes its black and
+                    # rx its red neighbourhood
+                    xy = {x, y}
+                    once = bx ^ by
+                    once -= xy
+                    bx &= by
+                    # common black neighbours keep a black edge and their
+                    # red degree
+                    for w in bx:
+                        bw = black[w]
+                        bw -= xy
+                        bw.add(z)
+                    # a black edge to only one of x, y is dropped
+                    for w in once:
+                        bw = black[w]
+                        bw -= xy
+                    rx |= ry
+                    rx |= once
+                    rx -= xy
+                    for w in rx:
+                        rw = red[w]
+                        d = len(rw)
+                        rw -= xy
+                        rw.add(z)
+                        e = len(rw)
+                        if e != d:
+                            hist[d] -= 1
+                            hist[e] += 1
+                    black.append(bx)
+                    red.append(rx)
+                    d = len(rx)
+                    hist[d] += 1
+                    # any red degree but z's grew by at most one
+                    mx = mx + 1 if mx >= d else d
+                    while mx and not hist[mx]:
+                        mx -= 1
+                    if level is not None:
+                        level.append(min(level[x], level[y]))
+                        level[x] = level[y] = None
+                    z += 1
+                elif step[0] == "d":
+                    x = step[1]
+                    if x < 0 or black[x] is None:
+                        raise IndexError
+                    if level is not None:
+                        lx = level[x] - 1
+                        for t in black[x] | red[x]:
+                            if level[t] > lx:
+                                raise SequenceError(
+                                    f"illegal level decrease of {x}: neighbour "
+                                    f"{t} at level {level[t]} > {lx}")
+                        level[x] = lx
+                else:
+                    raise SequenceError(f"unknown step kind {step[0]!r}")
+                if recheck and (idx + 1) % recheck == 0:
+                    real = max((len(r) for r in red if r is not None), default=0)
+                    if real != mx:
+                        raise SequenceError(f"red-degree drift: {mx} != {real}")
+                append(mx)
+                idx += 1
+        except SequenceError as exc:
+            raise SequenceError(f"step {idx}: {exc}") from None
+        except IndexError:  # a negative, dead or not yet created id
+            if step[0] == "k":
+                msg = f"contracting dead/unknown vertex ({step[1]},{step[2]})"
+            elif level is not None:
+                msg = f"level decrease of dead vertex {step[1]}"
+            else:
+                msg = "d-step on dead vertex"
+            raise SequenceError(f"step {idx}: {msg}") from None
+        finally:
+            self.next_id = z
+            self._max_red = mx
+            self.steps_done = idx
+
     def contract(self, x: int, y: int) -> int:
         """Contract x and y into a fresh vertex, returning its id."""
-        if x == y:
-            raise SequenceError("cannot contract a vertex with itself")
-        black, red, hist = self.black, self.red, self._red_hist
-        if x not in black or y not in black:
-            raise SequenceError(f"contracting dead/unknown vertex ({x},{y})")
         z = self.next_id
-        self.next_id += 1
-        bx, by = black.pop(x), black.pop(y)
-        rx, ry = red.pop(x), red.pop(y)
-        hist[len(rx)] -= 1
-        hist[len(ry)] -= 1
-        # common black neighbours keep a black edge and their red degree
-        blacks = bx & by
-        for w in blacks:
-            bw = black[w]
-            bw.remove(x)
-            bw.remove(y)
-            bw.add(z)
-        reds = (bx ^ by) | rx | ry
-        reds.discard(x)
-        reds.discard(y)
-        for w in reds:
-            bw, rw = black[w], red[w]
-            d = len(rw)
-            bw.discard(x)
-            bw.discard(y)
-            rw.discard(x)
-            rw.discard(y)
-            rw.add(z)
-            if len(rw) != d:
-                hist[d] -= 1
-                hist[len(rw)] += 1
-        black[z] = blacks
-        red[z] = reds
-        hist[len(reds)] += 1
-        # a red degree other than z's grows by at most one per contraction
-        mx = max(self._max_red + 1, len(reds))
-        while mx and not hist[mx]:
-            mx -= 1
-        self._max_red = mx
-        if self.level is not None:
-            self.level[z] = min(self.level.pop(x), self.level.pop(y))
+        self.replay((("k", x, y, z),), [])
         return z
 
     def decrease_level(self, x: int) -> None:
+        """Lower the level of x by one (a ``d`` step)."""
         if self.level is None:
             raise SequenceError("no level assignment present")
-        if x not in self.black:
-            raise SequenceError(f"level decrease of dead vertex {x}")
-        lx = self.level[x]
-        for t in self.neighbors(x):
-            if self.level[t] > lx - 1:
-                raise SequenceError(
-                    f"illegal level decrease of {x}: neighbour {t} at level "
-                    f"{self.level[t]} > {lx - 1}")
-        self.level[x] = lx - 1
+        self.replay((("d", x),), [])
 
 
 # ---------------------------------------------------------------------------
@@ -203,36 +284,19 @@ def verify_sequence(n: int, edges: Iterable[tuple[int, int]],
 
     Levels are optional; without them ``d`` steps are replayed unchecked.
     With ``debug_recheck=k`` the incremental red-degree maximum is recomputed
-    from scratch every k steps to catch drift.
+    from scratch every k steps to catch drift; a negative k is a
+    ``ValueError``.  Errors name the failing step: ``"step i: ..."``.
     """
+    if debug_recheck < 0:
+        raise ValueError(f"debug_recheck must be >= 0, got {debug_recheck}")
     if seq.n != n:
         raise SequenceError(f"sequence is for n={seq.n}, graph has n={n}")
     t = Trigraph(n, edges, levels)
     per_step: list[int] = []
-    for idx, step in enumerate(seq.steps):
-        try:
-            if step[0] == "k":
-                if step[3] != t.next_id:
-                    raise SequenceError(
-                        f"fresh id {step[3]} != expected {t.next_id}")
-                t.contract(step[1], step[2])
-            elif step[0] == "d":
-                if t.level is not None:
-                    t.decrease_level(step[1])
-                elif step[1] not in t.black:
-                    raise SequenceError("d-step on dead vertex")
-            else:
-                raise SequenceError(f"unknown step kind {step[0]!r}")
-        except SequenceError as exc:
-            raise SequenceError(f"step {idx}: {exc}") from None
-        cur_max = t.max_red_degree()
-        per_step.append(cur_max)
-        if debug_recheck and (idx + 1) % debug_recheck == 0:
-            real = max(map(len, t.red.values()), default=0)
-            if real != cur_max:
-                raise SequenceError(
-                    f"red-degree drift at step {idx}: {cur_max} != {real}")
-    return WidthReport(max(per_step, default=0), per_step, seq.is_full())
+    t.replay(seq.steps, per_step, debug_recheck)
+    # the replay checked every fresh id, so it made the contractions
+    return WidthReport(max(per_step, default=0), per_step,
+                       t.next_id - n == n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,33 +313,31 @@ def restrict_sequence(seq: ContractionSequence, keep: Iterable[int]
     order and fresh ids follow deterministically.  Dummy steps are dropped.
     """
     keep_sorted = sorted(set(keep))
-    new_id = {v: i for i, v in enumerate(keep_sorted)}
+    n = seq.n
     k = len(keep_sorted)
-    # per live id: (number of kept originals, restricted id or -1)
-    cnt: dict[int, int] = {}
-    rid: dict[int, int] = {}
-    for v in range(seq.n):
-        if v in new_id:
+    # per dense id: number of kept originals, restricted id or -1
+    size = n + len(seq.steps)
+    cnt = [0] * size
+    rid = [-1] * size
+    for i, v in enumerate(keep_sorted):
+        if 0 <= v < n:
             cnt[v] = 1
-            rid[v] = new_id[v]
-        else:
-            cnt[v] = 0
-            rid[v] = -1
+            rid[v] = i
     out = ContractionSequence(k)
+    append = out.steps.append
     fresh = k
     for step in seq.steps:
         if step[0] != "k":
             continue
         _, x, y, z = step
-        cx, cy = cnt.pop(x), cnt.pop(y)
-        rx, ry = rid.pop(x), rid.pop(y)
+        cx, cy = cnt[x], cnt[y]
         cnt[z] = cx + cy
-        if cx > 0 and cy > 0:
-            out.steps.append(("k", rx, ry, fresh))
+        if cx and cy:
+            append(("k", rid[x], rid[y], fresh))
             rid[z] = fresh
             fresh += 1
         else:
-            rid[z] = rx if cx > 0 else ry
+            rid[z] = rid[x] if cx else rid[y]
     return out
 
 

@@ -90,6 +90,10 @@ def test_cli_verify_width_zero_twin_sequence(tmp_path, capsys):
     code, out, _ = run_cli(["verify", str(gpath), str(spath)], capsys)
     assert code == 0
     assert out.strip() == "width 0"
+    code, out, err = run_cli(["verify", str(gpath), str(spath),
+                              "--recheck", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "invariant violation: debug_recheck must be >= 0, got -1\n"
 
 
 def test_cli_exact(tmp_path, capsys):

@@ -135,6 +135,18 @@ def test_multigraph_left_aligned():
     assert ly.check_left_aligned(g, t) is None
 
 
+def test_multigraph_child_order_follows_the_lowest_parallel_edge():
+    # root 0 sees ccw from its anchor: edge 2 (to 2), edge 1 (to 1), edge 0
+    # (to 2).  Child 2 hangs from edge 0, the lowest id of its parallels,
+    # which comes after child 1, so 1 is visited first.
+    g = pg.build(3, [(0, 2), (0, 1), (0, 2)], [[4, 2, 0], [3], [1, 5]], 0)
+    assert g.pos[ly._root_anchor(g, 0)] == 0
+    t = ly.left_aligned_bfs_tree(g, 0)
+    assert t.parent_dart == [-1, 3, 1]
+    assert t.order == [0, 1, 2]
+    assert t.tin == [0, 1, 2]
+
+
 def test_linear_runtime_scaling():
     import time
     # the two sizes alternate seed by seed, so that drift in machine speed

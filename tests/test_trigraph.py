@@ -105,6 +105,66 @@ def test_verify_rejects_bad_level_decrease():
         tg.verify_sequence(2, [(0, 1)], seq, levels=[0, 1])
 
 
+VERIFIERS = {
+    "incremental": lambda n, edges, seq: tg.verify_sequence(n, edges, seq),
+    "incremental-levels": lambda n, edges, seq: tg.verify_sequence(
+        n, edges, seq, levels=[0, 1, 2]),
+    "reference": tp.reference_verify,
+}
+
+
+@pytest.mark.parametrize("verify", VERIFIERS.values(), ids=VERIFIERS.keys())
+@pytest.mark.parametrize("step", [
+    ("k", -2, 2, 4), ("k", 2, -1, 4), ("d", -1),
+    ("k", 2, 4, 4), ("k", 9, 2, 4), ("d", 4), ("d", 7),
+    ("k", 0, 2, 4), ("d", 1),
+], ids=["k-negative-x", "k-negative-y", "d-negative", "k-fresh-id",
+        "k-past-fresh", "d-fresh-id", "d-past-fresh", "k-dead", "d-dead"])
+def test_verifiers_reject_a_step_on_an_id_that_is_not_live(verify, step):
+    # after step 0, ids 0 and 1 are dead and 3 is the only fresh one;
+    # a list would wrap -1 and -2 onto live ids
+    seq = tg.ContractionSequence(3, [("k", 0, 1, 3), step])
+    with pytest.raises(tg.SequenceError, match=r"^step 1: "):
+        verify(3, [(0, 1), (1, 2)], seq)
+
+
+def test_verify_debug_recheck_rejects_a_negative_period():
+    seq = tg.ContractionSequence(2, [("k", 0, 1, 2)])
+    with pytest.raises(ValueError, match="debug_recheck must be >= 0"):
+        tg.verify_sequence(2, [(0, 1)], seq, debug_recheck=-1)
+
+
+def test_recheck_runs_after_every_kth_global_step(monkeypatch):
+    # a phantom red degree of 1 in the histogram: the running maximum reads
+    # 1 from the first contraction on, while K6's twins keep every red
+    # degree 0, so the first rescan reports the drift
+    init = tg.Trigraph.__init__
+
+    def phantom(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._red_hist[1] += 1
+
+    monkeypatch.setattr(tg.Trigraph, "__init__", phantom)
+    n = 6
+    steps = [("k", 0, 1, 6), ("k", 2, 3, 7), ("k", 4, 5, 8),
+             ("k", 6, 7, 9), ("k", 8, 9, 10)]
+    seq = tg.ContractionSequence(n, steps)
+    with pytest.raises(tg.SequenceError,
+                       match=r"^step 2: red-degree drift: 1 != 0$"):
+        tg.verify_sequence(n, kn_edges(n), seq, debug_recheck=3)
+    # no rescan falls on steps 0..4 with K = 7, so the drift goes unseen
+    rep = tg.verify_sequence(n, kn_edges(n), seq, debug_recheck=7)
+    assert rep.per_step_max == [1] * 5
+    # step indices run on across batches: with K = 3 the batch [1:3]
+    # rescans after its first step (global step 2), not after local step 2
+    t = tg.Trigraph(n, kn_edges(n))
+    per_step = []
+    t.replay(steps[:1], per_step, recheck=3)
+    with pytest.raises(tg.SequenceError, match=r"^step 2: red-degree drift"):
+        t.replay(steps[1:], per_step, recheck=3)
+    assert per_step == [1, 1]
+
+
 def test_verify_debug_recheck():
     # one builder output per benchmark family: stacked, grid, thinned stacked
     tri = tp.gen_triangulation(200, 3)
@@ -151,7 +211,9 @@ def is_good_assignment(t: tg.Trigraph) -> bool:
     if t.level is None:
         raise tg.SequenceError("no level assignment present")
     lev = t.level
-    for v, bl in t.black.items():
+    for v, bl in enumerate(t.black):
+        if bl is None:
+            continue  # contracted
         lv = lev[v]
         for w in bl:
             if abs(lv - lev[w]) > 1:
