@@ -10,6 +10,7 @@ return value (either kind) and gets the finished result back.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from types import GeneratorType
 
 from .layering import BfsTree
@@ -111,14 +112,29 @@ def merge_survivors(ctx: BuildCtx, base: dict[int, int], adds, top: int,
     return base
 
 
+def climb(t: BfsTree, x: int, sink: int, v1: int,
+          v2: int) -> tuple[list[int], int]:
+    """Walk the tree path up from ``x`` to its first proper ancestor on P1
+    or P2, the vertical paths from ``v1`` and ``v2`` up to ``sink``; return
+    the vertices passed, bottom-up from ``x``, and that ancestor."""
+    dep, parent, tin, tout = t.depth, t.parent, t.tin, t.tout
+    ds, t1, t2 = dep[sink], tin[v1], tin[v2]
+    path = [x]
+    z = parent[x]
+    while not (dep[z] >= ds and (tin[z] <= t1 < tout[z]
+                                 or tin[z] <= t2 < tout[z])):
+        path.append(z)
+        z = parent[z]
+    return path, z
+
+
 def fold_contract(ctx: BuildCtx, items: list[tuple[int, int]]) -> int | None:
     """Contract a list of (level, id) pairs down to one vertex, repeatedly
     taking the two entries that are deepest (then lowest id)."""
-    pool = sorted(items, key=lambda p: (-p[0], p[1]))
+    pool = [(-i, w) for i, w in items]
+    heapify(pool)
     while len(pool) > 1:
-        (la, a), (lb, b) = pool[0], pool[1]
-        z = ctx.contract(a, b)
-        pool = pool[2:]
-        pool.append((min(la, lb), z))
-        pool.sort(key=lambda p: (-p[0], p[1]))
+        la, a = heappop(pool)
+        lb, b = heappop(pool)
+        heappush(pool, (max(la, lb), ctx.contract(a, b)))
     return pool[0][1] if pool else None

@@ -103,9 +103,6 @@ class PlaneGraph:
             self._simple = len(keys) == len(self.edges)
         return self._simple
 
-    def face_lengths(self) -> list[int]:
-        return [len(w) for w in self.faces]
-
 
 def build(n: int, edges: Sequence[tuple[int, int]], rotations: Sequence[Sequence[int]],
           outer: int) -> PlaneGraph:
@@ -743,8 +740,18 @@ def write_edge_list(n: int, edges: Sequence[tuple[int, int]],
 
 def embed_abstract(n: int, edges: Sequence[tuple[int, int]]) -> PlaneGraph:
     """Planar-embed an abstract simple graph (unoptimized convenience,
-    no performance guarantee).  Raises PlaneError if not planar."""
+    no performance guarantee).  Raises PlaneError on a loop, a repeated
+    pair or a non-planar graph."""
     import networkx as nx
+
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if u == v:
+            raise PlaneError(f"edge {u}-{v} is a loop")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise PlaneError(f"edge {u}-{v} repeats an earlier edge")
+        seen.add(key)
 
     G = nx.Graph()
     G.add_nodes_from(range(n))

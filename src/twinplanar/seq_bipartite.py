@@ -11,8 +11,8 @@ exactly one level.
 
 from __future__ import annotations
 
-from .buildctx import (BuildCtx, BuilderError, fold_contract, merge_survivors,
-                       run_trampoline)
+from .buildctx import (BuildCtx, BuilderError, climb, fold_contract,
+                       merge_survivors, run_trampoline)
 from .layering import BfsTree
 from .plane_graph import PlaneGraph, find_odd_cycle, quadrangulate
 from .seq_planar import RegionSpec, run_pipeline
@@ -98,20 +98,13 @@ def _bisplit(ctx: BuildCtx, spec: RegionSpec, p3_from: int, off_p3: int,
     (``off_p3`` is v4 when it hangs below the lid face off P3, else -1):
     the sub-calls on c1_lid and c2_lid and the merge pi3."""
     t = ctx.t
-    dep, parent, tin, tout = t.depth, t.parent, t.tin, t.tout
+    dep, tin, tout = t.depth, t.tin, t.tout
     sink = spec.sink
     ds = dep[sink]
     t1, t2 = tin[spec.v1], tin[spec.v2]
 
     # ---- subcases with the vertical path P3 -------------------------------
-    p3 = [p3_from]
-    z = parent[p3_from]
-    # up to the first vertex on P1 or P2
-    while not (dep[z] >= ds and (tin[z] <= t1 < tout[z]
-                                 or tin[z] <= t2 < tout[z])):
-        p3.append(z)
-        z = parent[z]
-    u3 = z
+    p3, u3 = climb(t, p3_from, sink, spec.v1, spec.v2)
     u3_levels = {dep[w]: w for w in p3}
     if off_p3 != -1:
         u3_levels[dep[off_p3]] = off_p3

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .buildctx import (BuildCtx, BuilderError, fold_contract, merge_survivors,
-                       run_trampoline)
+from .buildctx import (BuildCtx, BuilderError, climb, fold_contract,
+                       merge_survivors, run_trampoline)
 from .layering import BfsTree, check_left_aligned, left_aligned_bfs_tree
 from .plane_graph import PlaneGraph, connect_components, pause_gc, triangulate
 from .trigraph import (ContractionSequence, WidthReport, restrict_sequence,
@@ -79,10 +79,13 @@ class RegionSpec:
 
 def _core(ctx: BuildCtx, lid_dart: int, sink: int,
           b1: tuple[int, int] | None,
-          b2: tuple[int, int, int, int] | None):
+          b2: tuple[int, int, int, int] | None,
+          p0: tuple[list[int], int] | None = None):
     """One region of the recursion, under the sub-call protocol of
     ``buildctx``: peels the lid, then returns {level: surviving id} if the
-    region was a single triangle, or else a generator for the rest."""
+    region was a single triangle, or else a generator for the rest.  A B2
+    region also gets ``p0``, its parent's P0 bottom-up and the index of x2
+    on it."""
     g, t = ctx.g, ctx.t
     dep, parent, tin, tout = t.depth, t.parent, t.tin, t.tout
     head, nxt = g.head, g.face_next
@@ -133,7 +136,7 @@ def _core(ctx: BuildCtx, lid_dart: int, sink: int,
         if parent[x] == v2:
             return _shrink(ctx, spec, d2 ^ 1, x, ec)  # lid (v1, v0)
         break
-    return _split(ctx, spec, lid_dart, d1, d2, x, ec)
+    return _split(ctx, spec, lid_dart, d1, d2, x, ec, p0)
 
 
 def _shrink(ctx: BuildCtx, spec: RegionSpec, lid_dart: int, v0: int, ec: int):
@@ -149,39 +152,25 @@ def _shrink(ctx: BuildCtx, spec: RegionSpec, lid_dart: int, v0: int, ec: int):
 
 
 def _split(ctx: BuildCtx, spec: RegionSpec, lid_dart: int, d1: int, d2: int,
-           v0: int, ec: int):
+           v0: int, ec: int, p0: tuple[list[int], int] | None):
     """Rest of a region split along the vertical path P0 from v0: the
-    sub-calls pi1 and pi2, the merge pi3 and the second stage."""
+    sub-calls pi1 and pi2, the merge pi3 and the second stage.  A B2
+    region's P0 is the part of its parent's below the B2 lid, so it comes
+    in ``p0`` instead of being walked again."""
     g, t = ctx.g, ctx.t
     dep, parent, tin, tout = t.depth, t.parent, t.tin, t.tout
     head = g.head
     sink, v1, v2, b1, b2 = spec.sink, spec.v1, spec.v2, spec.b1, spec.b2
     ds = dep[sink]
-    t1, t2 = tin[v1], tin[v2]
+    t1 = tin[v1]
 
-    # ---- the vertical path P0 ------------------------------------------
+    # ---- the vertical path P0, bottom-up; path[:top] lies in the region --
     if b2 is None:
-        p0 = [v0]
-        z = parent[v0]
-        # up to the first vertex on P1 or P2
-        while not (dep[z] >= ds and (tin[z] <= t1 < tout[z]
-                                     or tin[z] <= t2 < tout[z])):
-            p0.append(z)
-            z = parent[z]
-        u1 = z
-        p0.append(u1)
-        p0.reverse()
-        interior = p0[1:]
+        path, u1 = climb(t, v0, sink, v1, v2)
+        top = len(path)
     else:
-        a2, b2v, u1, _ = b2
-        p0 = [v0]
-        z = parent[v0]
-        while z != u1:
-            p0.append(z)
-            z = parent[z]
-        p0.append(u1)
-        p0.reverse()
-        interior = [w for w in p0 if dep[w] > dep[b2v]]
+        path, top = p0
+        u1 = b2[2]
     u1_on_p1 = dep[u1] >= ds and tin[u1] <= t1 < tout[u1]
     if b1 is not None:
         lo_ok = dep[b1[0]] if u1_on_p1 else dep[b1[1]]
@@ -190,17 +179,14 @@ def _split(ctx: BuildCtx, spec: RegionSpec, lid_dart: int, d1: int, d2: int,
 
     # ---- the horizontal edge f1 ------------------------------------------
     # the first interior x2, top down, with a P1 neighbour x1 on its level,
-    # below B1's lid and outside B2's part of P1, that is not adjacent to
-    # u1 on P1; below u1 only u1's child on P0 can be adjacent to it
+    # below B1's lid, that is not adjacent to u1 on P1; below u1 only u1's
+    # child on P0 can be adjacent to it
     f1_dart = -1
     lo = max(dep[b1[0]] if b1 is not None else ds, ds)
-    if b2 is not None:
-        s_b2 = u1 if u1_on_p1 else sink  # sink of B2
-        b2_lo, b2_hi = dep[s_b2], dep[b2[0]]
-    for x2 in interior:
+    for i2 in range(top - 1, -1, -1):
+        x2 = path[i2]
         lx2 = dep[x2]
-        if (lx2 < lo or u1_on_p1 and parent[x2] == u1
-                or b2 is not None and b2_lo <= lx2 <= b2_hi):
+        if lx2 < lo or u1_on_p1 and parent[x2] == u1:
             continue
         for d in g.rot[x2]:
             q = head[d]
@@ -226,31 +212,27 @@ def _split(ctx: BuildCtx, spec: RegionSpec, lid_dart: int, d1: int, d2: int,
 
     b1pp = b1 if (b1 is not None and u1_on_p1) else None
     if not fallback:
-        x1, x2 = g.tail[f1_dart], head[f1_dart]
-        surv2 = yield _core(ctx, lid_dart, sink, b1pp, (x1, x2, u1, v0))
-        # pi2's region swallowed P0 strictly below x2; only the rest is
-        # still alive for the merge
-        interior = [w for w in interior if dep[w] <= dep[x2]]
+        x1 = g.tail[f1_dart]
+        surv2 = yield _core(ctx, lid_dart, sink, b1pp, (x1, x2, u1, v0),
+                            (path, i2))
+        # pi2's region swallowed P0 strictly below x2
+        bottom = i2
     else:
         sink_d2 = sink if u1_on_p1 else u1
         surv2 = yield _core(ctx, d1 ^ 1, sink_d2, b1pp, None)  # lid (v0, v2)
+        bottom = 0
 
-    # ---- merge pi3 --------------------------------------------------------
-    # (vacuous when B2's right wrapping path already covers all of P0)
+    # ---- merge pi3 (vacuous when B2's right wrapping path already covers
+    # all of P0) -----------------------------------------------------------
     adds: list[tuple[int, int]] = []
-    if interior:
-        k = dep[interior[0]]
-        for idx in range(len(interior) - 1, -1, -1):
-            y = interior[idx]
-            i = dep[y]
-            if i == k and b2 is None and u1_on_p1:
-                # the top P0 vertex neighbours u1 (its tree parent); pairing
-                # it with the right side would put a red edge on C1's sink
-                tt = surv1.pop(i, None)
-                adds.append((i, ctx.contract(y, tt) if tt is not None else y))
-            else:
-                zz = surv2.pop(i, None)
-                adds.append((i, ctx.contract(y, zz) if zz is not None else y))
+    for idx in range(bottom, top):
+        y = path[idx]
+        i = dep[y]
+        # the top P0 vertex neighbours u1 (its tree parent); pairing it with
+        # the right side would put a red edge on C1's sink
+        side = surv1 if idx == top - 1 and b2 is None and u1_on_p1 else surv2
+        zz = side.pop(i, None)
+        adds.append((i, ctx.contract(y, zz) if zz is not None else y))
 
     # the larger child's survivors are the base the rest merges into
     if len(surv1) < len(surv2):

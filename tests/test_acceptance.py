@@ -227,6 +227,7 @@ def test_criterion_6_restriction_monotonicity():
           f"[{dt:.1f}s]")
 
 
+@pytest.mark.slow
 def test_criterion_7_linear_time_behavior():
     # the sizes alternate seed by seed, so a drift in machine speed lands on
     # both sides of the ratio

@@ -21,17 +21,17 @@ def test_gen_triangulation_seed_figure():
 def test_gen_quad_2x2_is_c4():
     g = tp.gen_grid(2, 2)
     assert g.n == 4 and g.m == 4
-    assert g.face_lengths() == [4, 4]
+    assert [len(w) for w in g.faces] == [4, 4]
 
 
 def test_generated_graphs_pass_invariants():
     for seed in range(8):
         g = tp.gen_triangulation(50, seed)
         assert g.is_simple()
-        assert set(g.face_lengths()) == {3}
+        assert {len(w) for w in g.faces} == {3}
         q = tp.gen_stacked_quadrangulation(50, seed)
         assert q.is_simple()
-        assert set(q.face_lengths()) == {4}
+        assert {len(w) for w in q.faces} == {4}
         assert pg.find_odd_cycle(q) is None
 
 
@@ -133,7 +133,7 @@ def test_cli_prep_triangulate(tmp_path, capsys):
                           "--out", str(out_path)], capsys)
     assert code == 0
     g2 = pg.parse_plane(out_path.read_text())
-    assert set(g2.face_lengths()) == {3}
+    assert {len(w) for w in g2.faces} == {3}
     assert "map 0 0" in out_path.read_text()
 
 
@@ -196,6 +196,23 @@ def test_cli_exit_codes(tmp_path, capsys):
                             "--embed"], capsys)
     assert code == 2
     assert "odd cycle" in err
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("p edge 3 2\ne 0 1\ne 0 1\n", "edge 0-1 repeats an earlier edge"),
+    ("p edge 3 2\ne 0 1\ne 1 0\n", "edge 1-0 repeats an earlier edge"),
+    ("p edge 3 2\ne 0 1\ne 2 2\n", "edge 2-2 is a loop"),
+], ids=["repeated", "repeated-reversed", "loop"])
+def test_cli_seq_embed_rejects_a_non_simple_edge_list(tmp_path, capsys,
+                                                      text, msg):
+    p = tmp_path / "multi.edges"
+    p.write_text(text)
+    code, out, err = run_cli(["seq", str(p), "--mode", "planar", "--embed"],
+                             capsys)
+    assert code == 2
+    assert msg in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("text, msg", [

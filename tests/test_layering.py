@@ -147,6 +147,7 @@ def test_multigraph_child_order_follows_the_lowest_parallel_edge():
     assert t.tin == [0, 1, 2]
 
 
+@pytest.mark.slow
 def test_linear_runtime_scaling():
     import time
     # the two sizes alternate seed by seed, so that drift in machine speed

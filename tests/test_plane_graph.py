@@ -25,7 +25,7 @@ def path3():
 
 def test_triangle_two_faces():
     g = triangle()
-    assert sorted(g.face_lengths()) == [3, 3]
+    assert sorted([len(w) for w in g.faces]) == [3, 3]
     assert g.n - g.m + len(g.faces) == 2
 
 
@@ -38,7 +38,7 @@ def test_k4_four_faces():
     from twinplanar.generators import gen_triangulation
     g = gen_triangulation(4, 0)
     assert len(g.faces) == 4
-    assert g.face_lengths() == [3, 3, 3, 3]
+    assert [len(w) for w in g.faces] == [3, 3, 3, 3]
 
 
 def test_path_boundary_walk_visits_middle_twice():
@@ -51,7 +51,7 @@ def test_path_boundary_walk_visits_middle_twice():
 
 def test_c4_two_walks_of_length_4():
     g = square_cycle()
-    assert sorted(g.face_lengths()) == [4, 4]
+    assert sorted([len(w) for w in g.faces]) == [4, 4]
 
 
 def test_build_rejects_loop():
@@ -95,7 +95,7 @@ def test_triangulate_c4_two_apexes():
     g2, added = pg.triangulate(g)
     assert g2.n == 6
     assert len(g2.faces) == 8
-    assert all(l == 3 for l in g2.face_lengths())
+    assert all(len(w) == 3 for w in g2.faces)
     assert added == range(4, 6)  # the two apexes, appended
 
 
@@ -103,7 +103,7 @@ def test_triangulate_p3_ring_completion():
     g = path3()
     g2, _ = pg.triangulate(g)
     # independent face-length scan: all faces simple triangles
-    assert all(l == 3 for l in g2.face_lengths())
+    assert all(len(w) == 3 for w in g2.faces)
     for walk in g2.faces:
         vs = [g2.tail[d] for d in walk]
         assert len(set(vs)) == 3
@@ -116,10 +116,10 @@ def test_triangulate_p3_ring_completion():
 def test_triangulate_single_vertex_and_edge():
     g1 = pg.build(1, [], [[]], 0)
     t1, _ = pg.triangulate(g1)
-    assert all(l == 3 for l in t1.face_lengths())
+    assert all(len(w) == 3 for w in t1.faces)
     g2 = pg.build(2, [(0, 1)], [[0], [1]], 0)
     t2, _ = pg.triangulate(g2)
-    assert all(l == 3 for l in t2.face_lengths())
+    assert all(len(w) == 3 for w in t2.faces)
     assert t2.is_simple()
     assert (0, 1) in t2.edges
 
@@ -148,7 +148,7 @@ def test_quadrangulate_c6_ring_and_hub():
     g = pg.build(6, edges, rots, 1)
     g2, _ = pg.quadrangulate(g)
     # a ring matched to each hexagonal side plus a hub, per face
-    assert all(l == 4 for l in g2.face_lengths())
+    assert all(len(w) == 4 for w in g2.faces)
     assert g2.is_simple()
     assert pg.find_odd_cycle(g2) is None
     hub_candidates = [v for v in range(6, g2.n) if len(g2.rot[v]) == 3]
@@ -158,7 +158,7 @@ def test_quadrangulate_c6_ring_and_hub():
 def test_quadrangulate_k2():
     g = pg.build(2, [(0, 1)], [[0], [1]], 0)
     g2, _ = pg.quadrangulate(g)
-    assert all(l == 4 for l in g2.face_lengths())
+    assert all(len(w) == 4 for w in g2.faces)
     assert g2.is_simple()
     assert pg.find_odd_cycle(g2) is None
     assert pg.articulation_points(g2) == []
