@@ -25,8 +25,8 @@ class BfsTree:
 
     ``parent_dart[v]`` is the dart v -> parent(v) (-1 at the root);
     ``depth`` holds graph distances from the root.  The ccw child order at
-    v starts at rotation position ``_anchor_pos(t, v)``: just after the
-    parental dart, or after the outer-face gap at the root.
+    v starts just after the parental dart, or after the outer-face gap at
+    the root (``_root_anchor``).
     """
 
     g: PlaneGraph
@@ -154,69 +154,59 @@ def _fill_tout(t: BfsTree) -> None:
     t.tout = tout
 
 
-def _first_dart_towards(t: BfsTree, r1: int, u: int) -> int:
-    """The dart at r1 beginning the vertical path down to its descendant u."""
-    while t.parent[u] != r1:
-        u = t.parent[u]
-    return t.parent_dart[u] ^ 1
-
-
-def _anchor_pos(t: BfsTree, v: int) -> int:
-    g = t.g
-    if v == t.root:
-        return g.pos[_root_anchor(g, v)]
-    return (g.pos[t.parent_dart[v]] + 1) % len(g.rot[v])
-
-
-def is_left_of(g: PlaneGraph, t: BfsTree, u: int, v: int) -> bool:
-    """Whether u is to the left of v for a non-tree edge {u, v}.
-
-    True iff at the least common ancestor the ccw order (parental-or-up
-    reference, first edge towards u, first edge towards v) holds.
-    Raises LayeringError if u, v lie on a common vertical path.
-    """
-    if t.is_ancestor(u, v) or t.is_ancestor(v, u):
-        raise LayeringError("endpoints lie on a common vertical path")
-    a, b = u, v
-    while t.depth[a] > t.depth[b]:
-        a = t.parent[a]
-    while t.depth[b] > t.depth[a]:
-        b = t.parent[b]
-    while a != b:
-        a = t.parent[a]
-        b = t.parent[b]
-    r1 = a
-    eu = _first_dart_towards(t, r1, u)
-    ev = _first_dart_towards(t, r1, v)
-    deg = len(g.rot[r1])
-    ap = _anchor_pos(t, r1)
-    pu = (g.pos[eu] - ap) % deg
-    pv = (g.pos[ev] - ap) % deg
-    return pu < pv
-
-
 def check_left_aligned(g: PlaneGraph, t: BfsTree) -> tuple[int, int] | None:
-    """First edge {u, v} with u one layer above v and u left of v, or None.
+    """First edge {u, v}, in edge-id order, with u one layer above v and u
+    left of v, or None.
 
-    Parallel copies of tree edges are skipped: with the upper endpoint equal
-    to the lower one's parent the left-of triple degenerates.
+    u is left of v when, at their lowest common ancestor, the branch
+    towards u comes before the one towards v in ccw order from the anchor
+    (the parental edge, or the outer-face gap at the root).  In a preorder
+    that visits each vertex's children in that order, u is left of v iff u
+    comes first, so one preorder plus one pass over the edges decides
+    every edge: O(n + m).  The preorder is derived from ``parent_dart`` and
+    the rotations, not from ``t.tin``, so the check does not trust the
+    numbering of the tree it checks.  Parallel copies of tree edges are
+    skipped: with the upper endpoint equal to the lower one's parent the
+    left-of triple degenerates.
     """
     if t.g is not g:
         raise LayeringError("tree belongs to a different graph")
-    for v in range(g.n):
-        if v != t.root and t.depth[t.parent[v]] != t.depth[v] - 1:
+    n, r = g.n, t.root
+    dep, parent, pdart = t.depth, t.parent, t.parent_dart
+    tail, head, rot, pos = g.tail, g.head, g.rot, g.pos
+    for v in range(n):
+        if v == r:
+            continue
+        d = pdart[v]
+        if (dep[parent[v]] != dep[v] - 1 or d < 0 or tail[d] != v
+                or head[d] != parent[v]):
             raise LayeringError("not a BFS tree")
-    dep = t.depth
-    for eid, (a, b) in enumerate(g.edges):
-        if t.is_tree_edge(eid):
+    rank = [-1] * n
+    clock = 0
+    stack = [r]
+    while stack:
+        v = stack.pop()
+        rank[v] = clock
+        clock += 1
+        rv = rot[v]
+        if not rv:
             continue
-        if dep[a] == dep[b]:
+        s = pos[_root_anchor(g, r)] if v == r else pos[pdart[v]] + 1
+        # the children of v in ccw order from the anchor, first on top
+        kids = [head[d] for d in rv[s:] + rv[:s] if pdart[head[d]] == d ^ 1]
+        kids.reverse()
+        stack += kids
+    if clock != n:
+        raise LayeringError("not a BFS tree")
+    for a, b in g.edges:
+        da, db = dep[a], dep[b]
+        if da == db - 1:
+            u, v = a, b
+        elif db == da - 1:
+            u, v = b, a
+        else:
             continue
-        u, v = (a, b) if dep[a] < dep[b] else (b, a)
-        if dep[u] != dep[v] - 1:
-            continue
-        if t.parent[v] == u:
-            continue  # parallel to the parental edge
-        if is_left_of(g, t, u, v):
+        # a tree edge, or parallel to one
+        if parent[v] != u and rank[u] < rank[v]:
             return (u, v)
     return None

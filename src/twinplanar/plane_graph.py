@@ -605,13 +605,15 @@ def read_header(parts: list[str], kind: str, seen: bool) -> tuple[int, int]:
 
     Raises:
         FormatError: a second header, another kind, or a negative count
-            (IndexError or ValueError when a count is missing or no integer).
+            (IndexError or ValueError when a field is missing, a field too
+            many, or a count no integer).
     """
     if seen:
         raise FormatError("second 'p' header")
     if parts[1] != kind:
         raise FormatError(f"expected 'p {kind}'")
-    a, b = int(parts[2]), int(parts[3])
+    _, _, a, b = parts
+    a, b = int(a), int(b)
     if a < 0 or b < 0:
         raise FormatError("negative count")
     return a, b
@@ -633,23 +635,29 @@ def parse_plane(text: str) -> PlaneGraph:
                 n, m = read_header(parts, "plane", n >= 0)
                 edges = [None] * m
             elif parts[0] == "e":
-                e, u, v = int(parts[1]), int(parts[2]), int(parts[3])
+                _, e, u, v = parts
+                e, u, v = int(e), int(u), int(v)
                 if not 0 <= e < m:
-                    raise FormatError(f"edge id {e} outside 0..{m - 1}")
+                    raise FormatError(
+                        f"edge id {e} outside 0..{m - 1}" if n >= 0
+                        else "edge before the 'p plane' header")
                 if edges[e] is not None:
                     raise FormatError(f"second record for edge {e}")
                 edges[e] = (u, v)
             elif parts[0] == "r":
                 v = int(parts[1])
                 if not 0 <= v < n:
-                    raise FormatError(f"vertex {v} outside 0..{n - 1}")
+                    raise FormatError(
+                        f"vertex {v} outside 0..{n - 1}" if n >= 0
+                        else "rotation before the 'p plane' header")
                 if v in rot_eids:
                     raise FormatError(f"second rotation record for vertex {v}")
                 rot_eids[v] = [int(x) for x in parts[2:]]
             elif parts[0] == "outer":
                 if outer_spec is not None:
                     raise FormatError("second 'outer' record")
-                outer_spec = (int(parts[1]), int(parts[2]))
+                _, e, v = parts
+                outer_spec = (int(e), int(v))
             else:
                 raise FormatError(f"unknown record {parts[0]!r}")
         except (IndexError, ValueError, FormatError) as exc:
@@ -714,7 +722,8 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
                 n, m = read_header(parts, "edge", n >= 0)
                 header = f"line {ln}: {raw!r}"
             elif parts[0] == "e":
-                u, v = int(parts[1]), int(parts[2])
+                _, u, v = parts
+                u, v = int(u), int(v)
                 if not (0 <= u < n and 0 <= v < n):
                     raise FormatError(f"endpoint outside 0..{n - 1}" if n >= 0
                                       else "edge before the 'p edge' header")

@@ -30,10 +30,14 @@ WIDTH_BOUND = 8  # the verified width every planar_sequence result must meet
 
 @dataclass
 class RegionSpec:
-    """Geometry of one core invocation, for the invariant checker.
+    """Geometry of one core invocation, for the invariant checker (which
+    owns every test on it, see ``instrument.region_bounds``).
 
-    ``b1`` holds the lid ends (a1, b1) of the top sub-face; ``b2`` holds
-    (a2, b2, u1, v0) of the side sub-face plus its vertical path P0.
+    The region is wrapped by P1 and P2, the vertical paths from its lid
+    ends ``v1`` and ``v2`` up to ``sink``.  ``b1`` holds the lid ends
+    (a1, b1) of the top sub-face; ``b2`` holds (a2, b2, u1, v0) of the side
+    sub-face plus its vertical path P0.  The planar peel loop moves ``v1``
+    and ``v2`` after the region is pushed.
     """
 
     sink: int
@@ -41,40 +45,6 @@ class RegionSpec:
     v2: int
     b1: tuple[int, int] | None
     b2: tuple[int, int, int, int] | None
-
-    def on_left(self, t: BfsTree, v: int) -> bool:
-        return t.on_vertical(v, self.v1, self.sink)
-
-    def on_right(self, t: BfsTree, v: int) -> bool:
-        return t.on_vertical(v, self.v2, self.sink)
-
-    def on_boundary(self, t: BfsTree, v: int) -> bool:
-        dep = t.depth
-        if self.on_left(t, v):
-            if self.b1 is not None and dep[v] < dep[self.b1[0]]:
-                return False
-            if self.b2 is not None:
-                a2, _b2v, u1, _v0 = self.b2
-                if t.on_vertical(u1, self.v1, self.sink):
-                    if dep[u1] < dep[v] < dep[a2]:
-                        return False
-                elif dep[v] < dep[a2]:
-                    return False
-            return True
-        if self.on_right(t, v):
-            if self.b1 is not None and dep[v] < dep[self.b1[1]]:
-                return False
-            if self.b2 is not None:
-                a2, _b2v, u1, _v0 = self.b2
-                if not t.on_vertical(u1, self.v1, self.sink):
-                    if dep[v] < dep[u1]:
-                        return False
-            return True
-        if self.b2 is not None:
-            a2, b2v, u1, v0 = self.b2
-            if t.on_vertical(v, v0, u1) and dep[v] <= dep[b2v]:
-                return True
-        return False
 
 
 def _core(ctx: BuildCtx, lid_dart: int, sink: int,

@@ -370,9 +370,11 @@ def parse_seq(text: str) -> ContractionSequence:
             if parts[0] == "p":
                 n, declared = read_header(parts, "tww-seq", n >= 0)
             elif parts[0] == "k":
-                steps.append(("k", int(parts[1]), int(parts[2]), int(parts[3])))
+                _, x, y, z = parts
+                steps.append(("k", int(x), int(y), int(z)))
             elif parts[0] == "d":
-                steps.append(("d", int(parts[1])))
+                _, x = parts
+                steps.append(("d", int(x)))
             else:
                 raise FormatError(f"unknown record {parts[0]!r}")
         except (IndexError, ValueError, FormatError) as exc:

@@ -8,7 +8,8 @@ their shared ``buildctx``, the completion in ``plane_graph`` and the BFS
 tree in ``layering``) instead of timing the build, so machine noise cannot
 flake it.  A second guard counts
 a verified build, so that the replay in ``trigraph`` (restriction and
-verification) is held to the same bound.
+verification) is held to the same bound, and a third the left-alignment
+check that ``--assert`` runs on the tree.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import twinplanar as tp
+from twinplanar.layering import check_left_aligned, left_aligned_bfs_tree
 from twinplanar.seq_bipartite import bipartite_sequence_full
 from twinplanar.seq_planar import planar_sequence_full
 
@@ -26,10 +28,8 @@ BUILDER_FILES = {"seq_planar.py", "seq_bipartite.py", "buildctx.py",
                  "plane_graph.py", "layering.py"}
 
 
-def _lines_per_vertex(build, g: tp.PlaneGraph, files=BUILDER_FILES,
-                      verify: bool = False) -> float:
-    """Line events executed in ``files`` during a build, divided by the
-    number of input vertices."""
+def _count_lines(call, files) -> int:
+    """Line events executed in ``files`` during ``call()``."""
     count = 0
 
     def local(frame, event, arg):
@@ -46,10 +46,17 @@ def _lines_per_vertex(build, g: tp.PlaneGraph, files=BUILDER_FILES,
     old = sys.gettrace()
     sys.settrace(scope)
     try:
-        build(g, None, verify)
+        call()
     finally:
         sys.settrace(old)
-    return count / g.n
+    return count
+
+
+def _lines_per_vertex(build, g: tp.PlaneGraph, files=BUILDER_FILES,
+                      verify: bool = False) -> float:
+    """Line events executed in ``files`` during a build, divided by the
+    number of input vertices."""
+    return _count_lines(lambda: build(g, None, verify), files) / g.n
 
 
 def _nested_4cycles(k: int) -> tp.PlaneGraph:
@@ -98,3 +105,15 @@ def test_builder_work_per_vertex_flat_on_nested_cycles(build):
 def test_verified_build_work_per_vertex_flat_on_nested_cycles(build):
     _assert_flat(build, _nested_4cycles(128), _nested_4cycles(256),
                  VERIFIED_FILES, True)
+
+
+def test_left_alignment_check_work_per_vertex_flat_on_nested_cycles():
+    # the check behind --assert; the tree is built outside the count
+    def per_vertex(k):
+        g = _nested_4cycles(k)
+        t = left_aligned_bfs_tree(g, g.tail[g.outer_dart])
+        return _count_lines(lambda: check_left_aligned(g, t),
+                            {"layering.py"}) / g.n
+
+    a, b = per_vertex(128), per_vertex(256)
+    assert b <= 1.05 * a, (a, b)

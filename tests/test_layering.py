@@ -9,6 +9,87 @@ from twinplanar import layering as ly
 from twinplanar import plane_graph as pg
 
 
+# -- the definition of "left of", as the differential oracle ----------------
+
+
+def _first_dart_towards(t, r1, u):
+    """The dart at r1 beginning the vertical path down to its descendant u."""
+    while t.parent[u] != r1:
+        u = t.parent[u]
+    return t.parent_dart[u] ^ 1
+
+
+def _anchor_pos(t, v):
+    g = t.g
+    if v == t.root:
+        return g.pos[ly._root_anchor(g, v)]
+    return (g.pos[t.parent_dart[v]] + 1) % len(g.rot[v])
+
+
+def is_left_of(g, t, u, v):
+    """Whether u is to the left of v for a non-tree edge {u, v}: at their
+    lowest common ancestor, the first dart towards u comes before the
+    first dart towards v in ccw order from the anchor."""
+    if t.is_ancestor(u, v) or t.is_ancestor(v, u):
+        raise ly.LayeringError("endpoints lie on a common vertical path")
+    a, b = u, v
+    while t.depth[a] > t.depth[b]:
+        a = t.parent[a]
+    while t.depth[b] > t.depth[a]:
+        b = t.parent[b]
+    while a != b:
+        a = t.parent[a]
+        b = t.parent[b]
+    r1 = a
+    eu = _first_dart_towards(t, r1, u)
+    ev = _first_dart_towards(t, r1, v)
+    deg = len(g.rot[r1])
+    ap = _anchor_pos(t, r1)
+    pu = (g.pos[eu] - ap) % deg
+    pv = (g.pos[ev] - ap) % deg
+    return pu < pv
+
+
+def first_left_edge(g, t):
+    """check_left_aligned by the definition: the first edge, in edge-id
+    order, one layer apart, off the tree and its parallels, whose upper
+    end is left of its lower end."""
+    for eid, (a, b) in enumerate(g.edges):
+        if t.is_tree_edge(eid) or t.depth[a] == t.depth[b]:
+            continue
+        u, v = (a, b) if t.depth[a] < t.depth[b] else (b, a)
+        if t.depth[u] == t.depth[v] - 1 and t.parent[v] != u \
+                and is_left_of(g, t, u, v):
+            return (u, v)
+    return None
+
+
+def random_bfs_tree(g, r, rng):
+    """A BFS tree of g rooted at r with every parent drawn at random from
+    the vertex's neighbours one layer up (left-aligned only by chance)."""
+    depth = ly.bfs_layering(g, r)
+    parent, parent_dart = [-1] * g.n, [-1] * g.n
+    for v in range(g.n):
+        ups = [d for d in g.rot[v] if depth[g.head[d]] == depth[v] - 1]
+        if ups:
+            parent_dart[v] = rng.choice(ups)
+            parent[v] = g.head[parent_dart[v]]
+    t = ly.BfsTree(g, r, parent, parent_dart, depth)
+    kids = [[] for _ in range(g.n)]
+    for v in range(g.n):
+        if parent[v] != -1:
+            kids[parent[v]].append(v)
+    t.tin = [0] * g.n
+    stack = [r]
+    while stack:
+        v = stack.pop()
+        t.tin[v] = len(t.order)
+        t.order.append(v)
+        stack += kids[v]
+    ly._fill_tout(t)
+    return t
+
+
 def test_bfs_layering_triangle():
     g = pg.build(3, [(0, 1), (0, 2), (1, 2)], [[0, 2], [4, 1], [3, 5]], 1)
     assert ly.bfs_layering(g, 0) == [0, 1, 1]
@@ -103,7 +184,37 @@ def test_left_of_antisymmetric_on_triangulations():
             u, v = (a, b) if t.depth[a] < t.depth[b] else (b, a)
             if t.parent[v] == u:
                 continue
-            assert ly.is_left_of(g, t, u, v) != ly.is_left_of(g, t, v, u)
+            assert is_left_of(g, t, u, v) != is_left_of(g, t, v, u)
+
+
+def test_check_left_aligned_agrees_with_the_definition():
+    # random BFS trees break left-alignment through many edges; the check
+    # must name the same first one as the definition
+    rng = random.Random(12)
+    graphs = [tp.gen_triangulation(rng.randrange(4, 80),
+                                   rng.randrange(10 ** 6)) for _ in range(40)]
+    graphs += [tp.gen_grid(5, 7), tp.gen_stacked_quadrangulation(60, 3)]
+    found = 0
+    for g in graphs:
+        r = g.tail[g.outer_dart]
+        for t in (ly.left_aligned_bfs_tree(g, r),
+                  *(random_bfs_tree(g, r, rng) for _ in range(5))):
+            want = first_left_edge(g, t)
+            assert ly.check_left_aligned(g, t) == want
+            found += want is not None
+    assert found >= 100
+
+
+def test_check_left_aligned_rejects_a_tree_that_is_not_one():
+    g = tp.gen_triangulation(30, 2)
+    t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
+    v = next(v for v in range(g.n) if t.depth[v] == 2)
+    # the parental dart no longer leads to the parent
+    d = next(d for d in g.rot[v] if g.head[d] != t.parent[v])
+    bad = ly.BfsTree(g, t.root, t.parent, [*t.parent_dart], t.depth)
+    bad.parent_dart[v] = d
+    with pytest.raises(ly.LayeringError, match="not a BFS tree"):
+        ly.check_left_aligned(g, bad)
 
 
 def test_random_triangulation_corpus_left_aligned():
@@ -241,8 +352,8 @@ def test_fig_example_drawn_tree_violates_left_alignment():
     ly._fill_tout(t)
     # u = vertex 6 one layer above v = vertex 11; u is to the left of v
     assert t.depth[6] == 2 and t.depth[11] == 3
-    assert ly.is_left_of(g, t, 6, 11) is True
-    assert ly.is_left_of(g, t, 11, 6) is False
+    assert is_left_of(g, t, 6, 11) is True
+    assert is_left_of(g, t, 11, 6) is False
     viol = ly.check_left_aligned(g, t)
     assert viol == (6, 11)
     # ... and only by this edge
@@ -251,7 +362,7 @@ def test_fig_example_drawn_tree_violates_left_alignment():
         if t.is_tree_edge(eid) or t.depth[a] == t.depth[b]:
             continue
         u, v = (a, b) if t.depth[a] < t.depth[b] else (b, a)
-        if t.parent[v] != u and ly.is_left_of(g, t, u, v):
+        if t.parent[v] != u and is_left_of(g, t, u, v):
             count += 1
     assert count == 1
 

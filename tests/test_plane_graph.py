@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from twinplanar import plane_graph as pg
 from twinplanar.generators import gen_grid, gen_triangulation
+from twinplanar.trigraph import parse_seq
 
 
 def triangle():
@@ -330,6 +332,38 @@ def test_parse_plane_rejects_bad_edge_ids(record, msg):
     text = f"p plane 2 1\ne 0 0 1\n{record}\nr 0 0\nr 1 0\nouter 0 0\n"
     with pytest.raises(pg.FormatError, match=msg):
         pg.parse_plane(text)
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("e 0 0 1\np plane 2 1\n",
+     "line 1: 'e 0 0 1': edge before the 'p plane' header"),
+    ("r 0 0\np plane 2 1\n",
+     "line 1: 'r 0 0': rotation before the 'p plane' header"),
+], ids=["edge", "rotation"])
+def test_parse_plane_rejects_records_before_the_header(text, msg):
+    with pytest.raises(pg.FormatError, match=re.escape(msg)):
+        pg.parse_plane(text)
+
+
+PLANE = "p plane 2 1\ne 0 0 1\nr 0 0\nr 1 0\nouter 0 0\n"
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (pg.parse_plane, PLANE.replace("p plane 2 1", "p plane 2 1 3"), 1),
+    (pg.parse_plane, PLANE.replace("e 0 0 1", "e 0 0 1 junk"), 2),
+    (pg.parse_plane, PLANE.replace("outer 0 0", "outer 0 1 9"), 5),
+    (pg.parse_edge_list, "p edge 2 1 x\ne 0 1\n", 1),
+    (pg.parse_edge_list, "p edge 2 1\ne 0 1 1\n", 2),
+    (parse_seq, "p tww-seq 2 1 0\nk 0 1 2\n", 1),
+    (parse_seq, "p tww-seq 2 1\nk 0 1 2 9\n", 2),
+    (parse_seq, "p tww-seq 2 2\nd 0 1\nk 0 1 2\n", 2),
+], ids=["plane-header", "plane-edge", "plane-outer", "edge-header",
+        "edge-edge", "seq-header", "seq-contraction", "seq-decrease"])
+def test_parsers_reject_trailing_fields(parse, text, line):
+    bad = text.splitlines()[line - 1]
+    with pytest.raises(pg.FormatError,
+                       match=re.escape(f"line {line}: {bad!r}: too many")):
+        parse(text)
 
 
 def test_edge_list_roundtrip():

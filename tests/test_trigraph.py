@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import twinplanar as tp
 from twinplanar import layering as ly
 from twinplanar import trigraph as tg
+from twinplanar.instrument import (OFF, ON, ON_RIGHT, boundary_class,
+                                   region_bounds)
 
 
 def test_contract_twins_stay_black():
@@ -465,3 +467,64 @@ def test_checker_rejects_a_corrupted_region(mode, region, corrupt, clause):
     chk.push_region(spec)  # the region as built passes
     with pytest.raises(tp.InvariantViolation, match=re.escape(clause)):
         chk.push_region(corrupt(T, spec))
+
+
+# -- the boundary test against its definition --------------------------------
+
+
+def path_up(t, bottom, top):
+    """The tree path from ``bottom`` up to its ancestor ``top``."""
+    path = [bottom]
+    while path[-1] != top:
+        path.append(t.parent[path[-1]])
+        assert path[-1] != -1, "top is no ancestor of bottom"
+    return path
+
+
+def walked_boundary(t, spec):
+    """{boundary vertex: whether it lies on P2}, from the region's paths
+    walked up parent pointers: P1 and P2 less the parts that B1 and B2 cut
+    off, and B2's part of P0."""
+    dep = t.depth
+    b1, b2 = spec.b1, spec.b2
+    p1 = set(path_up(t, spec.v1, spec.sink))
+    p2 = set(path_up(t, spec.v2, spec.sink))
+    out = {}
+    for w in p1:
+        if b1 is not None and dep[w] < dep[b1[0]]:
+            continue
+        if b2 is not None:
+            a2, _, u1, _ = b2
+            if (dep[u1] < dep[w] < dep[a2] if u1 in p1
+                    else dep[w] < dep[a2]):
+                continue
+        out[w] = w in p2
+    for w in p2 - p1:
+        if b1 is not None and dep[w] < dep[b1[1]]:
+            continue
+        if b2 is not None and b2[2] not in p1 and dep[w] < dep[b2[2]]:
+            continue
+        out[w] = True
+    if b2 is not None:
+        a2, b2v, u1, v0 = b2
+        for w in path_up(t, v0, u1):
+            if w not in p1 and w not in p2 and dep[w] <= dep[b2v]:
+                out[w] = False
+    return out
+
+
+@pytest.mark.parametrize("mode, graph", [
+    ("planar", lambda: tp.gen_triangulation(400, 0)),
+    ("planar", lambda: tp.gen_triangulation(400, 5)),
+    ("planar", lambda: tp.gen_grid(14, 14)),
+    ("bipartite", lambda: tp.gen_grid(14, 14)),
+], ids=["triangulation-0", "triangulation-5", "grid", "bipartite-grid"])
+def test_boundary_class_matches_the_walked_paths(mode, graph):
+    G, T, specs = captured_regions(mode, graph())
+    assert specs
+    for spec in specs:
+        want = walked_boundary(T, spec)
+        bounds = region_bounds(T, spec)
+        for w in range(G.n):
+            expect = OFF if w not in want else ON_RIGHT if want[w] else ON
+            assert boundary_class(T, bounds, w) == expect, (spec, w)
