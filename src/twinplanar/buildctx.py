@@ -46,9 +46,9 @@ class BuildCtx:
         if self.checker is not None:
             self.checker.on_decrease(x)
 
-    def push_region(self, spec) -> None:
+    def push_region(self, sink: int, v1: int, v2: int, b1, b2) -> None:
         if self.checker is not None:
-            self.checker.push_region(spec)
+            self.checker.push_region(sink, v1, v2, b1, b2)
 
     def pop_region(self, survivors: dict[int, int]) -> None:
         if self.checker is not None:
@@ -56,6 +56,12 @@ class BuildCtx:
 
     def sequence(self) -> ContractionSequence:
         return ContractionSequence(self.g.n, list(self.steps))
+
+
+def check_mode(checker, mode: str) -> None:
+    """Refuse, before any work, a checker made for the other mode."""
+    if checker is not None and checker.mode != mode:
+        raise ValueError(f"{checker.mode} checker given to a {mode} build")
 
 
 def run_trampoline(call, *args):

@@ -38,6 +38,8 @@ replay.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .layering import BfsTree
 from .plane_graph import PlaneGraph
 from .seq_bipartite import WIDTH_BOUND as BIPARTITE_BOUND
@@ -52,7 +54,19 @@ class InvariantViolation(AssertionError):
     pass
 
 
-def region_bounds(t: BfsTree, spec) -> tuple:
+class RegionSpec(NamedTuple):
+    """A region as it enters: P1 and P2 run from the lid ends ``v1`` and
+    ``v2`` up to ``sink``; ``b1`` is the top sub-face's lid (a1, b1), ``b2``
+    the side sub-face's lid and vertical path P0 as (a2, b2, u1, v0)."""
+
+    sink: int
+    v1: int
+    v2: int
+    b1: tuple[int, int] | None
+    b2: tuple[int, int, int, int] | None
+
+
+def region_bounds(t: BfsTree, spec: RegionSpec) -> tuple:
     """The constants that decide which vertices lie on a region's boundary.
 
     The boundary runs along vertical paths: P1 from v1 and P2 from v2 up to
@@ -68,9 +82,13 @@ def region_bounds(t: BfsTree, spec) -> tuple:
     hi0)``: P1 is tin t1 and depths ds..d1, on the boundary from lo1 down
     except for cut_lo < depth < cut_hi; P2 is t2 and ds..d2, on it from lo2
     down; the P0 part is t0 and lo0..hi0 (empty without B2).
+
+    The planar peel drops lid ends after entry; the entry lid still classes
+    every vertex a region's steps touch exactly, as a peeled end's lid face
+    is a triangle on its tree parent, which leaves it no edge into the rest.
     """
     dep, tin, tout = t.depth, t.tin, t.tout
-    s, v1, v2, b1, b2 = spec.sink, spec.v1, spec.v2, spec.b1, spec.b2
+    s, v1, v2, b1, b2 = spec
     ds, t1, d1 = dep[s], tin[v1], dep[v1]
     lo1 = lo2 = ds
     cut_lo = cut_hi = 0
@@ -124,7 +142,7 @@ class InvariantChecker:
         # up in (-1: none), and its original level while it stems from one
         self.region: list[int] = []
         self.pure: list[int | None] = []
-        # per active region: [rid, spec, v1, v2, region_bounds at (v1, v2)]
+        # per active region: [rid, spec, region_bounds or None until needed]
         self.stack: list[list] = []
         self._next_rid = 0
         self.final_phase = False
@@ -133,22 +151,23 @@ class InvariantChecker:
     # -- wiring ---------------------------------------------------------
 
     def bind(self, g: PlaneGraph, t: BfsTree) -> None:
+        if self.t is not None:  # final_phase and the stack are per build
+            raise ValueError("InvariantChecker already bound to a build")
         self.t = t
         n = self.n = g.n
         self.sim = Trigraph(n, g.edges, levels=t.depth)
         self.region = [-1] * (2 * n - 1)
         self.pure = [*t.depth, *[None] * (n - 1)]
 
-    def push_region(self, spec) -> None:
+    def push_region(self, sink: int, v1: int, v2: int, b1, b2) -> None:
+        spec = RegionSpec(sink, v1, v2, b1, b2)
         self._check_division(spec)
-        # the bounds wait for the region's first boundary test: the planar
-        # peel moves spec.v1 and spec.v2 after the push
-        self.stack.append([self._next_rid, spec, -1, -1, None])
+        self.stack.append([self._next_rid, spec, None])
         self._next_rid += 1
 
     def pop_region(self, survivors) -> None:
         """``survivors``: the region's surviving ids, a sized collection."""
-        spec = self.stack.pop()[1]
+        s, _, _, b1, b2 = self.stack.pop()[1]
         if not survivors:
             return
         # at region end the sink must see no red edge to survivors.
@@ -156,8 +175,8 @@ class InvariantChecker:
         # per level) the survivors of the now 1-reduced face also stay below
         # the interior red ceiling of 7 (resp. 6 bipartite).
         sim = self.sim
-        red, region, s = sim.red, self.region, spec.sink
-        wrapped = spec.b1 is None and spec.b2 is None
+        red, region = sim.red, self.region
+        wrapped = b1 is None and b2 is None
         cap = self.cap_wrapped
         parent_rid = self.stack[-1][0] if self.stack else -1
         for v in survivors:
@@ -256,12 +275,10 @@ class InvariantChecker:
     def _check_boundary(self, w: int, in_region: int) -> None:
         """w's ``in_region`` red edges into the innermost region stay within
         its cap if w is on the region's boundary."""
-        top = self.stack[-1]
-        spec = top[1]
-        if top[2] != spec.v1 or top[3] != spec.v2:
-            top[2], top[3] = spec.v1, spec.v2
-            top[4] = region_bounds(self.t, spec)
-        where = boundary_class(self.t, top[4], w)
+        _, spec, bounds = top = self.stack[-1]
+        if bounds is None:
+            bounds = top[2] = region_bounds(self.t, spec)
+        where = boundary_class(self.t, bounds, w)
         if where == OFF:
             return
         b1, b2 = spec.b1, spec.b2
@@ -277,7 +294,7 @@ class InvariantChecker:
                 f"boundary vertex {w} has {in_region} red edges into the "
                 f"region (cap {cap})")
 
-    def _check_division(self, spec) -> None:
+    def _check_division(self, spec: RegionSpec) -> None:
         """Entry geometry of a region, in O(1) tree queries.
 
         D (sink, lid v1-v2, wrapping paths P1 from v1 and P2 from v2 up to
@@ -290,7 +307,7 @@ class InvariantChecker:
         """
         t = self.t
         dep, parent, tin, tout = t.depth, t.parent, t.tin, t.tout
-        s, v1, v2 = spec.sink, spec.v1, spec.v2
+        s, v1, v2, b1, b2 = spec
         if parent[v1] == v2 or parent[v2] == v1:
             raise InvariantViolation(
                 f"(wrapped) D lid is a tree edge: ({v1},{v2})")
@@ -299,7 +316,6 @@ class InvariantChecker:
             raise InvariantViolation(
                 f"(wrapped) D sink is not above both lid ends: sink {s}, "
                 f"lid ({v1},{v2})")
-        b1, b2 = spec.b1, spec.b2
         if b1 is not None:
             a1, b1v = b1
             _check_side_lid(t, "B1", a1, b1v, s)

@@ -11,11 +11,11 @@ exactly one level.
 
 from __future__ import annotations
 
-from .buildctx import (BuildCtx, BuilderError, climb, fold_contract,
-                       merge_survivors, run_trampoline)
+from .buildctx import (BuildCtx, BuilderError, check_mode, climb,
+                       fold_contract, merge_survivors, run_trampoline)
 from .layering import BfsTree
 from .plane_graph import PlaneGraph, find_odd_cycle, quadrangulate
-from .seq_planar import RegionSpec, run_pipeline
+from .seq_planar import run_pipeline
 from .trigraph import ContractionSequence, WidthReport
 
 WIDTH_BOUND = 6  # the verified width every bipartite_sequence result must meet
@@ -32,8 +32,7 @@ def _bicore(ctx: BuildCtx, lid_dart: int, sink: int):
     v1, v2 = g.tail[lid_dart], head[lid_dart]
     if dep[v1] != dep[v2] + 1:
         raise BuilderError("lid ends not one level apart (left-alignment broken)")
-    spec = RegionSpec(sink, v1, v2, None, None)
-    ctx.push_region(spec)
+    ctx.push_region(sink, v1, v2, None, None)
 
     d1 = nxt[lid_dart]
     d2 = nxt[d1]
@@ -80,7 +79,7 @@ def _bicore(ctx: BuildCtx, lid_dart: int, sink: int):
         p3_from = v3  # (g)
         off_p3 = v4  # v4 hangs below A, off the vertical path
         c1_lid, c2_lid = d2 ^ 1, d1 ^ 1  # (v4, v3) and (v3, v2)
-    return _bisplit(ctx, spec, p3_from, off_p3, c1_lid, c2_lid)
+    return _bisplit(ctx, sink, v1, v2, p3_from, off_p3, c1_lid, c2_lid)
 
 
 def _bishrink(ctx: BuildCtx, lid_dart: int, sink: int, adds):
@@ -92,19 +91,17 @@ def _bishrink(ctx: BuildCtx, lid_dart: int, sink: int, adds):
     return out
 
 
-def _bisplit(ctx: BuildCtx, spec: RegionSpec, p3_from: int, off_p3: int,
-             c1_lid: int, c2_lid: int):
+def _bisplit(ctx: BuildCtx, sink: int, v1: int, v2: int, p3_from: int,
+             off_p3: int, c1_lid: int, c2_lid: int):
     """Rest of a region split along the vertical path P3 from ``p3_from``
     (``off_p3`` is v4 when it hangs below the lid face off P3, else -1):
     the sub-calls on c1_lid and c2_lid and the merge pi3."""
     t = ctx.t
     dep, tin, tout = t.depth, t.tin, t.tout
-    sink = spec.sink
-    ds = dep[sink]
-    t1, t2 = tin[spec.v1], tin[spec.v2]
+    ds, t1, t2 = dep[sink], tin[v1], tin[v2]
 
     # ---- subcases with the vertical path P3 -------------------------------
-    p3, u3 = climb(t, p3_from, sink, spec.v1, spec.v2)
+    p3, u3 = climb(t, p3_from, sink, v1, v2)
     u3_levels = {dep[w]: w for w in p3}
     if off_p3 != -1:
         u3_levels[dep[off_p3]] = off_p3
@@ -216,5 +213,6 @@ def bipartite_sequence(g0: PlaneGraph, checker=None,
 
 
 def bipartite_sequence_full(g0: PlaneGraph, checker=None, verify: bool = True):
+    check_mode(checker, "bipartite")
     return run_pipeline(g0, checker, verify, _complete, _run_core,
                         _final_phase, WIDTH_BOUND)

@@ -16,35 +16,14 @@ second stage that leaves at most one interior vertex per level (maximally
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .buildctx import (BuildCtx, BuilderError, climb, fold_contract,
-                       merge_survivors, run_trampoline)
+from .buildctx import (BuildCtx, BuilderError, check_mode, climb,
+                       fold_contract, merge_survivors, run_trampoline)
 from .layering import BfsTree, check_left_aligned, left_aligned_bfs_tree
 from .plane_graph import PlaneGraph, connect_components, pause_gc, triangulate
 from .trigraph import (ContractionSequence, WidthReport, restrict_sequence,
                        verify_sequence)
 
 WIDTH_BOUND = 8  # the verified width every planar_sequence result must meet
-
-
-@dataclass
-class RegionSpec:
-    """Geometry of one core invocation, for the invariant checker (which
-    owns every test on it, see ``instrument.region_bounds``).
-
-    The region is wrapped by P1 and P2, the vertical paths from its lid
-    ends ``v1`` and ``v2`` up to ``sink``.  ``b1`` holds the lid ends
-    (a1, b1) of the top sub-face; ``b2`` holds (a2, b2, u1, v0) of the side
-    sub-face plus its vertical path P0.  The planar peel loop moves ``v1``
-    and ``v2`` after the region is pushed.
-    """
-
-    sink: int
-    v1: int
-    v2: int
-    b1: tuple[int, int] | None
-    b2: tuple[int, int, int, int] | None
 
 
 def _core(ctx: BuildCtx, lid_dart: int, sink: int,
@@ -60,8 +39,7 @@ def _core(ctx: BuildCtx, lid_dart: int, sink: int,
     dep, parent, tin, tout = t.depth, t.parent, t.tin, t.tout
     head, nxt = g.head, g.face_next
     v1, v2 = g.tail[lid_dart], head[lid_dart]
-    spec = RegionSpec(sink, v1, v2, b1, b2)
-    ctx.push_region(spec)
+    ctx.push_region(sink, v1, v2, b1, b2)
     ec = _edge_count(ctx, sink, v1, v2, b1, b2)
     ds = dep[sink]
 
@@ -88,40 +66,40 @@ def _core(ctx: BuildCtx, lid_dart: int, sink: int,
                 if b1 is not None and dep[x] < dep[b1[0]]:
                     raise BuilderError("peel would cross the B1 lid")
                 lid_dart = d1 ^ 1  # (x -> v2)
-                spec.v1 = v1 = x
+                v1 = x
                 ec -= 1
                 continue
             if x == parent[v2]:
                 if b1 is not None and dep[x] < dep[b1[1]]:
                     raise BuilderError("peel would cross the B1 lid")
                 lid_dart = d2 ^ 1  # (v1 -> x)
-                spec.v2 = v2 = x
+                v2 = x
                 ec -= 1
                 continue
             raise BuilderError("boundary vertex of the lid face is no peel candidate")
         # x is the apex v0, off P1 and P2; vertical shortcut cases: P0 is
-        # v0's parental edge
+        # v0's parental edge, the sub-call's lid (v0, v2) resp. (v1, v0)
         if parent[x] == v1:
-            return _shrink(ctx, spec, d1 ^ 1, x, ec)  # lid (v0, v2)
+            return _shrink(ctx, d1 ^ 1, x, sink, b1, v1, v2, ec)
         if parent[x] == v2:
-            return _shrink(ctx, spec, d2 ^ 1, x, ec)  # lid (v1, v0)
+            return _shrink(ctx, d2 ^ 1, x, sink, b1, v1, v2, ec)
         break
-    return _split(ctx, spec, lid_dart, d1, d2, x, ec, p0)
+    return _split(ctx, lid_dart, sink, b1, b2, d1, d2, x, ec, p0)
 
 
-def _shrink(ctx: BuildCtx, spec: RegionSpec, lid_dart: int, v0: int, ec: int):
-    """Rest of a region whose P0 is v0's parental edge: one sub-call on the
-    cycle past v0, then the second stage with v0 added."""
-    sink, b1 = spec.sink, spec.b1
-    surv = yield _core(ctx, lid_dart, sink, b1, None)
-    kc = _min_boundary_level(ctx, sink, spec.v1, b1, None)
-    out = _second_stage(ctx, surv, ((ctx.t.depth[v0], v0),), kc,
-                        spec.v1, spec.v2, ec)
+def _shrink(ctx: BuildCtx, sub_lid: int, v0: int, sink: int, b1, v1: int,
+            v2: int, ec: int):
+    """Rest of a region with lid (v1, v2) whose P0 is v0's parental edge:
+    one sub-call on the cycle past v0 (lid ``sub_lid``), then the second
+    stage with v0 added."""
+    surv = yield _core(ctx, sub_lid, sink, b1, None)
+    kc = _min_boundary_level(ctx, sink, v1, b1, None)
+    out = _second_stage(ctx, surv, ((ctx.t.depth[v0], v0),), kc, v1, v2, ec)
     ctx.pop_region(out)
     return out
 
 
-def _split(ctx: BuildCtx, spec: RegionSpec, lid_dart: int, d1: int, d2: int,
+def _split(ctx: BuildCtx, lid_dart: int, sink: int, b1, b2, d1: int, d2: int,
            v0: int, ec: int, p0: tuple[list[int], int] | None):
     """Rest of a region split along the vertical path P0 from v0: the
     sub-calls pi1 and pi2, the merge pi3 and the second stage.  A B2
@@ -130,7 +108,7 @@ def _split(ctx: BuildCtx, spec: RegionSpec, lid_dart: int, d1: int, d2: int,
     g, t = ctx.g, ctx.t
     dep, parent, tin, tout = t.depth, t.parent, t.tin, t.tout
     head = g.head
-    sink, v1, v2, b1, b2 = spec.sink, spec.v1, spec.v2, spec.b1, spec.b2
+    v1, v2 = g.tail[lid_dart], head[lid_dart]
     ds = dep[sink]
     t1 = tin[v1]
 
@@ -371,5 +349,6 @@ def planar_sequence(g0: PlaneGraph, checker=None,
 
 
 def planar_sequence_full(g0: PlaneGraph, checker=None, verify: bool = True):
+    check_mode(checker, "planar")
     return run_pipeline(g0, checker, verify, _complete, _run_core,
                         _final_phase, WIDTH_BOUND)

@@ -63,9 +63,9 @@ def test_every_region_is_pushed_and_popped(mode, graph, regions):
     calls = {"push": 0, "pop": 0}
     real_push, real_pop = checker.push_region, checker.pop_region
 
-    def push(spec):
+    def push(*region):
         calls["push"] += 1
-        real_push(spec)
+        real_push(*region)
 
     def pop(survivors):
         calls["pop"] += 1

@@ -11,7 +11,7 @@ import pytest
 
 import twinplanar as tp
 from twinplanar import layering as ly
-from twinplanar.seq_planar import RegionSpec
+from twinplanar.instrument import RegionSpec
 
 # -- a comb of vertical paths -----------------------------------------------
 #
@@ -85,7 +85,7 @@ def test_checker_caps_red_edges_from_the_boundary_into_the_region(case):
     helper = "I" + wname[1]
     chk, v, leaves = bound_checker("planar", {wname: cap + 1,
                                               helper: cap + 1})
-    chk.push_region(make(v))
+    chk.push_region(*make(v))
     # each contraction of a leaf under w with one under the helper adds a
     # region vertex red to w
     pairs = list(zip(leaves[wname], leaves[helper]))
@@ -111,7 +111,7 @@ def test_checker_caps_the_red_degree_globally(mode, each, cap):
 
 def test_checker_rejects_a_red_edge_onto_the_sink():
     chk, v, leaves = bound_checker("planar", {"I1": 1})
-    chk.push_region(plain_region(v))
+    chk.push_region(*plain_region(v))
     # the leaf is not adjacent to the root, I1 is
     with pytest.raises(tp.InvariantViolation,
                        match="red edge onto the sink 0"):
@@ -120,7 +120,7 @@ def test_checker_rejects_a_red_edge_onto_the_sink():
 
 def test_checker_protects_the_sink_from_mixed_levels():
     chk, v, leaves = bound_checker("planar", {"0": 2})
-    chk.push_region(plain_region(v))
+    chk.push_region(*plain_region(v))
     a, b = leaves["0"]
     chk.on_decrease(a)  # a stems from level 1 but now sits on level 0
     z = chk.sim.next_id
@@ -133,7 +133,7 @@ def test_checker_protects_the_sink_from_mixed_levels():
 def test_checker_rejects_a_survivor_red_to_the_sink():
     chk, v, leaves = bound_checker("planar", {"I1": 1})
     z = contract(chk, v["I1"], leaves["I1"][0])  # outside any region
-    chk.push_region(plain_region(v))
+    chk.push_region(*plain_region(v))
     with pytest.raises(tp.InvariantViolation,
                        match=f"sink 0 keeps a red edge to survivor {z}"):
         chk.pop_region([z])
@@ -142,7 +142,7 @@ def test_checker_rejects_a_survivor_red_to_the_sink():
 def test_checker_caps_the_survivors_of_a_wrapped_face():
     chk, v, leaves = bound_checker("planar", {"I1": 3, "R1": 3})
     z = contract(chk, v["I1"], v["R1"])  # red degree 8, outside any region
-    chk.push_region(plain_region(v))
+    chk.push_region(*plain_region(v))
     with pytest.raises(tp.InvariantViolation, match=re.escape(
             f"survivor {z} of a 1-reduced wrapped face has red degree 8 > 7")):
         chk.pop_region([z])
@@ -150,7 +150,7 @@ def test_checker_caps_the_survivors_of_a_wrapped_face():
 
 def test_checker_rejects_two_survivors_on_one_level():
     chk, v, _ = bound_checker("planar")
-    chk.push_region(plain_region(v))
+    chk.push_region(*plain_region(v))
     with pytest.raises(tp.InvariantViolation,
                        match="two survivors on one level"):
         chk.pop_region([v["L2"], v["R2"]])
@@ -188,8 +188,52 @@ def test_checker_accepts_the_comb_regions_as_built():
     # comes from the step it drives
     chk, v, _ = bound_checker("planar")
     for make, _, _ in BOUNDARY_CAPS.values():
-        chk.push_region(make(v))
+        chk.push_region(*make(v))
     for _ in BOUNDARY_CAPS:
         chk.pop_region([])
     assert chk.stack == []
 
+
+def test_checker_accepts_a_legal_level_decrease():
+    chk, v, leaves = bound_checker("planar", {"L5": 1})
+    (a,) = leaves["L5"]  # level 6, its one neighbour L5 on level 5
+    chk.on_decrease(a)
+    assert chk.sim.level[a] == 5
+    assert chk.steps_checked == 1
+
+
+def test_checker_rejects_a_level_decrease_below_a_neighbour():
+    chk, v, _ = bound_checker("planar")
+    with pytest.raises(tp.SequenceError, match=re.escape(
+            f"illegal level decrease of {v['L4']}: neighbour {v['L5']} at "
+            f"level 5 > 3")):
+        chk.on_decrease(v["L4"])
+
+
+# -- one checker, one build of its own mode ----------------------------------
+
+
+def test_checker_refuses_a_second_build():
+    g = tp.gen_triangulation(200, 1)
+    chk = tp.InvariantChecker("planar")
+    tp.planar_sequence(g, checker=chk)
+    steps = chk.steps_checked
+    assert steps > 0
+    with pytest.raises(ValueError, match="already bound"):
+        tp.planar_sequence(g, checker=chk)
+    assert chk.steps_checked == steps
+
+
+@pytest.mark.parametrize("build, graph, mode, other", [
+    (tp.planar_sequence, lambda: tp.gen_triangulation(50, 1), "planar",
+     "bipartite"),
+    (tp.bipartite_sequence, lambda: tp.gen_grid(6, 6), "bipartite",
+     "planar"),
+], ids=["planar-build", "bipartite-build"])
+def test_builders_refuse_a_checker_for_the_other_mode(build, graph, mode,
+                                                      other):
+    chk = tp.InvariantChecker(other)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{other} checker given to a {mode} build")):
+        build(graph(), checker=chk)
+    assert chk.t is None  # refused before any work

@@ -95,8 +95,8 @@ def test_rejects_multigraph():
 
 
 def test_second_stage_drain_only_when_one_per_level():
-    # a 1-reduced face only needs the drain pass: every emitted contraction
-    # joins consecutive levels, and dummy decreases fill the gaps
+    # a 1-reduced face with a vertex on every level only needs the drain
+    # pass: every emitted contraction joins consecutive levels
     g = tp.gen_triangulation(30, 2)
     t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
     ctx = BuildCtx(g, t)
@@ -113,6 +113,22 @@ def test_second_stage_drain_only_when_one_per_level():
         else:
             levels[s[1]] -= 1
     assert len(out) >= 1
+
+
+def test_second_stage_drain_decreases_across_a_level_gap():
+    # survivors on ell + 3 and ell + 1: the deeper one steps down the gap by
+    # a dummy decrease, meets the other, and their merge steps down to ell
+    g = tp.gen_triangulation(100, 2)
+    t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
+    ctx = BuildCtx(g, t)
+    v1, v2 = _pick_lid(g, t)
+    ell = max(t.depth[v1], t.depth[v2])
+    a = next(v for v in range(g.n) if t.depth[v] == ell + 3)
+    b = next(v for v in range(g.n) if t.depth[v] == ell + 1)
+    out = _second_stage(ctx, {ell + 3: a, ell + 1: b}, (), 0, v1, v2, 99)
+    z = g.n
+    assert ctx.steps == [("d", a), ("k", a, b, z), ("d", z)]
+    assert out == {ell: z}
 
 
 def _pick_lid(g, t):

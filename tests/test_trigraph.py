@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from itertools import combinations
@@ -10,8 +9,8 @@ from hypothesis import strategies as st
 import twinplanar as tp
 from twinplanar import layering as ly
 from twinplanar import trigraph as tg
-from twinplanar.instrument import (OFF, ON, ON_RIGHT, boundary_class,
-                                   region_bounds)
+from twinplanar.instrument import (OFF, ON, ON_RIGHT, RegionSpec,
+                                   boundary_class, region_bounds)
 
 
 def test_contract_twins_stay_black():
@@ -395,15 +394,15 @@ def test_checker_accepts_a_level_respecting_step():
 
 
 def captured_regions(mode, g):
-    """The completed graph, its tree, and a copy of every RegionSpec that a
-    checked build pushes (the planar peel loop later moves v1/v2)."""
+    """The completed graph, its tree, and the RegionSpec of every region
+    that a checked build pushes."""
     chk = tp.InvariantChecker(mode)
     specs = []
     push = chk.push_region
 
-    def spy(spec):
-        specs.append(dataclasses.replace(spec))
-        push(spec)
+    def spy(*region):
+        specs.append(RegionSpec(*region))
+        push(*region)
 
     chk.push_region = spy
     build = (tp.planar_sequence_full if mode == "planar"
@@ -430,30 +429,29 @@ def b2_end_off_p0(t, s):
     w = next(w for w in range(len(t.depth))
              if t.depth[w] == t.depth[b2v] and w != a2
              and not t.is_ancestor(w, v0))
-    return dataclasses.replace(s, b2=(a2, w, u1, v0))
+    return s._replace(b2=(a2, w, u1, v0))
 
 
 @pytest.mark.parametrize("mode, region, corrupt, clause", [
     ("planar", (False, False),
-     lambda t, s: dataclasses.replace(s, v2=t.parent[s.v1]),
+     lambda t, s: s._replace(v2=t.parent[s.v1]),
      "(wrapped) D lid is a tree edge"),
     ("planar", (False, False),
-     lambda t, s: dataclasses.replace(s, sink=s.v2),
+     lambda t, s: s._replace(sink=s.v2),
      "(wrapped) D sink is not above both lid ends"),
     ("planar", (True, False),
-     lambda t, s: dataclasses.replace(s, b1=(s.b1[0], t.parent[s.b1[1]])),
+     lambda t, s: s._replace(b1=(s.b1[0], t.parent[s.b1[1]])),
      "(pre) B1 lid is not horizontal"),
     ("planar", (True, False),
-     lambda t, s: dataclasses.replace(s, b1=s.b1[::-1]),
+     lambda t, s: s._replace(b1=s.b1[::-1]),
      "(b) B1 wrapping paths not subpaths of D's"),
     ("planar", (False, True),
-     lambda t, s: dataclasses.replace(
-         s, b2=(s.b2[0], t.parent[s.b2[1]], *s.b2[2:])),
+     lambda t, s: s._replace(b2=(s.b2[0], t.parent[s.b2[1]], *s.b2[2:])),
      "(pre) B2 lid is not horizontal"),
     ("planar", (False, True), b2_end_off_p0,
      "(d) B2 right wrapping path not inside P0 (or P0+P2)"),
     ("bipartite", (False, False),
-     lambda t, s: dataclasses.replace(s, v2=t.parent[s.v1]),
+     lambda t, s: s._replace(v2=t.parent[s.v1]),
      "(wrapped) D lid is a tree edge"),
 ], ids=["tree-edge-lid", "sink-not-above", "b1-lid-not-horizontal",
         "b1-off-p1-p2", "b2-lid-not-horizontal", "b2-off-p0",
@@ -464,9 +462,9 @@ def test_checker_rejects_a_corrupted_region(mode, region, corrupt, clause):
     spec = next(s for s in specs if shape(s) == region)
     chk = tp.InvariantChecker(mode)
     chk.bind(G, T)
-    chk.push_region(spec)  # the region as built passes
+    chk.push_region(*spec)  # the region as built passes
     with pytest.raises(tp.InvariantViolation, match=re.escape(clause)):
-        chk.push_region(corrupt(T, spec))
+        chk.push_region(*corrupt(T, spec))
 
 
 # -- the boundary test against its definition --------------------------------
