@@ -2,8 +2,8 @@
 
 Subcommands: ``seq`` (build + verify a contraction sequence), ``verify``,
 ``exact``, ``prep`` (triangulate/quadrangulate), ``gen`` (seeded corpora)
-and ``bench`` (TSV timing table).  Exit codes: 0 success, 1 format errors,
-2 invariant violations.
+and ``bench`` (TSV timing table).  Exit codes: 0 success, 1 format errors
+and bad generator arguments, 2 invariant violations.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 from . import plane_graph as pg
 from . import trigraph as tg
 from .buildctx import BuilderError
-from .generators import gen_quadrangulation, gen_triangulation
+from .generators import GeneratorError, gen_quadrangulation, gen_triangulation
 from .instrument import InvariantChecker, InvariantViolation
 from .layering import left_aligned_bfs_tree
 from .oracle import OracleError, exact_twinwidth
@@ -103,14 +103,18 @@ def cmd_prep(args) -> int:
     return 0
 
 
+def _parse_grid(text: str) -> tuple[int, int]:
+    r, sep, c = text.partition("x")
+    if not (sep and r.isdecimal() and c.isdecimal()):
+        raise GeneratorError(f"--grid expects RxC, such as 40x25, got {text!r}")
+    return int(r), int(c)
+
+
 def cmd_gen(args) -> int:
     if args.kind == "tri":
         g = gen_triangulation(args.n, args.seed)
     else:
-        grid = None
-        if args.grid:
-            r, c = args.grid.split("x")
-            grid = (int(r), int(c))
+        grid = _parse_grid(args.grid) if args.grid else None
         g = gen_quadrangulation(args.n, args.seed, grid=grid)
     comments = [f"gen {args.kind} n={args.n} seed={args.seed} prng={PRNG_ID}"]
     _write(args.out, pg.write_plane(g, comments))
@@ -212,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (pg.FormatError, OSError) as exc:
+    except (pg.FormatError, GeneratorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (pg.PlaneError, tg.SequenceError, BuilderError, InvariantViolation,

@@ -198,6 +198,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "odd cycle" in err
 
 
+@pytest.mark.parametrize("args, msg", [
+    (["gen", "tri", "--n", "3"], "needs n >= 4"),
+    (["gen", "quad", "--n", "10", "--grid", "3"], "--grid expects RxC"),
+    (["gen", "quad", "--n", "10", "--grid", "axb"], "--grid expects RxC"),
+    (["gen", "quad", "--n", "10", "--grid", "1x5"], "at least 2x2"),
+    (["bench", "--sizes", "3"], "needs n >= 4"),
+], ids=["tri-n3", "grid-no-x", "grid-not-numbers", "grid-1x5", "bench-n3"])
+def test_cli_bad_generator_argument_is_an_error(capsys, args, msg):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert err.startswith("error:") and msg in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("text, msg", [
     ("p edge 3 2\ne 0 1\ne 0 1\n", "edge 0-1 repeats an earlier edge"),
     ("p edge 3 2\ne 0 1\ne 1 0\n", "edge 1-0 repeats an earlier edge"),
