@@ -16,7 +16,8 @@ from pathlib import Path
 from . import plane_graph as pg
 from . import trigraph as tg
 from .buildctx import BuilderError
-from .generators import GeneratorError, gen_quadrangulation, gen_triangulation
+from .generators import (GeneratorError, gen_grid, gen_quadrangulation,
+                         gen_triangulation)
 from .instrument import InvariantChecker, InvariantViolation
 from .layering import left_aligned_bfs_tree
 from .oracle import OracleError, exact_twinwidth
@@ -111,13 +112,19 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "tri":
-        g = gen_triangulation(args.n, args.seed)
+    if args.grid is not None:
+        if args.kind == "tri":
+            raise GeneratorError("--grid makes a quadrangulation: use 'gen quad'")
+        r, c = _parse_grid(args.grid)
+        g = gen_grid(r, c)
+        comment = f"gen quad grid={r}x{c}"
+    elif args.n is None:
+        raise GeneratorError("--n is required without --grid")
     else:
-        grid = _parse_grid(args.grid) if args.grid else None
-        g = gen_quadrangulation(args.n, args.seed, grid=grid)
-    comments = [f"gen {args.kind} n={args.n} seed={args.seed} prng={PRNG_ID}"]
-    _write(args.out, pg.write_plane(g, comments))
+        gen = gen_triangulation if args.kind == "tri" else gen_quadrangulation
+        g = gen(args.n, args.seed)
+        comment = f"gen {args.kind} n={args.n} seed={args.seed} prng={PRNG_ID}"
+    _write(args.out, pg.write_plane(g, [comment]))
     return 0
 
 
@@ -190,9 +197,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded corpus graph")
     p.add_argument("kind", choices=("tri", "quad"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, default=None,
+                   help="vertex count of a stacked graph (required without --grid)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", default=None, help="RxC grid instead of stacking")
+    p.add_argument("--grid", default=None,
+                   help="quad only: an RxC grid instead of stacking (no --n)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_gen)
 

@@ -380,7 +380,12 @@ def _complete_faces(g0: PlaneGraph, what: str, is_done, fill) -> tuple[PlaneGrap
     """Fill every face of a simple connected plane graph that fails
     ``is_done(tail, walk)`` with ``fill(sp, walk, g)``.  A fill adds new
     vertices inside the face only and returns one whose first rotation dart
-    has a new face on its left; the outer marker moves there.
+    has a new face on its left; the outer marker moves there.  Triangles
+    come from the arc fill, one apex per simple arc of the walk
+    (``_fill_triangles``); quadrangles from a ring per corner and a hub
+    (``_quad_ring``).  Each new edge has a new end, and its dart at an old
+    vertex is keyed by the boundary dart it follows, so a walk that visits
+    a vertex twice gets its spokes in the right wedge.
 
     ``g0``'s vertex and edge ids are kept and the new ones appended, so
     ``g0`` stays induced.  Returns the completion and the appended vertex
@@ -419,10 +424,14 @@ def triangulate(g0: PlaneGraph) -> tuple[PlaneGraph, range]:
     """Complete a simple connected plane graph to a simple plane triangulation.
 
     Only new-to-old and new-to-new edges are added, so ``g0`` stays induced.
-    Simple-cycle faces get one apex; faces whose boundary walk repeats a
-    vertex (trees, cut vertices) get a ring of |walk| new vertices matched to
-    walk positions plus an apex.  The outer face is completed like any other
-    and the marker moves onto one of its new triangles.
+    A face is cut into arcs, consecutive runs of its boundary walk that
+    repeat no vertex, and each arc gets one apex joined to all of its
+    corners (``_fill_triangles``).  A simple-cycle face is one arc, so one
+    apex; a face whose walk repeats a vertex (trees, bridges, cut vertices)
+    gets k >= 3 apexes in a cycle, plus a hub when k > 3.  A stacked
+    triangulation that keeps 45% of its edges completes to about 1.9 times
+    its vertices.  The outer face is completed like any other and the
+    marker moves onto one of its new triangles.
     """
     return _complete_faces(g0, "triangulate", _is_triangle, _fill_triangles)
 
@@ -464,27 +473,6 @@ def _split_order2_faces(g: PlaneGraph) -> PlaneGraph:
     return g
 
 
-def _fill_triangles(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
-    vs = [g.tail[d] for d in walk]
-    if len(set(vs)) == len(vs):
-        return _stellate(sp, walk, g)
-    return _ring_and_apex(sp, walk, g)
-
-
-def _stellate(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
-    """One apex joined to every vertex of a simple face walk; returns the
-    apex, whose first spoke has the triangle (w0, w1, apex) on its left."""
-    apex = sp.add_vertex()
-    spokes = []
-    for d in walk:
-        w = g.tail[d]
-        e = sp.add_edge(w, apex)
-        sp.insert_after(d, 2 * e)
-        spokes.append(2 * e + 1)
-    sp.set_new_rotation(apex, spokes)
-    return apex
-
-
 def _ring(sp: _Splicer, m: int) -> tuple[list[int], list[int]]:
     """A cycle of m new vertices x_0..x_{m-1}; returns them and, per i, the
     dart x_i -> x_{i+1} (so ``fwd[i - 1] ^ 1`` is x_i -> x_{i-1})."""
@@ -493,32 +481,80 @@ def _ring(sp: _Splicer, m: int) -> tuple[list[int], list[int]]:
     return ring, fwd
 
 
-def _ring_and_apex(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
-    """Ring of |walk| new vertices (spoke x_i-w_i, diagonal x_i-w_{i+1}) and
-    a stellating apex inside; every strip face is a triangle on a distinct
-    boundary dart, so repeated boundary vertices are fine.  Returns x_0,
-    whose first dart is the spoke x_0->w_0 with (w0, w1, x0) on its left."""
-    m = len(walk)
-    ring, fwd = _ring(sp, m)
-    spoke = []
-    diag = []
+def _arc_starts(vs: list[int]) -> list[int]:
+    """Cut the closed walk with corners ``vs`` into arcs that repeat no
+    vertex.  Arc j runs from corner ``starts[j]`` to the next start, both
+    included, and the last one to corner ``len(vs)``, which closes the walk
+    at ``vs[0]``.  A simple walk is one arc; any other walk is cut greedily
+    from corner 0, and the longer of two arcs is halved, so that there are
+    at least three."""
+    m = len(vs)
+    if len(set(vs)) == m:
+        return [0]
+    starts = [0]
+    seen = {vs[0]}
+    for i in range(1, m + 1):
+        v = vs[i] if i < m else vs[0]
+        if v in seen:  # arc ends at corner i - 1, the next one starts there
+            starts.append(i - 1)
+            seen = {vs[i - 1], v}
+        else:
+            seen.add(v)
+    if len(starts) == 2:  # m >= 4, so the longer arc has an inner corner
+        mid = starts[1]
+        if 2 * mid >= m:
+            starts.insert(1, mid // 2)
+        else:
+            starts.append((mid + m) // 2)
+    return starts
+
+
+def _fill_triangles(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
+    """Triangulate one face with one new apex per arc (``_arc_starts``).
+
+    Apex a_j is joined to every corner of arc j, giving a triangle on each
+    boundary dart; consecutive apexes share the corner between their arcs,
+    are joined in a cycle and close a triangle at that corner; a hub joined
+    to every apex fills the cycle when there are more than three, and three
+    already bound a face.  A simple walk is one arc: a single apex and no
+    cycle.  Returns a_0, whose first dart is the spoke a_0->w_0 with
+    (w0, w1, a0) on its left."""
+    tail = g.tail
+    starts = _arc_starts([tail[d] for d in walk])
+    k = len(starts)
+    apexes, fwd = _ring(sp, k) if k > 1 else ([sp.add_vertex()], [])
+    spokes: list[list[int]] = [[] for _ in range(k)]
+
+    def spoke(d: int, j: int) -> None:
+        # inserted after d in the face wedge; a later spoke lands behind,
+        # so at a shared corner the later arc's apex goes first
+        e = sp.add_edge(tail[d], apexes[j])
+        sp.insert_after(d, 2 * e)
+        spokes[j].append(2 * e + 1)
+
+    j = 0
     for i, d in enumerate(walk):
-        w = g.tail[d]
-        es = sp.add_edge(w, ring[i])
-        ed = sp.add_edge(w, ring[(i - 1) % m])
-        sp.insert_after(d, 2 * es)  # spoke first, then diagonal back
-        sp.insert_after(d, 2 * ed)
-        spoke.append(2 * es + 1)
-        diag.append(2 * ed + 1)
-    apex = sp.add_vertex()
-    apex_darts = []
-    for i in range(m):
-        e = sp.add_edge(apex, ring[i])
-        apex_darts.append(2 * e)
-        sp.set_new_rotation(ring[i], [spoke[i], diag[(i + 1) % m], fwd[i],
-                                      2 * e + 1, fwd[i - 1] ^ 1])
-    sp.set_new_rotation(apex, apex_darts)
-    return ring[0]
+        if j + 1 < k and i == starts[j + 1]:
+            j += 1
+            spoke(d, j)
+            spoke(d, j - 1)  # corner i also ends arc j - 1
+        else:
+            spoke(d, j)
+    if k > 1:
+        spoke(walk[0], k - 1)  # corner 0 closes the last arc
+    if k > 3:
+        hub = sp.add_vertex()
+        hub_darts = [2 * sp.add_edge(hub, a) for a in apexes]
+        sp.set_new_rotation(hub, hub_darts)
+    for j, a in enumerate(apexes):
+        r = spokes[j]
+        if k > 1:
+            r.append(fwd[j])
+            if k > 3:
+                r.append(hub_darts[j] ^ 1)
+            r.append(fwd[j - 1] ^ 1)
+        sp.set_new_rotation(a, r)
+    return apexes[0]
 
 
 def _quad_ring(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:

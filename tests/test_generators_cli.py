@@ -204,13 +204,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     (["gen", "quad", "--n", "10", "--grid", "axb"], "--grid expects RxC"),
     (["gen", "quad", "--n", "10", "--grid", "1x5"], "at least 2x2"),
     (["bench", "--sizes", "3"], "needs n >= 4"),
-], ids=["tri-n3", "grid-no-x", "grid-not-numbers", "grid-1x5", "bench-n3"])
+    (["gen", "tri", "--n", "10", "--grid", "3x5"], "--grid makes a quadrangulation"),
+    (["gen", "quad"], "--n is required without --grid"),
+], ids=["tri-n3", "grid-no-x", "grid-not-numbers", "grid-1x5", "bench-n3",
+        "tri-grid", "quad-no-n"])
 def test_cli_bad_generator_argument_is_an_error(capsys, args, msg):
     code, out, err = run_cli(args, capsys)
     assert code == 1
     assert err.startswith("error:") and msg in err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("extra", [[], ["--n", "10"]], ids=["no-n", "n-ignored"])
+def test_cli_gen_grid_records_its_shape(capsys, extra):
+    code, out, err = run_cli(["gen", "quad", "--grid", "3x5", *extra], capsys)
+    assert code == 0 and err == ""
+    assert out == pg.write_plane(tp.gen_grid(3, 5), ["gen quad grid=3x5"])
 
 
 @pytest.mark.parametrize("text, msg", [

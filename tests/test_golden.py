@@ -64,11 +64,11 @@ CASES = {
         "6f857cae3ae56078c4e73354ad0b64e3461dbde0b1e2fd3b64838fd5ca82a6e1",
         "2c0d14394d2ff464e80457afd07456d5360a9934d9f2bc3ca1cc7d9679566906"),
     "thinned-stacked-planar": (_stacked_thinned, tp.planar_sequence_full, True,
-        "573e1867feaeff6f66c4029e9f371182df5ff1043436a7fc64b8ee78f546e397",
-        "33f7896856fa8193d9042e643f9b701af53c87af0a7490ee73796570589544dd"),
+        "639b40d525037dfcc053999929242bda9b1adf916684399d276d7c4e1224faea",
+        "6ec6cc21a5a5c63a161c5a8ba463d038ffedc4158e4711a1ec9e153dcef601a0"),
     "thinned-grid-planar": (_grid_thinned, tp.planar_sequence_full, True,
-        "23a8c3b4ddab7b758c4fdfeb0404d27a1efa12c5437de6d1c6a53bb695d731f4",
-        "3e9ff2b2b9d6dcb566b9e07cb6babc8f63dead5b989df1d78701c6bd2ba81bba"),
+        "bbadf679a0fd2c3e501f4fecf11cf7f8177e9f5836d40bf1146ab1d1e94ed65d",
+        "a0e6dfe5fe6d3e437aebb55a614c29b1b75d9f69cf6da159c7741aed3081381e"),
     "thinned-grid-bipartite": (_grid_thinned, tp.bipartite_sequence_full, True,
         "f74ff1ed0adda12929f9a4a0b8443371e224425e4cee5572af6627bc783ebc01",
         "791b804b13fc4e069f753382a80ea94b31b2b6c192b6e623c2fd5b47e6b9a3a9"),

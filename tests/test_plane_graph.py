@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_golden import _thinned
 from twinplanar import plane_graph as pg
 from twinplanar.generators import gen_grid, gen_triangulation
+from twinplanar.instrument import InvariantChecker
+from twinplanar.oracle import reference_verify
+from twinplanar.seq_planar import planar_sequence, planar_sequence_full
 from twinplanar.trigraph import parse_seq
 
 
@@ -133,6 +137,66 @@ def test_triangulate_requires_simple_and_connected():
     disc = pg.build(2, [], [[], []], 0)
     with pytest.raises(pg.PlaneError, match="connected"):
         pg.triangulate(disc)
+
+
+# faces whose walk repeats a vertex: one apex per arc of the walk.  Name:
+# (n, edges, vertices added or None).  The P5 walk 0 1 2 3 4 3 2 1 splits
+# into 3 arcs, the star's walk from its centre into 6 arcs plus a hub.
+ARC_FILL_CASES = {
+    "P5": (5, [(i, i + 1) for i in range(4)], 3),
+    "star-K1,5": (6, [(0, i) for i in range(1, 6)], 7),
+    "bowtie": (5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)], None),
+    "bridge": (6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)],
+               None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARC_FILL_CASES))
+def test_triangulate_arc_fill(name):
+    n, edges, n_added = ARC_FILL_CASES[name]
+    g0 = pg.embed_abstract(n, edges)
+    g, added = pg.triangulate(g0)
+    assert added == range(n, g.n)
+    if n_added is not None:
+        assert len(added) == n_added
+    assert g.is_simple()
+    for walk in g.faces:
+        assert len({g.tail[d] for d in walk}) == len(walk) == 3
+    assert ({frozenset(e) for e in g.edges if max(e) < n}
+            == {frozenset(e) for e in edges})  # g0 stays induced
+    seq, report = planar_sequence(g0, checker=InvariantChecker("planar"))
+    ref = reference_verify(n, edges, seq)
+    assert (ref.width, ref.per_step_max) == (report.width, report.per_step_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=4, max_size=40))
+def test_arc_starts_cut_a_walk_into_simple_arcs(steps):
+    # any closed walk without loops: consecutive corners differ
+    vs = [steps[0]]
+    for s in steps[1:]:
+        vs.append((vs[-1] + 1 + s) % 7)
+    if vs[-1] == vs[0]:
+        vs.pop()
+    starts = pg._arc_starts(vs)
+    m = len(vs)
+    assert starts[0] == 0 and starts == sorted(set(starts)) and starts[-1] < m
+    if len(set(vs)) == m:
+        assert starts == [0]
+        return
+    assert len(starts) >= 3
+    for s, e in zip(starts, starts[1:] + [m]):
+        arc = [vs[i % m] for i in range(s, e + 1)]
+        assert len(set(arc)) == len(arc) >= 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_triangulate_growth_on_a_thinned_triangulation(seed):
+    g0 = _thinned(gen_triangulation(2000, seed), seed)
+    _, report, (_, g, _) = planar_sequence_full(
+        g0, checker=InvariantChecker("planar"))
+    assert g.n <= 2.1 * g0.n  # 1.90-1.92 for seeds 0-2
+    assert report.width <= 8
 
 
 # -- quadrangulate ------------------------------------------------------------
