@@ -39,9 +39,18 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _is_plane(text: str) -> bool:
+    """Whether a graph text is in the plane format: its first 'p' record
+    says ``plane``; any other text is read as an edge list."""
+    for _, _, parts in pg.records(text):
+        if parts[0] == "p":
+            return parts[1:2] == ["plane"]
+    return False
+
+
 def _load_graph(path: str, embed: bool) -> pg.PlaneGraph:
     text = _read(path)
-    if "p plane" in text:
+    if _is_plane(text):
         return pg.parse_plane(text)
     n, edges = pg.parse_edge_list(text)
     if not embed:
@@ -82,7 +91,7 @@ def cmd_verify(args) -> int:
 
 def cmd_exact(args) -> int:
     text = _read(args.graph)
-    if "p plane" in text:
+    if _is_plane(text):
         g = pg.parse_plane(text)
         n, edges = g.n, g.edges
     else:

@@ -16,7 +16,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @contextmanager
@@ -636,6 +636,15 @@ def write_plane(g: PlaneGraph, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def records(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """``(line number, raw line, fields)`` of every record of a text format;
+    blank lines and ``c`` comment lines are no records."""
+    for ln, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if parts and parts[0][0] != "c":
+            yield ln, raw, parts
+
+
 def read_header(parts: list[str], kind: str, seen: bool) -> tuple[int, int]:
     """The two counts of a ``p <kind> <a> <b>`` header record.
 
@@ -657,20 +666,16 @@ def read_header(parts: list[str], kind: str, seen: bool) -> tuple[int, int]:
 
 @pause_gc()
 def parse_plane(text: str) -> PlaneGraph:
+    """Read ``write_plane``'s format, checking each record as it is read;
+    ``build`` checks the rotation system (its PlaneError -> FormatError)."""
     n = m = -1
     edges: list[tuple[int, int] | None] = []
-    rot_eids: dict[int, list[int]] = {}
+    rot_eids: list[list[int] | None] = []  # None: no record yet
     outer_spec: tuple[int, int] | None = None
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "p":
-                n, m = read_header(parts, "plane", n >= 0)
-                edges = [None] * m
-            elif parts[0] == "e":
+    try:
+        for ln, raw, parts in records(text):
+            tag = parts[0]
+            if tag == "e":
                 _, e, u, v = parts
                 e, u, v = int(e), int(u), int(v)
                 if not 0 <= e < m:
@@ -680,44 +685,39 @@ def parse_plane(text: str) -> PlaneGraph:
                 if edges[e] is not None:
                     raise FormatError(f"second record for edge {e}")
                 edges[e] = (u, v)
-            elif parts[0] == "r":
-                v = int(parts[1])
+            elif tag == "r":
+                v, *eids = map(int, parts[1:])
                 if not 0 <= v < n:
                     raise FormatError(
                         f"vertex {v} outside 0..{n - 1}" if n >= 0
                         else "rotation before the 'p plane' header")
-                if v in rot_eids:
+                if rot_eids[v] is not None:
                     raise FormatError(f"second rotation record for vertex {v}")
-                rot_eids[v] = [int(x) for x in parts[2:]]
-            elif parts[0] == "outer":
+                if eids and not (0 <= min(eids) and max(eids) < m):
+                    bad = next(e for e in eids if not 0 <= e < m)
+                    raise FormatError(f"rotation at {v}: unknown edge {bad}")
+                rot_eids[v] = eids
+            elif tag == "p":
+                n, m = read_header(parts, "plane", n >= 0)
+                edges = [None] * m
+                rot_eids = [None] * n
+            elif tag == "outer":
                 if outer_spec is not None:
                     raise FormatError("second 'outer' record")
                 _, e, v = parts
                 outer_spec = (int(e), int(v))
             else:
-                raise FormatError(f"unknown record {parts[0]!r}")
-        except (IndexError, ValueError, FormatError) as exc:
-            raise FormatError(f"line {ln}: {raw!r}: {exc}") from exc
+                raise FormatError(f"unknown record {tag!r}")
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"line {ln}: {raw!r}: {exc}") from exc
     if n < 0:
         raise FormatError("missing 'p plane' header")
     if None in edges:
         raise FormatError("missing edge record")
-    # each edge id maps to the dart leaving v; a loop or an id listed twice
-    # yields a repeated dart, which ``build`` rejects
-    rotations: list[list[int]] = []
-    for v in range(n):
-        darts = []
-        for eid in rot_eids.get(v, ()):
-            if not 0 <= eid < m:
-                raise FormatError(f"rotation at {v}: unknown edge {eid}")
-            u0, v0 = edges[eid]
-            if u0 == v:
-                darts.append(2 * eid)
-            elif v0 == v:
-                darts.append(2 * eid + 1)
-            else:
-                raise FormatError(f"edge {eid} not incident to {v}")
-        rotations.append(darts)
+    # edge e leaves v by dart 2e when v is its first end; an entry that is
+    # not incident, repeated or a loop is left for ``build`` to reject
+    rotations = [[2 * e + (edges[e][0] != v) for e in eids or ()]
+                 for v, eids in enumerate(rot_eids)]
     outer = 0
     if m:
         if outer_spec is None:
@@ -725,13 +725,9 @@ def parse_plane(text: str) -> PlaneGraph:
         eid, v = outer_spec
         if not 0 <= eid < m:
             raise FormatError(f"outer record: unknown edge {eid}")
-        u0, v0 = edges[eid]
-        if u0 == v:
-            outer = 2 * eid
-        elif v0 == v:
-            outer = 2 * eid + 1
-        else:
+        if v not in edges[eid]:
             raise FormatError("outer record not incident to its vertex")
+        outer = 2 * eid + (edges[eid][0] != v)
     try:
         return build(n, edges, rotations, outer)
     except PlaneError as exc:
@@ -748,12 +744,8 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
     n = m = -1
     header = ""  # "line <ln>: <record>" of the header
     edges: list[tuple[int, int]] = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        try:
+    try:
+        for ln, raw, parts in records(text):
             if parts[0] == "p":
                 n, m = read_header(parts, "edge", n >= 0)
                 header = f"line {ln}: {raw!r}"
@@ -766,8 +758,8 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
                 edges.append((u, v))
             else:
                 raise FormatError(f"unknown record {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"line {ln}: {raw!r}: {exc}") from exc
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"line {ln}: {raw!r}: {exc}") from exc
     if n < 0:
         raise FormatError("missing 'p edge' header")
     if m != len(edges):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .plane_graph import FormatError, pause_gc, read_header
+from .plane_graph import FormatError, pause_gc, read_header, records
 
 Step = tuple  # ("k", x, y, z) or ("d", x)
 
@@ -358,36 +358,34 @@ def write_seq(seq: ContractionSequence, comments: Iterable[str] = ()) -> str:
 
 
 def parse_seq(text: str) -> ContractionSequence:
-    n = -1
-    declared = -1
+    """Read ``write_seq``'s format, checking each record as it is read."""
+    n = declared = fresh = -1
     steps: list[Step] = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "p":
+    try:
+        for ln, raw, parts in records(text):
+            tag = parts[0]
+            if tag == "p":
                 n, declared = read_header(parts, "tww-seq", n >= 0)
-            elif parts[0] == "k":
+                fresh = n
+            elif tag not in ("k", "d"):
+                raise FormatError(f"unknown record {tag!r}")
+            elif n < 0:
+                raise FormatError("step before the 'p tww-seq' header")
+            elif tag == "k":
                 _, x, y, z = parts
-                steps.append(("k", int(x), int(y), int(z)))
-            elif parts[0] == "d":
+                z = int(z)
+                if z != fresh:
+                    raise FormatError(
+                        f"contraction produces {z}, expected fresh id {fresh}")
+                steps.append(("k", int(x), int(y), z))
+                fresh += 1
+            else:
                 _, x = parts
                 steps.append(("d", int(x)))
-            else:
-                raise FormatError(f"unknown record {parts[0]!r}")
-        except (IndexError, ValueError, FormatError) as exc:
-            raise FormatError(f"line {ln}: {raw!r}: {exc}") from exc
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"line {ln}: {raw!r}: {exc}") from exc
     if n < 0:
         raise FormatError("missing 'p tww-seq' header")
     if declared != len(steps):
         raise FormatError(f"declared {declared} steps, found {len(steps)}")
-    expected = n
-    for step in steps:
-        if step[0] == "k":
-            if step[3] != expected:
-                raise FormatError(
-                    f"contraction produces {step[3]}, expected fresh id {expected}")
-            expected += 1
     return ContractionSequence(n, steps)

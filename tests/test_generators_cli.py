@@ -124,6 +124,41 @@ def test_cli_exact_rejects_bad_edge_record(tmp_path, capsys, text, msg):
     assert "Traceback" not in err
 
 
+def test_cli_verify_rejects_a_sequence_without_a_leading_header(tmp_path,
+                                                                capsys):
+    gpath = tmp_path / "k2.plane"
+    gpath.write_text("p plane 2 1\ne 0 0 1\nr 0 0\nr 1 0\nouter 0 0\n")
+    spath = tmp_path / "pre.seq"
+    spath.write_text("k 0 1 2\np tww-seq 2 1\n")
+    code, out, err = run_cli(["verify", str(gpath), str(spath)], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: line 1: 'k 0 1 2': step before the 'p tww-seq' "
+                   "header\n")
+
+
+@pytest.mark.parametrize("text, n", [
+    ("c converted from a p plane file\np edge 3 2\ne 0 1\ne 1 2\n", 3),
+    ("p  plane 2 1\ne 0 0 1\nr 0 0\nr 1 0\nouter 0 0\n", 2),
+], ids=["edges-comment-names-plane", "plane-header-two-spaces"])
+@pytest.mark.parametrize("cmd", [
+    ["seq", "{g}", "--mode", "planar", "--embed"], ["exact", "{g}"],
+    ["verify", "{g}", "{s}", "--embed"], ["tree", "{g}", "--embed"],
+    ["prep", "triangulate", "{g}", "--embed"],
+], ids=["seq", "exact", "verify", "tree", "prep"])
+def test_cli_reads_the_format_its_first_p_record_names(tmp_path, capsys,
+                                                       text, n, cmd):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(text)
+    spath = tmp_path / "g.seq"  # merge 0 and 1, then the rest one by one
+    spath.write_text(tp.write_seq(tp.ContractionSequence(
+        n, [("k", 0, 1, n)] + [("k", n + i, i + 2, n + i + 1)
+                               for i in range(n - 2)])))
+    code, out, err = run_cli([a.format(g=gpath, s=spath) for a in cmd],
+                             capsys)
+    assert (code, err) == (0, "")
+    assert out
+
+
 def test_cli_prep_triangulate(tmp_path, capsys):
     p = tmp_path / "c4.plane"
     g = tp.gen_grid(2, 2)
@@ -254,9 +289,22 @@ def test_cli_seq_embed_rejects_a_non_simple_edge_list(tmp_path, capsys,
      "line 3: 'p plane 2 1': second 'p' header"),
     ("p plane -1 0\n", "line 1: 'p plane -1 0': negative count"),
     ("p plane 2 -3\n", "line 1: 'p plane 2 -3': negative count"),
+    ("p plane 2 1\ne 0 0 1\nr 0 -1\nr 1 0\nouter 0 0\n",
+     "line 3: 'r 0 -1': rotation at 0: unknown edge -1"),
+    ("p plane 2 1\ne 0 0 1\nr 0 0\nr 1 1\nouter 0 0\n",
+     "line 4: 'r 1 1': rotation at 1: unknown edge 1"),
+    ("p plane 3 2\ne 0 0 1\ne 1 1 2\nr 0 0 1\nr 1 0 1\nr 2\nouter 0 0\n",
+     "not a plane graph: dart 3 listed at 0 but leaves 2"),
+    ("p plane 2 1\ne 0 0 1\nr 0 0\nr 1\nr 1 0\nouter 0 0\n",
+     "line 5: 'r 1 0': second rotation record for vertex 1"),
+    ("p plane 3 1\ne 0 0 1\nr 0 0\nr 1 0\nr 2\nouter 0 2\n",
+     "outer record not incident to its vertex"),
 ], ids=["eid-twice-at-a-vertex", "loop-record", "outer-unknown-edge",
         "rotation-vertex-out-of-range", "rotation-vertex-twice",
-        "outer-twice", "second-header", "negative-n", "negative-m"])
+        "outer-twice", "second-header", "negative-n", "negative-m",
+        "rotation-edge-negative", "rotation-edge-m",
+        "rotation-edge-not-incident", "empty-rotation-then-second",
+        "outer-not-incident"])
 def test_cli_seq_rejects_a_malformed_plane_file(tmp_path, capsys, text, msg):
     p = tmp_path / "bad.plane"
     p.write_text(text)

@@ -351,7 +351,11 @@ def test_seq_format_rejects_bad_fresh():
     ("p tww-seq 2 1\nk 0 1 2\np tww-seq 2 0\n",
      "line 3: 'p tww-seq 2 0': second 'p' header"),
     ("p tww-seq -2 0\n", "line 1: 'p tww-seq -2 0': negative count"),
-], ids=["second-header", "negative-n"])
+    ("k 0 1 2\np tww-seq 2 1\n",
+     "line 1: 'k 0 1 2': step before the 'p tww-seq' header"),
+    ("c no header yet\nd 0\np tww-seq 2 1\n",
+     "line 2: 'd 0': step before the 'p tww-seq' header"),
+], ids=["second-header", "negative-n", "contraction-first", "decrease-first"])
 def test_parse_seq_rejects_a_bad_header(text, msg):
     with pytest.raises(tp.FormatError, match=msg):
         tg.parse_seq(text)
