@@ -1,11 +1,11 @@
 """BFS layerings and left-aligned BFS trees on plane graphs.
 
-The left-aligned tree is built by a BFS-distance pass followed by a
-depth-first sweep that attaches, at each reached vertex, all its un-treed
-next-layer neighbours in counter-clockwise order starting from the parental
-edge (at the root: from the angular gap of the outer face), and recurses in
-that order.  The resulting tree has no layer-crossing non-tree edge whose
-upper endpoint lies to the left of the lower one.
+The left-aligned tree is one BFS: each dequeued vertex adopts its
+undiscovered neighbours in ccw order from the parental edge (at the root:
+from the outer-face gap).  Children are queued together, so by induction
+on the layers the queue order within a layer is the depth-first preorder.
+The tree has no layer-crossing non-tree edge whose upper endpoint lies to
+the left of the lower one.
 """
 
 from __future__ import annotations
@@ -89,69 +89,59 @@ def _root_anchor(g: PlaneGraph, r: int) -> int:
 def left_aligned_bfs_tree(g: PlaneGraph, r: int) -> BfsTree:
     """Left-aligned BFS tree rooted at r (which must lie on the outer face).
 
-    Linear time: each vertex is attached once and each rotation scanned once.
+    Linear time: one BFS scans each rotation once; the preorder numbers
+    come from subtree sizes.
     """
-    depth = bfs_layering(g, r)
     n = g.n
+    if not 0 <= r < n:
+        raise LayeringError(f"root {r} out of range")
+    if g.ncomp != 1:
+        raise LayeringError("graph is disconnected")
     parent = [-1] * n
     parent_dart = [-1] * n
-    order: list[int] = []
-    tin = [0] * n
-    clock = 0
-
-    head = g.head
-    rot = g.rot
-    pos = g.pos
-
-    # explicit DFS (depth can be Theta(n))
-    stack: list[int] = [r]
-    while stack:
-        v = stack.pop()
-        tin[v] = clock
-        clock += 1
-        order.append(v)
+    depth = [-1] * n
+    depth[r] = 0
+    head, rot, pos = g.head, g.rot, g.pos
+    q = [r]
+    for v in q:  # grows while it is walked: a FIFO queue
         rv = rot[v]
         if not rv:
-            continue
-        s = pos[_root_anchor(g, r)] if v == r else pos[parent_dart[v]] + 1
+            continue  # n == 1
+        pd = parent_dart[v]
+        s = pos[_root_anchor(g, r)] if pd == -1 else pos[pd] + 1
         dv1 = depth[v] + 1
-        # one dart per fresh next-layer neighbour (lowest edge id among
-        # multiedges), ordered by the ccw rank of the chosen dart; the
-        # rotation is walked once, from the anchor on
+        # children in ccw order from the anchor, lowest id among parallels
         walk = rv[s:] + rv[:s]
-        kids: list[int] = []
+        k0 = len(q)
         moved = False
         for d in walk:
             w = head[d]
-            if depth[w] != dv1:
-                continue
-            p = parent[w]  # only the root has no parent, and it is on layer 0
-            if p == -1:
+            if depth[w] == -1:
+                depth[w] = dv1
                 parent[w] = v
                 parent_dart[w] = d ^ 1
-                kids.append(w)
-            elif p == v and d >> 1 < parent_dart[w] >> 1:
+                q.append(w)
+            elif parent[w] == v and d >> 1 < parent_dart[w] >> 1:
                 parent_dart[w] = d ^ 1  # a lower-id parallel edge, later
                 moved = True
         if moved:
             rank = {d: i for i, d in enumerate(walk)}
-            kids.sort(key=lambda w: rank[parent_dart[w] ^ 1])
-        kids.reverse()
-        stack += kids
-    t = BfsTree(g, r, parent, parent_dart, depth, order, tin)
-    _fill_tout(t)
-    return t
-
-
-def _fill_tout(t: BfsTree) -> None:
-    # tin was assigned in preorder; tout[v] = max tin in v's subtree + 1
-    tout = [i + 1 for i in t.tin]
-    parent = t.parent
-    for v in t.order[:0:-1]:  # children before parents, root left out
-        p = parent[v]
-        if tout[v] > tout[p]:
-            tout[p] = tout[v]
-    t.tout = tout
+            q[k0:] = sorted(q[k0:], key=lambda w: rank[parent_dart[w] ^ 1])
+    size = [1] * n
+    for w in q[:0:-1]:  # children before parents, root left out
+        size[parent[w]] += size[w]
+    # in queue order, each child takes its parent's next free preorder number
+    tin = [0] * n
+    tout = [1] * n
+    order = [r] * n
+    for w in q[1:]:
+        p = parent[w]
+        i = tout[p]
+        tin[w] = i
+        order[i] = w
+        tout[w] = i + 1
+        tout[p] = i + size[w]
+    return BfsTree(g, r, parent, parent_dart, depth, order, tin, tout)
 
 
 def check_left_aligned(g: PlaneGraph, t: BfsTree) -> tuple[int, int] | None:

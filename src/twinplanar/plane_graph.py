@@ -319,10 +319,12 @@ def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, range]:
 
 
 def find_odd_cycle(g: PlaneGraph) -> list[int] | None:
-    """An odd cycle as a vertex list, or None if bipartite; searched once
-    per graph, later calls return the kept result."""
+    """An odd cycle as a vertex list, or None if bipartite; decided once
+    per graph, later calls return the kept result.  Face walks span the
+    cycle space mod 2, so only a graph with an odd face is searched."""
     if g._odd_cycle is None:
-        g._odd_cycle = _search_odd_cycle(g)
+        odd = any(len(walk) & 1 for walk in g.faces)
+        g._odd_cycle = _search_odd_cycle(g) if odd else []
     return list(g._odd_cycle) or None
 
 
@@ -343,18 +345,17 @@ def _search_odd_cycle(g: PlaneGraph) -> list[int]:
                     par[w] = v
                     queue.append(w)
                 elif color[w] == color[v]:
-                    pa = []
+                    at = {}  # v's ancestors -> position
                     x = v
                     while x != -1:
-                        pa.append(x)
+                        at[x] = len(at)
                         x = par[x]
                     pb = []
                     x = w
-                    while x not in pa:
+                    while x not in at:
                         pb.append(x)
                         x = par[x]
-                    i = pa.index(x)
-                    return pa[:i + 1][::-1] + pb  # x .. v, then w .. back below x
+                    return list(at)[at[x]::-1] + pb  # x .. v, then w .. back below x
     return []
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .buildctx import (BuildCtx, BuilderError, check_mode, climb,
                        fold_contract, merge_survivors, run_trampoline)
 from .layering import BfsTree
-from .plane_graph import PlaneGraph, find_odd_cycle, quadrangulate
+from .plane_graph import PlaneGraph, find_odd_cycle, pause_gc, quadrangulate
 from .seq_planar import run_pipeline
 from .trigraph import ContractionSequence, WidthReport
 
@@ -201,6 +201,7 @@ def _final_phase(ctx: BuildCtx, surv: dict[int, int], lid_dart: int) -> None:
     ctx.contract(q, p)
 
 
+@pause_gc()
 def bipartite_sequence(g0: PlaneGraph, checker=None,
                        ) -> tuple[ContractionSequence, WidthReport]:
     """Full contraction sequence of width <= 6 for a simple bipartite plane
@@ -212,6 +213,7 @@ def bipartite_sequence(g0: PlaneGraph, checker=None,
     return seq0, report
 
 
+@pause_gc()
 def bipartite_sequence_full(g0: PlaneGraph, checker=None, verify: bool = True):
     check_mode(checker, "bipartite")
     return run_pipeline(g0, checker, verify, _complete, _run_core,

@@ -288,7 +288,6 @@ def _final_phase(ctx: BuildCtx, surv: dict[int, int], lid_dart: int) -> None:
     fold_contract(ctx, leftovers)
 
 
-@pause_gc()
 def run_pipeline(g0: PlaneGraph, checker, verify: bool,
                  complete, run_core, final_phase, width_bound: int):
     """The pipeline both builders share; each mode supplies the steps that
@@ -302,7 +301,7 @@ def run_pipeline(g0: PlaneGraph, checker, verify: bool,
     contracts what is left into one vertex.  The sequence is restricted
     back to V(g0) and replayed by the independent verifier; returns
     ``(seq0, report, (seq, g, t))`` with the completed graph's sequence,
-    graph and tree.
+    graph and tree, which the plain entry points drop under their GC pause.
     """
     if g0.n == 0:
         raise BuilderError("empty graph: nothing to contract")
@@ -333,6 +332,7 @@ def run_pipeline(g0: PlaneGraph, checker, verify: bool,
     return seq0, report, (seq, g, t)
 
 
+@pause_gc()
 def planar_sequence(g0: PlaneGraph, checker=None,
                     ) -> tuple[ContractionSequence, WidthReport]:
     """Full contraction sequence of width <= 8 for a simple plane graph.
@@ -348,6 +348,7 @@ def planar_sequence(g0: PlaneGraph, checker=None,
     return seq0, report
 
 
+@pause_gc()
 def planar_sequence_full(g0: PlaneGraph, checker=None, verify: bool = True):
     check_mode(checker, "planar")
     return run_pipeline(g0, checker, verify, _complete, _run_core,

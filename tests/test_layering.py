@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinplanar as tp
+from test_atlas import every_outer_face, planar_atlas
 from twinplanar import layering as ly
 from twinplanar import plane_graph as pg
 
@@ -64,6 +66,53 @@ def first_left_edge(g, t):
     return None
 
 
+def _fill_tout(t):
+    # tin was assigned in preorder; tout[v] = max tin in v's subtree + 1
+    tout = [i + 1 for i in t.tin]
+    parent = t.parent
+    for v in t.order[:0:-1]:  # children before parents, root left out
+        p = parent[v]
+        if tout[v] > tout[p]:
+            tout[p] = tout[v]
+    t.tout = tout
+
+
+def dfs_left_aligned_tree(g, r):
+    """The left-aligned tree by its two-pass definition, as the oracle: BFS
+    distances, then a depth-first sweep that attaches, at each reached
+    vertex, all its un-treed next-layer neighbours in ccw order from the
+    anchor (through the lowest edge id among parallels) and recurses in
+    that order."""
+    depth = ly.bfs_layering(g, r)
+    n = g.n
+    parent, parent_dart, order, tin = [-1] * n, [-1] * n, [], [0] * n
+    stack = [r]
+    while stack:
+        v = stack.pop()
+        tin[v] = len(order)
+        order.append(v)
+        rv = g.rot[v]
+        if not rv:
+            continue
+        s = g.pos[ly._root_anchor(g, r)] if v == r else g.pos[parent_dart[v]] + 1
+        walk = rv[s:] + rv[:s]
+        kids = []
+        for d in walk:
+            w = g.head[d]
+            if depth[w] != depth[v] + 1:
+                continue
+            if parent[w] == -1:
+                parent[w], parent_dart[w] = v, d ^ 1
+                kids.append(w)
+            elif parent[w] == v and d >> 1 < parent_dart[w] >> 1:
+                parent_dart[w] = d ^ 1
+        kids.sort(key=lambda w: walk.index(parent_dart[w] ^ 1))
+        stack += reversed(kids)
+    t = ly.BfsTree(g, r, parent, parent_dart, depth, order, tin)
+    _fill_tout(t)
+    return t
+
+
 def random_bfs_tree(g, r, rng):
     """A BFS tree of g rooted at r with every parent drawn at random from
     the vertex's neighbours one layer up (left-aligned only by chance)."""
@@ -86,7 +135,7 @@ def random_bfs_tree(g, r, rng):
         t.tin[v] = len(t.order)
         t.order.append(v)
         stack += kids[v]
-    ly._fill_tout(t)
+    _fill_tout(t)
     return t
 
 
@@ -166,7 +215,7 @@ def test_violating_tree_is_reported():
             bad.parent_dart[3] = d
     bad.order = t.order
     bad.tin, bad.tout = t.tin, t.tout
-    ly._fill_tout(bad)  # tin/tout stale is fine for this check
+    _fill_tout(bad)  # tin/tout stale is fine for this check
     viol = ly.check_left_aligned(g, bad)
     assert viol is not None
     u, v = viol
@@ -256,6 +305,55 @@ def test_multigraph_child_order_follows_the_lowest_parallel_edge():
     assert t.parent_dart == [-1, 3, 1]
     assert t.order == [0, 1, 2]
     assert t.tin == [0, 1, 2]
+
+
+def _tree_fields(t):
+    return (t.parent, t.parent_dart, t.depth, t.order, t.tin, t.tout)
+
+
+def _with_parallel_copies(g, every):
+    """g with a parallel copy of every ``every``-th edge, each copy placed
+    next to its edge, so that the two bound a face of length 2; the copy
+    follows its edge ccw at the lower end for even edge ids and precedes
+    it for odd ones, so the higher id is met first from either side."""
+    edges = list(g.edges)
+    rot = [list(r) for r in g.rot]
+    for e in range(0, g.m, every):
+        c = len(edges)
+        edges.append(g.edges[e])
+        u, v = g.edges[e]
+        after = 1 - (e & 1)
+        rot[u].insert(rot[u].index(2 * e) + after, 2 * c)
+        rot[v].insert(rot[v].index(2 * e + 1) + 1 - after, 2 * c + 1)
+    return pg.build(g.n, edges, rot, g.outer_dart)
+
+
+def test_one_pass_tree_matches_the_two_pass_construction_on_every_outer_face():
+    t0 = time.perf_counter()
+    graphs = [g for _, g in planar_atlas() if g.m and g.ncomp == 1]
+    graphs += [_with_parallel_copies(g, k) for k in (1, 2) for g in graphs[::7]]
+    trees = 0
+    for g0 in graphs:
+        for g in every_outer_face(g0):
+            for r in sorted({g.tail[d] for d in g.faces[g.outer_face]}):
+                t = ly.left_aligned_bfs_tree(g, r)
+                assert _tree_fields(t) == _tree_fields(dfs_left_aligned_tree(g, r))
+                trees += 1
+    assert trees > 10_000
+    assert time.perf_counter() - t0 < 20.0
+
+
+def test_one_pass_tree_matches_the_two_pass_construction_on_larger_inputs():
+    rng = random.Random(18)
+    graphs = [tp.gen_triangulation(rng.randrange(4, 300), rng.randrange(10 ** 6))
+              for _ in range(20)]
+    graphs += [tp.gen_stacked_quadrangulation(rng.randrange(4, 300), s)
+               for s in range(20)]
+    graphs += [tp.gen_grid(7, 23), tp.gen_grid(2, 9)]
+    for g in graphs:
+        r = g.tail[g.outer_dart]
+        t = ly.left_aligned_bfs_tree(g, r)
+        assert _tree_fields(t) == _tree_fields(dfs_left_aligned_tree(g, r))
 
 
 @pytest.mark.slow
@@ -349,7 +447,7 @@ def test_fig_example_drawn_tree_violates_left_alignment():
             if _FIG_TREE_PARENT[w] == v:
                 dfs(w)
     dfs(0)
-    ly._fill_tout(t)
+    _fill_tout(t)
     # u = vertex 6 one layer above v = vertex 11; u is to the left of v
     assert t.depth[6] == 2 and t.depth[11] == 3
     assert is_left_of(g, t, 6, 11) is True

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_atlas import planar_atlas
 from test_golden import _thinned
 from twinplanar import plane_graph as pg
-from twinplanar.generators import gen_grid, gen_triangulation
+from twinplanar.buildctx import BuilderError
+from twinplanar.generators import (gen_grid, gen_stacked_quadrangulation,
+                                   gen_triangulation)
 from twinplanar.instrument import InvariantChecker
 from twinplanar.oracle import reference_verify
+from twinplanar.seq_bipartite import bipartite_sequence
 from twinplanar.seq_planar import planar_sequence, planar_sequence_full
 from twinplanar.trigraph import parse_seq
 
@@ -326,7 +330,20 @@ def test_derived_facts_match_direct_computation(g):
     assert g.faces == (orbits or [[]])
     assert all(g.face_of[d] == f for f, w in enumerate(g.faces) for d in w)
 
-    # components and a 2-colouring: an independent BFS over the edge list
+    comps, colour = components_and_colouring(g)
+    got = pg.connected_components(g)
+    assert [set(c) for c in got] == comps
+    assert sum(len(c) for c in got) == g.n
+
+    # whole-graph checks: the kept result equals the first one
+    simple = g.is_simple()
+    assert simple is True and g.is_simple() is simple
+    check_odd_cycle(g, colour)
+
+
+def components_and_colouring(g):
+    """The components and a 2-colouring: an independent BFS over the edge
+    list."""
     adj = [[] for _ in range(g.n)]
     for u, v in g.edges:
         adj[u].append(v)
@@ -343,13 +360,12 @@ def test_derived_facts_match_direct_computation(g):
                         colour[w] = colour[v] ^ 1
                         queue.append(w)
             comps.append(set(queue))
-    got = pg.connected_components(g)
-    assert [set(c) for c in got] == comps
-    assert sum(len(c) for c in got) == g.n
+    return comps, colour
 
-    # whole-graph checks: the kept result equals the first one
-    simple = g.is_simple()
-    assert simple is True and g.is_simple() is simple
+
+def check_odd_cycle(g, colour):
+    """find_odd_cycle against the 2-colouring, and its witness against the
+    search by BFS parent chains."""
     odd = pg.find_odd_cycle(g)
     assert pg.find_odd_cycle(g) == odd
     assert (odd is None) == all(colour[u] != colour[v] for u, v in g.edges)
@@ -358,6 +374,80 @@ def test_derived_facts_match_direct_computation(g):
         pairs = {frozenset(e) for e in g.edges}
         assert all(frozenset((odd[i - 1], odd[i])) in pairs
                    for i in range(len(odd)))
+        assert len(set(odd)) == len(odd)
+        assert odd == bfs_odd_cycle(g)
+
+
+def bfs_odd_cycle(g):
+    """The odd cycle by the plain search: BFS 2-colouring until an edge
+    joins two vertices of one colour, then both parent chains up to the
+    first common vertex, found by scanning the first chain."""
+    color, par = [-1] * g.n, [-1] * g.n
+    for s in range(g.n):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        queue = [s]
+        for v in queue:
+            for d in g.rot[v]:
+                w = g.head[d]
+                if color[w] == -1:
+                    color[w], par[w] = color[v] ^ 1, v
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    pa, x = [], v
+                    while x != -1:
+                        pa.append(x)
+                        x = par[x]
+                    pb, x = [], w
+                    while x not in pa:
+                        pb.append(x)
+                        x = par[x]
+                    return pa[:pa.index(x) + 1][::-1] + pb
+    return None
+
+
+def cycle(n):
+    """The cycle C_n, vertex i joined to i + 1 by edge i."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    return pg.build(n, edges, [[2 * i, 2 * ((i - 1) % n) + 1] for i in range(n)], 0)
+
+
+def test_face_parity_agrees_with_a_2_colouring():
+    graphs = [g for _, g in planar_atlas()]
+    graphs += [thinned(gen_grid(r, c), keep, s) for r, c in ((2, 2), (5, 9), (12, 12))
+               for keep in (0.0, 0.5, 0.9) for s in range(3)]
+    graphs += [gen_stacked_quadrangulation(n, s) for n in (4, 9, 60, 300)
+               for s in range(3)]
+    graphs += [thinned(gen_stacked_quadrangulation(200, s), 0.6, s) for s in range(3)]
+    graphs += [cycle(n) for n in range(3, 40)]
+    graphs += [thinned(gen_triangulation(n, s), 0.5, s) for n in (10, 100)
+               for s in range(5)]
+    kinds = set()
+    for g in graphs:
+        comps, colour = components_and_colouring(g)
+        check_odd_cycle(g, colour)
+        kinds.add((len(comps) > 1, pg.find_odd_cycle(g) is None))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.slow
+def test_odd_cycle_refusal_scales_linearly():
+    import time
+    # the two sizes alternate trial by trial, so that drift in machine speed
+    # hits both means alike; each trial refuses a fresh graph, since the
+    # result is kept on the graph
+    trials = {8001: [], 32001: []}
+    for _ in range(5):
+        for n, times in trials.items():
+            g = cycle(n)
+            t0 = time.perf_counter()
+            with pytest.raises(BuilderError, match="odd cycle"):
+                bipartite_sequence(g)
+            times.append(time.perf_counter() - t0)
+    small = sum(trials[8001]) / 5
+    big = sum(trials[32001]) / 5
+    assert big <= 6.0 * small, (small, big)
 
 
 def test_is_simple_false_is_kept():

@@ -206,3 +206,28 @@ def test_width_report_prefix_monotone_consistency():
     # per-step maxima are the running maxima of a replay, hence they agree
     # with an independent replay by the naive reference on small graphs
     assert max(rep.per_step_max) == rep.width
+
+
+@pytest.mark.parametrize("entry", [tp.planar_sequence, tp.planar_sequence_full,
+                                   tp.bipartite_sequence, tp.bipartite_sequence_full],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("gc_on", [True, False], ids=["gc-on", "gc-off"])
+def test_entry_points_leave_the_gc_as_they_found_it(entry, gc_on):
+    import gc
+    ok = tp.gen_quadrangulation(30, 1)  # bipartite, so both modes take it
+    empty = pg.build(0, [], [], 0)
+    odd = tp.gen_triangulation(5, 0)
+    was = gc.isenabled()
+    try:
+        (gc.enable if gc_on else gc.disable)()
+        entry(ok)
+        assert gc.isenabled() is gc_on
+        with pytest.raises(tp.BuilderError, match="empty graph"):
+            entry(empty)
+        assert gc.isenabled() is gc_on
+        if entry.__name__.startswith("bipartite"):
+            with pytest.raises(tp.BuilderError, match="odd cycle"):
+                entry(odd)
+            assert gc.isenabled() is gc_on
+    finally:
+        (gc.enable if was else gc.disable)()
