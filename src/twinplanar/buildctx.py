@@ -46,14 +46,6 @@ class BuildCtx:
         if self.checker is not None:
             self.checker.on_decrease(x)
 
-    def push_region(self, sink: int, v1: int, v2: int, b1, b2) -> None:
-        if self.checker is not None:
-            self.checker.push_region(sink, v1, v2, b1, b2)
-
-    def pop_region(self, survivors: dict[int, int]) -> None:
-        if self.checker is not None:
-            self.checker.pop_region(survivors.values())
-
     def sequence(self) -> ContractionSequence:
         return ContractionSequence(self.g.n, list(self.steps))
 
@@ -96,7 +88,7 @@ def merge_survivors(ctx: BuildCtx, base: dict[int, int], adds, top: int,
                     where: str) -> dict[int, int]:
     """Merge the ``(level, id)`` pairs ``adds`` into the survivor dict
     ``base`` in place, then contract each level that now holds two vertices,
-    deepest first, as the sorted pair; returns ``base``.
+    deepest first, lower id first; returns ``base``.
 
     Python code visits only the levels in ``adds``, so handing a child's
     survivors up does not cost a loop over every level it spans; the one
@@ -112,9 +104,9 @@ def merge_survivors(ctx: BuildCtx, base: dict[int, int], adds, top: int,
             base[i] = w
     if base and min(base) <= top:
         raise BuilderError(f"interior vertex at or above {where}")
-    for i in sorted(pairs, reverse=True):
-        a, b = sorted((base[i], pairs[i]))
-        base[i] = ctx.contract(a, b)
+    for i in sorted(pairs, reverse=True) if len(pairs) > 1 else pairs:
+        a, b = base[i], pairs[i]
+        base[i] = ctx.contract(a, b) if a < b else ctx.contract(b, a)
     return base
 
 

@@ -30,9 +30,9 @@ A step looks only at the new vertex and its neighbours.  Per-vertex state
 lives in lists over the dense ids, and a region's boundary is a dozen
 constants (``region_bounds``), so a boundary test is a few comparisons;
 it runs only for a vertex with more than two red edges into the region,
-since every boundary cap is at least 2.  A checked build costs about 2.3
+since every boundary cap is at least 2.  A checked build costs about 2.4
 times a plain one on stacked triangulations of 3,000 vertices (2-core VM,
-CPython 3.11); about a quarter of the extra time is the one-step trigraph
+CPython 3.11); about 30% of the extra time is the one-step trigraph
 replay.
 """
 
@@ -57,7 +57,8 @@ class InvariantViolation(AssertionError):
 class RegionSpec(NamedTuple):
     """A region as it enters: P1 and P2 run from the lid ends ``v1`` and
     ``v2`` up to ``sink``; ``b1`` is the top sub-face's lid (a1, b1), ``b2``
-    the side sub-face's lid and vertical path P0 as (a2, b2, u1, v0)."""
+    the side sub-face's lid and vertical path P0 as (a2, b2, u1, v0).  The
+    checker keeps a region as a plain tuple of these fields, in this order."""
 
     sink: int
     v1: int
@@ -66,7 +67,7 @@ class RegionSpec(NamedTuple):
     b2: tuple[int, int, int, int] | None
 
 
-def region_bounds(t: BfsTree, spec: RegionSpec) -> tuple:
+def region_bounds(t: BfsTree, spec: tuple) -> tuple:
     """The constants that decide which vertices lie on a region's boundary.
 
     The boundary runs along vertical paths: P1 from v1 and P2 from v2 up to
@@ -142,7 +143,7 @@ class InvariantChecker:
         # up in (-1: none), and its original level while it stems from one
         self.region: list[int] = []
         self.pure: list[int | None] = []
-        # per active region: [rid, spec, region_bounds or None until needed]
+        # per active region: [rid, RegionSpec tuple, region_bounds or None]
         self.stack: list[list] = []
         self._next_rid = 0
         self.final_phase = False
@@ -160,9 +161,8 @@ class InvariantChecker:
         self.pure = [*t.depth, *[None] * (n - 1)]
 
     def push_region(self, sink: int, v1: int, v2: int, b1, b2) -> None:
-        spec = RegionSpec(sink, v1, v2, b1, b2)
-        self._check_division(spec)
-        self.stack.append([self._next_rid, spec, None])
+        self._check_division(sink, v1, v2, b1, b2)
+        self.stack.append([self._next_rid, (sink, v1, v2, b1, b2), None])
         self._next_rid += 1
 
     def pop_region(self, survivors) -> None:
@@ -218,40 +218,44 @@ class InvariantChecker:
         rz, bz = red[z], sim.black[z]
         lz = level[z]
         if not final:
-            # every edge at z spans one level (bipartite), at most one (planar)
-            ok = ((lz - 1, lz + 1) if self.mode == "bipartite"
-                  else (lz - 1, lz, lz + 1))
-            for w in bz:
-                if level[w] not in ok:
-                    self._bad_edge(z, w)
-            for w in rz:
-                if level[w] not in ok:
-                    self._bad_edge(z, w)
+            # every edge at z spans one level (bipartite), at most one
+            # (planar); ``flat`` is the level none may stay on, -1 if any may
+            lo, hi = lz - 1, lz + 1
+            flat = lz if self.mode == "bipartite" else -1
+            for ws in bz, rz:
+                for w in ws:
+                    lw = level[w]
+                    if not lo <= lw <= hi or lw == flat:
+                        self._bad_edge(z, w)
 
         stack = self.stack
         self.region[z] = stack[-1][0] if stack else -1
+        # only z and its red neighbours changed, so test the maximum first
         cap = self.cap_global
-        if len(rz) > cap:
-            raise InvariantViolation(f"red degree {len(rz)} > {cap} at {z}")
-        for v in rz:
-            if len(red[v]) > cap:
-                raise InvariantViolation(
-                    f"red degree {len(red[v])} > {cap} at {v}")
+        if sim._max_red > cap:
+            if len(rz) > cap:
+                raise InvariantViolation(f"red degree {len(rz)} > {cap} at {z}")
+            for v in rz:
+                if len(red[v]) > cap:
+                    raise InvariantViolation(
+                        f"red degree {len(red[v])} > {cap} at {v}")
         if final or not stack:
             return
 
         # boundary caps of the innermost region: every cap is at least 2,
         # so only a vertex with more red edges into the region can break
         # one (contracted vertices are never on a skeleton)
-        n, region, rid = self.n, self.region, stack[-1][0]
-        for w in (*rz, *bz):
-            if w < n and len(red[w]) > 2:
-                in_region = [*map(region.__getitem__, red[w])].count(rid)
-                if in_region > 2:
-                    self._check_boundary(w, in_region)
+        n, region = self.n, self.region
+        rid, spec, _ = stack[-1]
+        for ws in rz, bz:
+            for w in ws:
+                if w < n and len(red[w]) > 2:
+                    in_region = [*map(region.__getitem__, red[w])].count(rid)
+                    if in_region > 2:
+                        self._check_boundary(w, in_region)
         # sink protection: a vertex adjacent to the sink must be black there
         # and stem from a single original level equal to its current one
-        s = stack[-1][1].sink
+        s = spec[0]
         if s in rz:
             raise InvariantViolation(f"red edge onto the sink {s}")
         if s in bz and pure[z] != lz:
@@ -281,7 +285,7 @@ class InvariantChecker:
         where = boundary_class(self.t, bounds, w)
         if where == OFF:
             return
-        b1, b2 = spec.b1, spec.b2
+        b1, b2 = spec[3:]
         cap = self.cap_boundary
         if b2 is not None and w == b2[1]:
             cap += 1  # the B2 right-lid exception
@@ -294,7 +298,7 @@ class InvariantChecker:
                 f"boundary vertex {w} has {in_region} red edges into the "
                 f"region (cap {cap})")
 
-    def _check_division(self, spec: RegionSpec) -> None:
+    def _check_division(self, s: int, v1: int, v2: int, b1, b2) -> None:
         """Entry geometry of a region, in O(1) tree queries.
 
         D (sink, lid v1-v2, wrapping paths P1 from v1 and P2 from v2 up to
@@ -307,15 +311,17 @@ class InvariantChecker:
         """
         t = self.t
         dep, parent, tin, tout = t.depth, t.parent, t.tin, t.tout
-        s, v1, v2, b1, b2 = spec
         if parent[v1] == v2 or parent[v2] == v1:
             raise InvariantViolation(
                 f"(wrapped) D lid is a tree edge: ({v1},{v2})")
-        t1, t2, d1, d2, ds = tin[v1], tin[v2], dep[v1], dep[v2], dep[s]
+        t1, t2 = tin[v1], tin[v2]
         if not (tin[s] <= t1 < tout[s] and tin[s] <= t2 < tout[s]):
             raise InvariantViolation(
                 f"(wrapped) D sink is not above both lid ends: sink {s}, "
                 f"lid ({v1},{v2})")
+        if b1 is None and b2 is None:
+            return
+        d1, d2, ds = dep[v1], dep[v2], dep[s]
         if b1 is not None:
             a1, b1v = b1
             _check_side_lid(t, "B1", a1, b1v, s)

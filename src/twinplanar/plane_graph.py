@@ -282,7 +282,8 @@ def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, range]:
     """Join all components with fresh degree-2 vertices (one per merge).
 
     Each merge re-embeds the next component inside a face of the anchor
-    drawing; the new vertices create no cycle, so bipartiteness survives.
+    drawing; the new vertices add no cycle and no repeated pair, so ``g``'s
+    kept ``is_simple`` and ``find_odd_cycle`` results carry over.
     Like the completions below, it keeps ``g``'s vertex and edge ids and
     returns the ids it appended; a connected ``g`` comes back as it is.
     A graph without vertices raises ``PlaneError``.
@@ -310,6 +311,7 @@ def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, range]:
         if outer is None:
             outer = 2 * e1
     g2 = sp.finalize(outer if outer is not None else 0)
+    g2._simple, g2._odd_cycle = g._simple, g._odd_cycle  # kept results hold
     return g2, range(g.n, g2.n)
 
 

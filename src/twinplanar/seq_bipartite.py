@@ -32,7 +32,8 @@ def _bicore(ctx: BuildCtx, lid_dart: int, sink: int):
     v1, v2 = g.tail[lid_dart], head[lid_dart]
     if dep[v1] != dep[v2] + 1:
         raise BuilderError("lid ends not one level apart (left-alignment broken)")
-    ctx.push_region(sink, v1, v2, None, None)
+    if ctx.checker is not None:
+        ctx.checker.push_region(sink, v1, v2, None, None)
 
     d1 = nxt[lid_dart]
     d2 = nxt[d1]
@@ -44,7 +45,8 @@ def _bicore(ctx: BuildCtx, lid_dart: int, sink: int):
 
     # base: the lid face is the whole region
     if v4 == parent[v1] and v3 == parent[v2] and ec == 4:
-        ctx.pop_region({})
+        if ctx.checker is not None:
+            ctx.checker.pop_region(())
         return {}
 
     off_p3 = -1
@@ -87,7 +89,8 @@ def _bishrink(ctx: BuildCtx, lid_dart: int, sink: int, adds):
     second stage with ``adds``."""
     surv = yield _bicore(ctx, lid_dart, sink)
     out = _bi_second_stage(ctx, surv, adds, sink)
-    ctx.pop_region(out)
+    if ctx.checker is not None:
+        ctx.checker.pop_region(out.values())
     return out
 
 
@@ -145,7 +148,8 @@ def _bisplit(ctx: BuildCtx, sink: int, v1: int, v2: int, p3_from: int,
     adds += u3_levels.items()
     adds += surv2.items()
     out = _bi_second_stage(ctx, surv1, adds, sink)
-    ctx.pop_region(out)
+    if ctx.checker is not None:
+        ctx.checker.pop_region(out.values())
     return out
 
 

@@ -39,7 +39,8 @@ def _core(ctx: BuildCtx, lid_dart: int, sink: int,
     dep, parent, tin, tout = t.depth, t.parent, t.tin, t.tout
     head, nxt = g.head, g.face_next
     v1, v2 = g.tail[lid_dart], head[lid_dart]
-    ctx.push_region(sink, v1, v2, b1, b2)
+    if ctx.checker is not None:
+        ctx.checker.push_region(sink, v1, v2, b1, b2)
     ec = _edge_count(ctx, sink, v1, v2, b1, b2)
     ds = dep[sink]
 
@@ -60,7 +61,8 @@ def _core(ctx: BuildCtx, lid_dart: int, sink: int,
         tx, ox = tin[x], tout[x]
         if dep[x] >= ds and (tx <= tin[v1] < ox or tx <= tin[v2] < ox):
             if ec == 3:
-                ctx.pop_region({})
+                if ctx.checker is not None:
+                    ctx.checker.pop_region(())
                 return {}
             if x == parent[v1]:
                 if b1 is not None and dep[x] < dep[b1[0]]:
@@ -95,7 +97,8 @@ def _shrink(ctx: BuildCtx, sub_lid: int, v0: int, sink: int, b1, v1: int,
     surv = yield _core(ctx, sub_lid, sink, b1, None)
     kc = _min_boundary_level(ctx, sink, v1, b1, None)
     out = _second_stage(ctx, surv, ((ctx.t.depth[v0], v0),), kc, v1, v2, ec)
-    ctx.pop_region(out)
+    if ctx.checker is not None:
+        ctx.checker.pop_region(out.values())
     return out
 
 
@@ -188,7 +191,8 @@ def _split(ctx: BuildCtx, lid_dart: int, sink: int, b1, b2, d1: int, d2: int,
     adds += surv2.items()
     kc = _min_boundary_level(ctx, sink, v1, b1, b2)
     out = _second_stage(ctx, surv1, adds, kc, v1, v2, ec)
-    ctx.pop_region(out)
+    if ctx.checker is not None:
+        ctx.checker.pop_region(out.values())
     return out
 
 

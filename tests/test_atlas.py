@@ -8,7 +8,8 @@ per-step ``InvariantChecker`` on.  The dense-matrix ``reference_verify``
 must agree with the builder's own verified report on the width and on the
 maximum red degree after every step.  A second sweep rebuilds every
 connected one with each of its faces as the outer face, since the root
-and the tree depend on it.
+and the tree depend on it, and a third holds every verified width to at
+least the exact twin-width from the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -66,4 +67,29 @@ def test_atlas_sweep_every_outer_face():
             for h in every_outer_face(g):
                 _check_both_modes(G, h, runs)
     assert runs == {"planar": 3888, "bipartite": 150}
+    assert time.perf_counter() - t0 < 20.0
+
+
+def test_exact_width_is_a_floor_on_every_outer_face():
+    # twin-width is a graph invariant, so one exact search per graph bounds
+    # the verified width of every rebuild from below, in both modes
+    t0 = time.perf_counter()
+    builds = 0
+    for G, g in planar_atlas():
+        n, edges = G.number_of_nodes(), list(G.edges())
+        exact = tp.exact_twinwidth(n, edges).width
+        rebuilt = every_outer_face(g) if g.m and g.ncomp == 1 else [g]
+        bipartite = nx.is_bipartite(G)
+        for h in rebuilt:
+            _, report = tp.planar_sequence(h)
+            assert exact <= report.width, ("planar", n, edges, h.outer_dart)
+            builds += 1
+            if bipartite:
+                _, report = tp.bipartite_sequence(h)
+                assert exact <= report.width, ("bipartite", n, edges,
+                                               h.outer_dart)
+                builds += 1
+    # the outer-face rebuilds, and the 241 graphs without an edge or with
+    # several components (77 of them bipartite) as embedded
+    assert builds == 3888 + 150 + 241 + 77
     assert time.perf_counter() - t0 < 20.0

@@ -9,7 +9,9 @@ tree in ``layering``) instead of timing the build, so machine noise cannot
 flake it.  A second guard counts
 a verified build, so that the replay in ``trigraph`` (restriction and
 verification) is held to the same bound, and a third the left-alignment
-check that ``--assert`` runs on the tree.
+check that ``--assert`` runs on the tree.  The same counts show that a
+plain build runs no line of ``instrument``, and that a checked planar
+build does flat work per step there.
 """
 
 from __future__ import annotations
@@ -116,4 +118,36 @@ def test_left_alignment_check_work_per_vertex_flat_on_nested_cycles():
                             {"layering.py"}) / g.n
 
     a, b = per_vertex(128), per_vertex(256)
+    assert b <= 1.05 * a, (a, b)
+
+
+# -- the cost of instrumentation ---------------------------------------------
+
+
+@pytest.mark.parametrize("build, graph", [
+    (planar_sequence_full, lambda: tp.gen_triangulation(300, 3)),
+    (bipartite_sequence_full, lambda: tp.gen_grid(12, 15)),
+], ids=["planar", "bipartite"])
+def test_plain_build_runs_no_instrumentation(build, graph):
+    # a plain build calls no checker hook, so instrumentation costs nothing
+    # when it is off
+    g = graph()
+    assert _count_lines(lambda: build(g, None, True), {"instrument.py"}) == 0
+
+
+def test_checker_work_per_step_flat_on_stacked_triangulations():
+    """Line events in ``instrument.py`` per emitted step.  Bipartite grids
+    are left out: ``pop_region`` walks every survivor of a region, which
+    is Theta(depth) per region there."""
+    def per_step(n):
+        g = tp.gen_triangulation(n, 0)
+        built = {}
+
+        def run():
+            built["steps"] = planar_sequence_full(
+                g, tp.InvariantChecker("planar"), False)[2][0].steps
+
+        return _count_lines(run, {"instrument.py"}) / len(built["steps"])
+
+    a, b = per_step(1000), per_step(4000)
     assert b <= 1.05 * a, (a, b)

@@ -279,6 +279,14 @@ def test_connect_rejects_the_empty_graph():
         pg.connect_components(pg.build(0, [], [], 0))
 
 
+def test_connect_carries_a_repeated_pair():
+    g = pg.build(4, [(0, 1), (0, 1), (2, 3)], [[0, 2], [3, 1], [4], [5]], 0)
+    assert not g.is_simple()
+    g2, added = pg.connect_components(g)
+    assert added and g2._simple is False
+    assert pg.build(g2.n, g2.edges, g2.rot, g2.outer_dart).is_simple() is False
+
+
 # -- facts derived once per graph ---------------------------------------------
 
 
@@ -339,6 +347,24 @@ def test_derived_facts_match_direct_computation(g):
     simple = g.is_simple()
     assert simple is True and g.is_simple() is simple
     check_odd_cycle(g, colour)
+
+
+@settings(max_examples=40, deadline=None)
+@given(thinned_plane_graphs())
+def test_connect_carries_the_kept_checks(g):
+    # each connector is a new vertex joined to two components: it adds no
+    # repeated pair and no cycle, so g's results hold for the joined graph
+    simple, odd = g.is_simple(), pg.find_odd_cycle(g)
+    g2, _ = pg.connect_components(g)
+    fresh = pg.build(g2.n, g2.edges, g2.rot, g2.outer_dart)
+    assert g2._simple is simple is fresh.is_simple()
+    assert pg.find_odd_cycle(g2) == odd
+    assert (odd is None) == (pg.find_odd_cycle(fresh) is None)
+    if odd is not None:  # still a cycle of the joined graph
+        pairs = {frozenset(e) for e in g2.edges}
+        assert all(frozenset((odd[i - 1], odd[i])) in pairs
+                   for i in range(len(odd)))
+
 
 
 def components_and_colouring(g):
