@@ -34,7 +34,6 @@ class BfsTree:
     parent: list[int]
     parent_dart: list[int]
     depth: list[int]
-    order: list[int] = field(default_factory=list, repr=False)  # dfs preorder
     tin: list[int] = field(default_factory=list, repr=False)
     tout: list[int] = field(default_factory=list, repr=False)
 
@@ -133,15 +132,13 @@ def left_aligned_bfs_tree(g: PlaneGraph, r: int) -> BfsTree:
     # in queue order, each child takes its parent's next free preorder number
     tin = [0] * n
     tout = [1] * n
-    order = [r] * n
     for w in q[1:]:
         p = parent[w]
         i = tout[p]
         tin[w] = i
-        order[i] = w
         tout[w] = i + 1
         tout[p] = i + size[w]
-    return BfsTree(g, r, parent, parent_dart, depth, order, tin, tout)
+    return BfsTree(g, r, parent, parent_dart, depth, tin, tout)
 
 
 def check_left_aligned(g: PlaneGraph, t: BfsTree) -> tuple[int, int] | None:

@@ -56,12 +56,12 @@ class PlaneGraph:
         outer_dart: a dart whose left face is the outer face.
 
     ``build`` is the only constructor and derives the rest: per-dart
-    ``tail``, ``head``, ``pos`` (index in the tail's rotation),
-    ``face_next`` (the next dart of the face on the dart's left) and
-    ``face_of``; the face walks ``faces`` in order of their smallest dart,
-    each starting there; ``outer_face``; and ``comp``, the component id of
-    every vertex (components numbered by smallest vertex), with ``ncomp``
-    components.  Nothing changes after ``build``, so the whole-graph checks
+    ``tail``, ``head``, ``pos`` (index in the tail's rotation) and
+    ``face_next`` (the next dart of the face on the dart's left); the face
+    walks ``faces`` in order of their smallest dart, each starting there;
+    ``outer_face``; and ``comp``, the component id of every vertex
+    (components numbered by smallest vertex), with ``ncomp`` components.
+    Nothing changes after ``build``, so the whole-graph checks
     ``is_simple()`` and ``find_odd_cycle(g)`` run at most once per graph and
     keep their result on it.
     """
@@ -76,7 +76,6 @@ class PlaneGraph:
     head: list[int] = field(default_factory=list, repr=False)
     pos: list[int] = field(default_factory=list, repr=False)
     face_next: list[int] = field(default_factory=list, repr=False)
-    face_of: list[int] = field(default_factory=list, repr=False)
     faces: list[list[int]] = field(default_factory=list, repr=False)
     outer_face: int = -1
     comp: list[int] = field(default_factory=list, repr=False)
@@ -170,7 +169,6 @@ def _trace_faces(g: PlaneGraph, nxt: list[int]) -> None:
             walk.append(d)
             d = nxt[d]
         walks.append(walk)
-    g.face_of = face_of
     g.faces = walks or [[]]
     g.outer_face = face_of[g.outer_dart] if walks else 0
 
@@ -390,10 +388,15 @@ def _complete_faces(g0: PlaneGraph, what: str, is_done, fill) -> tuple[PlaneGrap
     vertex is keyed by the boundary dart it follows, so a walk that visits
     a vertex twice gets its spokes in the right wedge.
 
-    ``g0``'s vertex and edge ids are kept and the new ones appended, so
-    ``g0`` stays induced.  Returns the completion and the appended vertex
-    ids, after checking that it is simple, that every face passes
-    ``is_done`` and that ``g0`` is still induced.
+    ``g0``'s vertex and edge ids are kept and the new ones appended.
+    Returns the completion and the appended vertex ids, after deciding
+    each postcondition once:
+
+    * ``g0`` induced: the first ``g0.m`` edges are ``g0``'s and every
+      appended edge has a new end;
+    * simple: ``g0`` is, and an edge with a new end repeats no old edge, so
+      only the appended edges are compared with each other;
+    * complete: the result is connected and every face passes ``is_done``.
     """
     if not g0.is_simple():
         raise PlaneError(f"{what} requires a simple graph")
@@ -413,13 +416,15 @@ def _complete_faces(g0: PlaneGraph, what: str, is_done, fill) -> tuple[PlaneGrap
         if f == g1.outer_face:
             outer = sp.new_rot[x][0]
     g = sp.finalize(outer)
-    if not g.is_simple():
-        raise PlaneError(f"{what} result is not simple")
-    if not all(is_done(g.tail, w) for w in g.faces):
-        raise PlaneError(f"incomplete face after {what}")
-    n0, m0 = g0.n, g0.m
-    if g.edges[:m0] != g0.edges or any(u < n0 and v < n0 for u, v in g.edges[m0:]):
+    n, n0, m0 = g.n, g0.n, g0.m
+    appended = g.edges[m0:]
+    if g.edges[:m0] != g0.edges or any(u < n0 and v < n0 for u, v in appended):
         raise PlaneError("completion changed the induced subgraph on old vertices")
+    keys = {u * n + v if u < v else v * n + u for u, v in appended}
+    if len(keys) != len(appended):
+        raise PlaneError(f"{what} result is not simple")
+    if g.ncomp != 1 or not all(is_done(g.tail, w) for w in g.faces):
+        raise PlaneError(f"incomplete face after {what}")
     return g, range(n0, g.n)
 
 
@@ -446,17 +451,18 @@ def quadrangulate(g0: PlaneGraph) -> tuple[PlaneGraph, range]:
     Every face that is not a simple 4-cycle receives a ring cycle matched to
     its boundary-walk positions (spokes x_i-v_i) plus one hub joined to
     alternate ring vertices, yielding quadrilateral strip and hub faces.
+
+    ``_complete_faces`` decides simple, induced, connected and every face a
+    4-cycle; those stand for the rest.  In a connected plane graph whose
+    faces are all 4-cycles, the face walks span the cycle space mod 2, so
+    every cycle is even and the graph is bipartite; and a cut vertex would
+    appear twice on the walk of a face it separates, so the graph is
+    2-connected.
     """
     odd = find_odd_cycle(g0)
     if odd is not None:
         raise PlaneError(f"not bipartite: odd cycle {odd}")
-    g, added = _complete_faces(g0, "quadrangulate", _is_quad, _quad_ring)
-    if added:  # else g0 is bipartite and all its faces are 4-cycles
-        if find_odd_cycle(g) is not None:
-            raise PlaneError("quadrangulation lost bipartiteness")
-        if articulation_points(g):
-            raise PlaneError("quadrangulation is not 2-connected")
-    return g, added
+    return _complete_faces(g0, "quadrangulate", _is_quad, _quad_ring)
 
 
 def _split_order2_faces(g: PlaneGraph) -> PlaneGraph:
@@ -581,43 +587,6 @@ def _quad_ring(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
         r.append(fwd[i - 1] ^ 1)
         sp.set_new_rotation(ring[i], r)
     return ring[0]
-
-
-def articulation_points(g: PlaneGraph) -> list[int]:
-    """Cut vertices via iterative lowpoint DFS (independent validator)."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    out: set[int] = set()
-    timer = 0
-    for s in range(g.n):
-        if disc[s] != -1:
-            continue
-        root_children = 0
-        stack: list[tuple[int, int, int]] = [(s, -1, 0)]
-        while stack:
-            v, parent, i = stack.pop()
-            if i == 0:
-                disc[v] = low[v] = timer
-                timer += 1
-            if i < len(g.rot[v]):
-                stack.append((v, parent, i + 1))
-                w = g.head[g.rot[v][i]]
-                if disc[w] == -1:
-                    if v == s:
-                        root_children += 1
-                    stack.append((w, v, 0))
-                elif w != parent:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            else:
-                if parent != -1:
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if v != s and parent != s and low[v] >= disc[parent]:
-                        out.add(parent)
-        if root_children > 1:
-            out.add(s)
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -85,10 +85,10 @@ def _bicore(ctx: BuildCtx, lid_dart: int, sink: int):
 
 
 def _bishrink(ctx: BuildCtx, lid_dart: int, sink: int, adds):
-    """Rest of a region shrunk across its lid face: one sub-call, then the
-    second stage with ``adds``."""
+    """Rest of a region shrunk across its lid face: one sub-call, then
+    ``adds`` merged into its survivors below the sink level."""
     surv = yield _bicore(ctx, lid_dart, sink)
-    out = _bi_second_stage(ctx, surv, adds, sink)
+    out = merge_survivors(ctx, surv, adds, ctx.t.depth[sink], "the sink level")
     if ctx.checker is not None:
         ctx.checker.pop_region(out.values())
     return out
@@ -147,17 +147,10 @@ def _bisplit(ctx: BuildCtx, sink: int, v1: int, v2: int, p3_from: int,
         surv1, surv2 = surv2, surv1
     adds += u3_levels.items()
     adds += surv2.items()
-    out = _bi_second_stage(ctx, surv1, adds, sink)
+    out = merge_survivors(ctx, surv1, adds, ds, "the sink level")
     if ctx.checker is not None:
         ctx.checker.pop_region(out.values())
     return out
-
-
-def _bi_second_stage(ctx: BuildCtx, base: dict[int, int], adds,
-                     sink: int) -> dict[int, int]:
-    """Merge ``adds`` into the child survivors ``base`` with one pairwise
-    pass, deepest first; leaves the face 1-reduced, in ``base``."""
-    return merge_survivors(ctx, base, adds, ctx.t.depth[sink], "the sink level")
 
 
 # ---------------------------------------------------------------------------

@@ -311,18 +311,21 @@ def restrict_sequence(seq: ContractionSequence, keep: Iterable[int]
     A contraction survives iff both sides still represent at least one kept
     original vertex; the kept originals are renumbered 0..k-1 in sorted
     order and fresh ids follow deterministically.  Dummy steps are dropped.
+    A kept id outside 0..n-1 raises ``SequenceError``.
     """
     keep_sorted = sorted(set(keep))
     n = seq.n
     k = len(keep_sorted)
+    if keep_sorted and not (0 <= keep_sorted[0] and keep_sorted[-1] < n):
+        bad = keep_sorted[0] if keep_sorted[0] < 0 else keep_sorted[-1]
+        raise SequenceError(f"kept vertex {bad} outside 0..{n - 1}")
     # per dense id: number of kept originals, restricted id or -1
     size = n + len(seq.steps)
     cnt = [0] * size
     rid = [-1] * size
     for i, v in enumerate(keep_sorted):
-        if 0 <= v < n:
-            cnt[v] = 1
-            rid[v] = i
+        cnt[v] = 1
+        rid[v] = i
     out = ContractionSequence(k)
     append = out.steps.append
     fresh = k

@@ -21,6 +21,17 @@ def test_every_traced_layer_has_a_binding():
     assert Tracer().unmeasured == []
 
 
+# The layers every request of a workload runs through, and those only some
+# workloads do work in.  A layer whose binding still exists but is no longer
+# called reads 0.0, not None, so only its span count shows the bypass.
+RUN_BY_EVERY_REQUEST = ("plane_graph.parse", "plane_graph.validate",
+                        "plane_graph.build", "layering.tree", "seq_{mode}.core",
+                        "trigraph.verify", "trigraph.write")
+RUN_BY = {"planar-sparse": ("plane_graph.connect", "plane_graph.complete",
+                            "trigraph.restrict"),
+          "planar-assert": ("instrument.check",)}
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_a_traced_request_measures_every_layer(name):
     wl = WORKLOADS[name]
@@ -32,6 +43,10 @@ def test_a_traced_request_measures_every_layer(name):
     sample = harness.layer_sample(tracer, reply, wl.mode, 1.0)
     assert sorted(sample) == sorted(harness.PER_LAYER_UNITS)
     assert [m for m, v in sample.items() if v is None] == []
+    runs = [layer.format(mode=wl.mode) for layer in RUN_BY_EVERY_REQUEST]
+    runs += RUN_BY.get(name, ())
+    calls = tracer.self_times()[1]
+    assert [layer for layer in runs if not calls.get(layer)] == []
 
 
 @pytest.mark.parametrize("name, checked", [("planar-assert", True),

@@ -66,11 +66,16 @@ def first_left_edge(g, t):
     return None
 
 
+def _preorder(t):
+    """The vertices in order of their preorder numbers ``tin``."""
+    return sorted(range(len(t.tin)), key=t.tin.__getitem__)
+
+
 def _fill_tout(t):
     # tin was assigned in preorder; tout[v] = max tin in v's subtree + 1
     tout = [i + 1 for i in t.tin]
     parent = t.parent
-    for v in t.order[:0:-1]:  # children before parents, root left out
+    for v in _preorder(t)[:0:-1]:  # children before parents, root left out
         p = parent[v]
         if tout[v] > tout[p]:
             tout[p] = tout[v]
@@ -108,7 +113,7 @@ def dfs_left_aligned_tree(g, r):
                 parent_dart[w] = d ^ 1
         kids.sort(key=lambda w: walk.index(parent_dart[w] ^ 1))
         stack += reversed(kids)
-    t = ly.BfsTree(g, r, parent, parent_dart, depth, order, tin)
+    t = ly.BfsTree(g, r, parent, parent_dart, depth, tin)
     _fill_tout(t)
     return t
 
@@ -129,11 +134,12 @@ def random_bfs_tree(g, r, rng):
         if parent[v] != -1:
             kids[parent[v]].append(v)
     t.tin = [0] * g.n
+    clock = 0
     stack = [r]
     while stack:
         v = stack.pop()
-        t.tin[v] = len(t.order)
-        t.order.append(v)
+        t.tin[v] = clock
+        clock += 1
         stack += kids[v]
     _fill_tout(t)
     return t
@@ -213,7 +219,6 @@ def test_violating_tree_is_reported():
     for d in g.rot[3]:
         if g.head[d] == other:
             bad.parent_dart[3] = d
-    bad.order = t.order
     bad.tin, bad.tout = t.tin, t.tout
     _fill_tout(bad)  # tin/tout stale is fine for this check
     viol = ly.check_left_aligned(g, bad)
@@ -303,12 +308,12 @@ def test_multigraph_child_order_follows_the_lowest_parallel_edge():
     assert g.pos[ly._root_anchor(g, 0)] == 0
     t = ly.left_aligned_bfs_tree(g, 0)
     assert t.parent_dart == [-1, 3, 1]
-    assert t.order == [0, 1, 2]
+    assert _preorder(t) == [0, 1, 2]
     assert t.tin == [0, 1, 2]
 
 
 def _tree_fields(t):
-    return (t.parent, t.parent_dart, t.depth, t.order, t.tin, t.tout)
+    return (t.parent, t.parent_dart, t.depth, t.tin, t.tout)
 
 
 def _with_parallel_copies(g, every):
@@ -434,7 +439,6 @@ def test_fig_example_drawn_tree_violates_left_alignment():
             if p == v:
                 t.depth[w] = t.depth[v] + 1
                 order.append(w)
-    t.order = order
     t.tin = [0] * g.n
     clock = 0
     seen = [0]

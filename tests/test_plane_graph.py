@@ -1,6 +1,7 @@
 import random
 import re
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,7 +232,7 @@ def test_quadrangulate_k2():
     assert all(len(w) == 4 for w in g2.faces)
     assert g2.is_simple()
     assert pg.find_odd_cycle(g2) is None
-    assert pg.articulation_points(g2) == []
+    assert nx.is_biconnected(nx_graph(g2))
     old = {(u, v) for u, v in g2.edges if u < 2 and v < 2}
     assert old == {(0, 1)}
 
@@ -245,7 +246,102 @@ def test_quadrangulate_rejects_odd_cycle():
 def test_quadrangulate_two_connected():
     g = path3()
     g2, _ = pg.quadrangulate(g)
-    assert pg.articulation_points(g2) == []
+    assert nx.is_biconnected(nx_graph(g2))
+
+
+def nx_graph(g):
+    """g as a networkx graph: an oracle that shares no code with ours."""
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    return G
+
+
+# -- completion postconditions: each refused fill keeps its message -----------
+
+
+def _duplicate_spoke_fill(sp, walk, g):
+    # the apex fill plus a parallel copy of the apex's first spoke, placed
+    # next to it at both ends so that the two bound a digon
+    a = pg._fill_triangles(sp, walk, g)
+    e = sp.add_edge(g.tail[walk[0]], a)
+    sp.insert_after(walk[0], 2 * e)
+    sp.new_rot[a].insert(0, 2 * e + 1)
+    return a
+
+
+def _chord_fill(sp, walk, g):
+    # a chord between two old corners of the inner face, the apex fill
+    # outside: every face a triangle, but g0 no longer induced
+    if g.outer_dart in walk:
+        return pg._fill_triangles(sp, walk, g)
+    e = sp.add_edge(g.tail[walk[0]], g.tail[walk[2]])
+    sp.insert_after(walk[0], 2 * e)
+    sp.insert_after(walk[2], 2 * e + 1)
+
+
+def _separate_square(sp):
+    """A new 4-cycle joined to nothing old: a second component."""
+    ring, fwd = pg._ring(sp, 4)
+    for i, x in enumerate(ring):
+        sp.set_new_rotation(x, [fwd[i], fwd[i - 1] ^ 1])
+    return ring[0]
+
+
+def _square_beside_fill(sp, walk, g):
+    # the face is left as it is, a 4-walk of P3 whose opposite corners
+    # coincide, and a separate square takes the outer marker
+    return _separate_square(sp)
+
+
+def _ring_and_square_fill(sp, walk, g):
+    # a correct ring fill plus a separate square: every face is a 4-cycle,
+    # but the completion has two components
+    x = pg._quad_ring(sp, walk, g)
+    _separate_square(sp)
+    return x
+
+
+@pytest.mark.parametrize("g0, what, fill, msg", [
+    (square_cycle(), "triangulate", _duplicate_spoke_fill,
+     "triangulate result is not simple"),
+    (square_cycle(), "triangulate", _chord_fill,
+     "completion changed the induced subgraph on old vertices"),
+    (path3(), "quadrangulate", _square_beside_fill,
+     "incomplete face after quadrangulate"),
+    (path3(), "quadrangulate", _ring_and_square_fill,
+     "incomplete face after quadrangulate"),
+], ids=["duplicate-edge", "old-old-edge", "coinciding-corners", "two-components"])
+def test_complete_faces_refuses_a_broken_fill(g0, what, fill, msg):
+    is_done = pg._is_triangle if what == "triangulate" else pg._is_quad
+    with pytest.raises(pg.PlaneError, match=f"^{re.escape(msg)}$"):
+        pg._complete_faces(g0, what, is_done, fill)
+
+
+def _quadrangulation_inputs():
+    graphs = [g for G, g in planar_atlas() if nx.is_bipartite(G)]
+    graphs += [thinned(gen_grid(r, c), keep, s) for r, c in ((2, 3), (6, 9), (13, 11))
+               for keep in (0.3, 0.6, 0.9) for s in range(3)]
+    graphs += [thinned(gen_stacked_quadrangulation(n, s), keep, s)
+               for n in (10, 80, 300) for keep in (0.3, 0.6, 0.9) for s in range(3)]
+    return graphs
+
+
+def test_quadrangulate_agrees_with_networkx():
+    # the face check stands for "bipartite" and "2-connected": networkx,
+    # which shares no code with it, must agree on every completion
+    grown = 0
+    for g0 in _quadrangulation_inputs():
+        gc, _ = pg.connect_components(g0)
+        g, added = pg.quadrangulate(gc)
+        G = nx_graph(g)
+        assert G.number_of_edges() == g.m  # simple
+        assert nx.is_bipartite(G) and nx.is_biconnected(G)
+        assert all(pg._is_quad(g.tail, w) for w in g.faces)
+        assert gc.edges[:g0.m] == g0.edges and g.edges[:gc.m] == gc.edges
+        assert all(max(e) >= gc.n for e in g.edges[gc.m:])  # gc stays induced
+        grown += bool(added)
+    assert grown > 100
 
 
 # -- connect_components -------------------------------------------------------
@@ -336,7 +432,7 @@ def test_derived_facts_match_direct_computation(g):
             d = succ[d]
         orbits.append(walk)
     assert g.faces == (orbits or [[]])
-    assert all(g.face_of[d] == f for f, w in enumerate(g.faces) for d in w)
+    assert g.m == 0 or g.outer_dart in g.faces[g.outer_face]
 
     comps, colour = components_and_colouring(g)
     got = pg.connected_components(g)

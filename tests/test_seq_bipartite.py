@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 import twinplanar as tp
 from twinplanar import layering as ly
 from twinplanar import plane_graph as pg
-from twinplanar.buildctx import BuildCtx
+from twinplanar.buildctx import BuildCtx, merge_survivors
 from twinplanar.instrument import InvariantChecker
-from twinplanar.seq_bipartite import _bi_second_stage, bipartite_sequence_full
+from twinplanar.seq_bipartite import bipartite_sequence_full
 
 
 def cycle_graph(n):
@@ -120,13 +120,13 @@ def test_bi_second_stage_empty_and_pairs():
     g = tp.gen_grid(5, 5)
     t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
     ctx = BuildCtx(g, t)
-    assert _bi_second_stage(ctx, {}, (), t.root) == {}
+    assert merge_survivors(ctx, {}, (), t.depth[t.root], "the sink level") == {}
     by_level = _by_level(g, t)
     base = {lv: vs[0] for lv, vs in by_level.items() if len(vs) >= 2}
     adds = [(lv, by_level[lv][1]) for lv in base]
     levels = sorted(base)
     k = len(levels)
-    out = _bi_second_stage(ctx, base, adds, t.root)
+    out = merge_survivors(ctx, base, adds, t.depth[t.root], "the sink level")
     assert sum(1 for s in ctx.steps if s[0] == "k") == k  # one per level
     assert sorted(out) == levels
 
@@ -149,7 +149,7 @@ def test_bi_second_stage_rejects_a_third_vertex_on_a_level():
                        ({}, [(lv, a), (lv, b), (lv, c)])):
         ctx = BuildCtx(g, t)
         with pytest.raises(tp.BuilderError, match=f"level {lv} holds 3 vertices"):
-            _bi_second_stage(ctx, base, adds, t.root)
+            merge_survivors(ctx, base, adds, t.depth[t.root], "the sink level")
         assert ctx.steps == []
 
 
@@ -164,7 +164,8 @@ def test_bi_second_stage_rejects_an_added_vertex_at_the_sink_level():
     a, b = by_level[lv][:2]
     sink, x = by_level[lv - 1][:2]
     with pytest.raises(tp.BuilderError, match="sink level"):
-        _bi_second_stage(ctx, {lv: a}, [(lv, b), (lv - 1, x)], sink)
+        merge_survivors(ctx, {lv: a}, [(lv, b), (lv - 1, x)], t.depth[sink],
+                        "the sink level")
     assert ctx.steps == []
 
 

@@ -313,6 +313,15 @@ def test_restrict_singleton_empty():
     assert sub.is_full()
 
 
+@pytest.mark.parametrize("keep, bad", [([0, 1, 99], 99), ([-1, 0, 1], -1),
+                                       ([0, 10], 10)])
+def test_restrict_rejects_a_kept_id_outside_the_sequence(keep, bad):
+    g = tp.gen_triangulation(10, 0)
+    seq, _ = tp.planar_sequence(g)
+    with pytest.raises(tg.SequenceError, match=f"kept vertex {bad} outside 0..9"):
+        tg.restrict_sequence(seq, keep)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(5, 40), st.integers(0, 10 ** 6), st.randoms())
 def test_restrict_monotone(n, seed, rng):
