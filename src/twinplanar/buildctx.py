@@ -24,7 +24,8 @@ class BuilderError(RuntimeError):
 
 
 class BuildCtx:
-    """Step emitter plus static geometry shared by every recursive call."""
+    """Contraction emitter plus static geometry shared by every recursive
+    call."""
 
     def __init__(self, g: PlaneGraph, t: BfsTree, checker=None):
         self.g = g
@@ -40,11 +41,6 @@ class BuildCtx:
         if self.checker is not None:
             self.checker.on_contract(x, y, z)
         return z
-
-    def decrease(self, x: int) -> None:
-        self.steps.append(("d", x))
-        if self.checker is not None:
-            self.checker.on_decrease(x)
 
     def sequence(self) -> ContractionSequence:
         return ContractionSequence(self.g.n, list(self.steps))

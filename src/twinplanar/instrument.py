@@ -38,8 +38,6 @@ replay.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .layering import BfsTree
 from .plane_graph import PlaneGraph
 from .seq_bipartite import WIDTH_BOUND as BIPARTITE_BOUND
@@ -52,19 +50,6 @@ OFF, ON, ON_RIGHT = 0, 1, 2
 
 class InvariantViolation(AssertionError):
     pass
-
-
-class RegionSpec(NamedTuple):
-    """A region as it enters: P1 and P2 run from the lid ends ``v1`` and
-    ``v2`` up to ``sink``; ``b1`` is the top sub-face's lid (a1, b1), ``b2``
-    the side sub-face's lid and vertical path P0 as (a2, b2, u1, v0).  The
-    checker keeps a region as a plain tuple of these fields, in this order."""
-
-    sink: int
-    v1: int
-    v2: int
-    b1: tuple[int, int] | None
-    b2: tuple[int, int, int, int] | None
 
 
 def region_bounds(t: BfsTree, spec: tuple) -> tuple:
@@ -143,7 +128,8 @@ class InvariantChecker:
         # up in (-1: none), and its original level while it stems from one
         self.region: list[int] = []
         self.pure: list[int | None] = []
-        # per active region: [rid, RegionSpec tuple, region_bounds or None]
+        # per active region: [rid, (sink, v1, v2, b1, b2), region_bounds or
+        # None]
         self.stack: list[list] = []
         self._next_rid = 0
         self.final_phase = False
@@ -161,6 +147,10 @@ class InvariantChecker:
         self.pure = [*t.depth, *[None] * (n - 1)]
 
     def push_region(self, sink: int, v1: int, v2: int, b1, b2) -> None:
+        """A region as it enters: P1 and P2 run from the lid ends ``v1`` and
+        ``v2`` up to ``sink``; ``b1`` is the top sub-face's lid (a1, b1),
+        ``b2`` the side sub-face's lid and vertical path P0 as (a2, b2, u1,
+        v0).  The region is kept as the tuple (sink, v1, v2, b1, b2)."""
         self._check_division(sink, v1, v2, b1, b2)
         self.stack.append([self._next_rid, (sink, v1, v2, b1, b2), None])
         self._next_rid += 1
@@ -262,10 +252,6 @@ class InvariantChecker:
             raise InvariantViolation(
                 f"sink-protection broken: {z} adjacent to sink {s} stems from "
                 f"mixed levels")
-
-    def on_decrease(self, x: int) -> None:
-        self.steps_checked += 1
-        self.sim.decrease_level(x)  # validates legality
 
     # -- condition checks ---------------------------------------------------
 

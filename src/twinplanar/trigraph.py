@@ -7,6 +7,8 @@ black and turns every other inherited adjacency red:
 
 A sequence's width is the maximum red degree seen after any step; dummy
 ``d x`` steps lower the level of x by one and never touch adjacency.  The
+builders emit contractions only; ``d`` steps come from sequences read
+from files, which the verifier checks all the same.  The
 trigraph keeps a histogram of red degrees, updated by each contraction
 only at z and its red neighbours, so the verifier reads the running
 maximum after every step in O(1).
@@ -15,8 +17,8 @@ A trigraph stores its adjacency and levels in lists indexed by the dense
 ids of the sequence, 0..2n-2: ``black[v]`` and ``red[v]`` are sets, and
 both are ``None`` once v is contracted; ``level`` is a list as well.
 ``Trigraph.replay`` holds the one definition of a step: the verifier
-replays a whole sequence through it, and ``contract`` and
-``decrease_level`` are one-step replays.
+replays a whole sequence through it, and ``contract`` is a one-step
+replay.
 """
 
 from __future__ import annotations
@@ -94,8 +96,11 @@ class Trigraph:
         self.red: list[set[int] | None] = [set() for _ in range(n)]
         self._red_hist = [n] + [0] * n  # all n vertices start at red degree 0
         self._max_red = 0
+        if levels is not None and len(levels) != n:
+            raise SequenceError(
+                f"{len(levels)} levels given for {n} vertices")
         self.level: list[int | None] | None = (
-            [levels[v] for v in range(n)] if levels is not None else None)
+            list(levels) if levels is not None else None)
         self.next_id = n
         self.steps_done = 0
 
@@ -224,12 +229,6 @@ class Trigraph:
         self.replay((("k", x, y, z),), [])
         return z
 
-    def decrease_level(self, x: int) -> None:
-        """Lower the level of x by one (a ``d`` step)."""
-        if self.level is None:
-            raise SequenceError("no level assignment present")
-        self.replay((("d", x),), [])
-
 
 # ---------------------------------------------------------------------------
 # Level-assignment checks
@@ -248,8 +247,7 @@ def classify_step(t: Trigraph, step: Step, mode: str) -> str:
     shallower level.  ``mode`` selects the discipline being enforced:
     "preserving" accepts only same-level contractions, "respecting" also
     the one-apart case.  A dummy level decrease is no contraction and
-    classifies as a violation; ``Trigraph.decrease_level`` checks its
-    legality.
+    classifies as a violation; ``Trigraph.replay`` checks its legality.
     """
     if mode not in ("preserving", "respecting"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -282,7 +280,8 @@ def verify_sequence(n: int, edges: Iterable[tuple[int, int]],
                     debug_recheck: int = 0) -> WidthReport:
     """Replay a sequence, reporting the exact max red degree after each step.
 
-    Levels are optional; without them ``d`` steps are replayed unchecked.
+    Levels are optional, one per vertex of the graph; without them ``d``
+    steps are replayed unchecked.
     With ``debug_recheck=k`` the incremental red-degree maximum is recomputed
     from scratch every k steps to catch drift; a negative k is a
     ``ValueError``.  Errors name the failing step: ``"step i: ..."``.

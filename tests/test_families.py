@@ -8,16 +8,26 @@ bipartite, with the per-step ``InvariantChecker`` on.  The dense-matrix
 ``reference_verify`` must agree with the builder's own verified report on
 the width and on the maximum red degree after every step.  The examples
 are derandomized, so every run draws the same graphs.
+
+Deep, non-stacked triangulations get the same checks: triangulated grids
+with seeded random diagonals and nested triangles, whose BFS depth grows
+with their size, embedded straight-line from coordinates, on any outer
+face and thinned.
 """
 
 from __future__ import annotations
 
+import math
+import random
+
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinplanar as tp
 from test_atlas import _check_both_modes
+from test_plane_graph import thinned
 
 N_MAX = 40
 
@@ -96,3 +106,93 @@ def test_checked_builds_on_one_family(graph):
 @given(union_of_two())
 def test_checked_builds_on_a_union_of_two_families(graph):
     check_both_modes(*graph)
+
+
+# -- deep triangulations -------------------------------------------------------
+
+
+def straight_line(xy, edges):
+    """The plane graph drawn with straight edges at the points ``xy``, each
+    rotation in angle order."""
+    darts = [[] for _ in xy]
+    for e, (u, v) in enumerate(edges):
+        (xu, yu), (xv, yv) = xy[u], xy[v]
+        darts[u].append((math.atan2(yv - yu, xv - xu), 2 * e))
+        darts[v].append((math.atan2(yu - yv, xu - xv), 2 * e + 1))
+    return tp.build(len(xy), edges, [[d for _, d in sorted(r)] for r in darts],
+                    0)
+
+
+def on_face(g, i):
+    """g rebuilt with its face i (modulo the face count) as the outer face;
+    g itself when it has no edge."""
+    if not g.m:
+        return g
+    return tp.build(g.n, g.edges, g.rot, g.faces[i % len(g.faces)][0])
+
+
+def triangulated_grid(rows, cols, seed):
+    """A rows x cols grid with one diagonal per cell, each drawn by seed."""
+    rng = random.Random(seed)
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+                if c + 1 < cols:
+                    edges.append((v, v + cols + 1) if rng.random() < 0.5
+                                 else (v + 1, v + cols))
+    return straight_line([(c, r) for r in range(rows) for c in range(cols)],
+                         edges)
+
+
+def nested_triangles(k, seed):
+    """k concentric triangles, each joined to the next by three rungs and
+    a diagonal per quadrilateral, each drawn by seed."""
+    rng = random.Random(seed)
+    xy, edges = [], []
+    for i in range(k):
+        for j in range(3):
+            a = 2 * math.pi * j / 3
+            xy.append((math.cos(a) / (i + 1), math.sin(a) / (i + 1)))
+        b = 3 * i
+        edges += [(b, b + 1), (b + 1, b + 2), (b + 2, b)]
+        for j in range(3 if i else 0):
+            p, q = b - 3 + j, b - 3 + (j + 1) % 3
+            edges.append((p, b + j))
+            edges.append((p, q + 3) if rng.random() < 0.5 else (q, b + j))
+    return straight_line(xy, edges)
+
+
+@st.composite
+def deep_triangulation(draw):
+    seed = draw(st.integers(0, 999))
+    if draw(st.booleans()):
+        rows = draw(st.integers(2, N_MAX // 2))
+        g = triangulated_grid(rows, draw(st.integers(2, N_MAX // rows)), seed)
+    else:
+        g = nested_triangles(draw(st.integers(1, N_MAX // 3)), seed)
+    keep = draw(st.sampled_from([1.0, 0.8, 0.5]))
+    return on_face(thinned(g, keep, seed), draw(st.integers(0, 99)))
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(deep_triangulation())
+def test_checked_builds_on_deep_triangulations(g):
+    G = nx.Graph(g.edges)
+    G.add_nodes_from(range(g.n))
+    _check_both_modes(G, g, {"planar": 0, "bipartite": 0})
+
+
+@pytest.mark.parametrize("keep", [1.0, 0.6])
+def test_checked_builds_on_a_30x30_triangulated_grid(keep):
+    # BFS depth 13 to 17 on each of these outer faces; reference_verify's
+    # dense replay is quadratic per step, so the builder's own replay decides
+    g = thinned(triangulated_grid(30, 30, 7), keep, 7)
+    for i in range(4):
+        h = on_face(g, i * len(g.faces) // 4)
+        _, report = tp.planar_sequence(h, checker=tp.InvariantChecker("planar"))
+        assert report.width <= 8

@@ -11,7 +11,6 @@ import pytest
 
 import twinplanar as tp
 from twinplanar import layering as ly
-from twinplanar.instrument import RegionSpec
 
 # -- a comb of vertical paths -----------------------------------------------
 #
@@ -60,7 +59,7 @@ def contract(chk, x, y):
 
 
 def plain_region(v):
-    return RegionSpec(0, v["L5"], v["R5"], None, None)
+    return (0, v["L5"], v["R5"], None, None)
 
 
 # (spec, boundary vertex, its cap); the helper I-vertex on the same level
@@ -68,12 +67,12 @@ def plain_region(v):
 BOUNDARY_CAPS = {
     "left-path": (plain_region, "L3", 5),
     "right-path": (plain_region, "R3", 3),
-    "b1-lid": (lambda v: RegionSpec(0, v["L5"], v["R5"], (v["L2"], v["R2"]),
-                                    None), "L2", 2),
-    "b2-left-lid": (lambda v: RegionSpec(
+    "b1-lid": (lambda v: (0, v["L5"], v["R5"], (v["L2"], v["R2"]), None),
+               "L2", 2),
+    "b2-left-lid": (lambda v: (
         0, v["L5"], v["R5"], None, (v["L3"], v["M3"], v["L1"], v["M5"])),
         "L3", 2),
-    "b2-right-lid": (lambda v: RegionSpec(
+    "b2-right-lid": (lambda v: (
         0, v["L5"], v["R5"], None, (v["L3"], v["M3"], v["L1"], v["M5"])),
         "M3", 6),
 }
@@ -119,15 +118,20 @@ def test_checker_rejects_a_red_edge_onto_the_sink():
 
 
 def test_checker_protects_the_sink_from_mixed_levels():
-    chk, v, leaves = bound_checker("planar", {"0": 2})
-    chk.push_region(*plain_region(v))
-    a, b = leaves["0"]
-    chk.on_decrease(a)  # a stems from level 1 but now sits on level 0
-    z = chk.sim.next_id
+    # the sink 1 has the neighbour 2 on its own level, and 3, one level
+    # deeper, sees only 1 and 2: contracting 2 and 3 is level-respecting,
+    # but the result keeps a black edge to the sink and stems from levels 1
+    # and 2
+    edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (1, 4), (1, 5)]
+    g = tp.embed_abstract(6, edges)
+    g = tp.build(g.n, g.edges, g.rot, g.rot[0][0])  # the root 0 outer
+    chk = tp.InvariantChecker("planar")
+    chk.bind(g, ly.left_aligned_bfs_tree(g, 0))
+    chk.push_region(1, 4, 5, None, None)
     with pytest.raises(tp.InvariantViolation, match=re.escape(
-            f"sink-protection broken: {z} adjacent to sink 0 stems from "
-            f"mixed levels")):
-        contract(chk, a, b)
+            "sink-protection broken: 6 adjacent to sink 1 stems from mixed "
+            "levels")):
+        contract(chk, 2, 3)
 
 
 def test_checker_rejects_a_survivor_red_to_the_sink():
@@ -192,22 +196,6 @@ def test_checker_accepts_the_comb_regions_as_built():
     for _ in BOUNDARY_CAPS:
         chk.pop_region([])
     assert chk.stack == []
-
-
-def test_checker_accepts_a_legal_level_decrease():
-    chk, v, leaves = bound_checker("planar", {"L5": 1})
-    (a,) = leaves["L5"]  # level 6, its one neighbour L5 on level 5
-    chk.on_decrease(a)
-    assert chk.sim.level[a] == 5
-    assert chk.steps_checked == 1
-
-
-def test_checker_rejects_a_level_decrease_below_a_neighbour():
-    chk, v, _ = bound_checker("planar")
-    with pytest.raises(tp.SequenceError, match=re.escape(
-            f"illegal level decrease of {v['L4']}: neighbour {v['L5']} at "
-            f"level 5 > 3")):
-        chk.on_decrease(v["L4"])
 
 
 # -- one checker, one build of its own mode ----------------------------------

@@ -344,6 +344,29 @@ def test_quadrangulate_agrees_with_networkx():
     assert grown > 100
 
 
+def test_triangulate_agrees_with_networkx():
+    # the drain's argument in seq_planar rests on the completion being a
+    # simple triangulation, so 3-connected: networkx, which shares no code
+    # with it, must agree on every completion
+    graphs = [g for _, g in planar_atlas()]
+    graphs += [thinned(gen_grid(r, c), keep, s) for r, c in ((2, 3), (4, 5), (7, 6))
+               for keep in (0.3, 0.6, 0.9) for s in range(2)]
+    graphs += [thinned(gen_triangulation(n, s), keep, s)
+               for n in (10, 25, 40) for keep in (0.3, 0.6, 0.9) for s in range(2)]
+    grown = 0
+    for g0 in graphs:
+        gc, _ = pg.connect_components(g0)
+        g, added = pg.triangulate(gc)
+        G = nx_graph(g)
+        assert G.number_of_edges() == g.m  # simple
+        assert all(len(w) == 3 for w in g.faces)
+        assert g.n < 4 or nx.node_connectivity(G) >= 3
+        assert gc.edges[:g0.m] == g0.edges and g.edges[:gc.m] == gc.edges
+        assert all(max(e) >= gc.n for e in g.edges[gc.m:])  # gc stays induced
+        grown += bool(added)
+    assert grown > 1000
+
+
 # -- connect_components -------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -106,18 +107,15 @@ def test_second_stage_drain_only_when_one_per_level():
             base.setdefault(t.depth[v], v)
     levels = {v: lv for lv, v in base.items()}
     out = _second_stage(ctx, base, (), 0, *_pick_lid(g, t), 99)
-    for s in ctx.steps:
-        if s[0] == "k":
-            assert abs(levels[s[1]] - levels[s[2]]) == 1
-            levels[s[3]] = min(levels[s[1]], levels[s[2]])
-        else:
-            levels[s[1]] -= 1
+    for _, x, y, z in ctx.steps:
+        assert abs(levels[x] - levels[y]) == 1
+        levels[z] = min(levels[x], levels[y])
     assert len(out) >= 1
 
 
-def test_second_stage_drain_decreases_across_a_level_gap():
-    # survivors on ell + 3 and ell + 1: the deeper one steps down the gap by
-    # a dummy decrease, meets the other, and their merge steps down to ell
+def test_second_stage_refuses_a_level_gap():
+    # survivors on ell + 3 and ell + 1: no region can hand up such a gap
+    # (see the drain), so the drain stops before it emits a step
     g = tp.gen_triangulation(100, 2)
     t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
     ctx = BuildCtx(g, t)
@@ -125,10 +123,11 @@ def test_second_stage_drain_decreases_across_a_level_gap():
     ell = max(t.depth[v1], t.depth[v2])
     a = next(v for v in range(g.n) if t.depth[v] == ell + 3)
     b = next(v for v in range(g.n) if t.depth[v] == ell + 1)
-    out = _second_stage(ctx, {ell + 3: a, ell + 1: b}, (), 0, v1, v2, 99)
-    z = g.n
-    assert ctx.steps == [("d", a), ("k", a, b, z), ("d", z)]
-    assert out == {ell: z}
+    with pytest.raises(tp.BuilderError, match=re.escape(
+            f"no survivor on level {ell + 2} to drain level {ell + 3} "
+            f"into")):
+        _second_stage(ctx, {ell + 3: a, ell + 1: b}, (), 0, v1, v2, 99)
+    assert ctx.steps == []
 
 
 def _pick_lid(g, t):

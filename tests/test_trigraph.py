@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import twinplanar as tp
 from twinplanar import layering as ly
 from twinplanar import trigraph as tg
-from twinplanar.instrument import (OFF, ON, ON_RIGHT, RegionSpec,
+from twinplanar.instrument import (OFF, ON, ON_RIGHT,
                                    boundary_class, region_bounds)
 
 
@@ -242,15 +242,23 @@ def test_classify_violation():
     assert tg.classify_step(t, ("k", 0, 1, 4), "respecting") == tg.VIOLATION
 
 
+@pytest.mark.parametrize("levels", [[0], [0, 1, 1, 5]], ids=["short", "long"])
+def test_verify_rejects_levels_of_the_wrong_length(levels):
+    seq = tg.ContractionSequence(3, [("k", 0, 1, 3), ("k", 3, 2, 4)])
+    with pytest.raises(tg.SequenceError, match=re.escape(
+            f"{len(levels)} levels given for 3 vertices")):
+        tg.verify_sequence(3, [(0, 1), (1, 2)], seq, levels=levels)
+
+
 def test_min_level_update_and_decrease():
     t = tg.Trigraph(3, [(0, 1), (1, 2)], levels=[3, 4, 3])
     assert t.contract(0, 1) == 3
     assert t.level[3] == 3
     t2 = tg.Trigraph(2, [(0, 1)], levels=[3, 2])
-    t2.decrease_level(0)
+    t2.replay([("d", 0)], [])
     assert t2.level[0] == 2
     with pytest.raises(tg.SequenceError, match="illegal level decrease"):
-        t2.decrease_level(1)
+        t2.replay([("d", 1)], [])
 
 
 def test_good_assignment():
@@ -267,11 +275,8 @@ def test_min_level_respecting_keeps_goodness():
     seq, _rep, (full_seq, G, t) = tp.planar_sequence_full(g)
     sim = tg.Trigraph(G.n, G.edges, levels=t.depth)
     nfinal = 4  # final-phase steps are outside the level discipline
-    for step in full_seq.steps[:-nfinal]:
-        if step[0] == "d":
-            sim.decrease_level(step[1])
-        else:
-            assert sim.contract(step[1], step[2]) == step[3]
+    for _, x, y, z in full_seq.steps[:-nfinal]:
+        assert sim.contract(x, y) == z
         assert is_good_assignment(sim)
 
 
@@ -407,14 +412,14 @@ def test_checker_accepts_a_level_respecting_step():
 
 
 def captured_regions(mode, g):
-    """The completed graph, its tree, and the RegionSpec of every region
-    that a checked build pushes."""
+    """The completed graph, its tree, and the (sink, v1, v2, b1, b2) tuple
+    of every region that a checked build pushes."""
     chk = tp.InvariantChecker(mode)
     specs = []
     push = chk.push_region
 
     def spy(*region):
-        specs.append(RegionSpec(*region))
+        specs.append(region)
         push(*region)
 
     chk.push_region = spy
@@ -425,7 +430,7 @@ def captured_regions(mode, g):
 
 
 def shape(spec):
-    return spec.b1 is not None, spec.b2 is not None
+    return spec[3] is not None, spec[4] is not None
 
 
 def test_checker_sees_every_division_shape():
@@ -438,33 +443,33 @@ def test_checker_sees_every_division_shape():
 
 
 def b2_end_off_p0(t, s):
-    a2, b2v, u1, v0 = s.b2
+    a2, b2v, u1, v0 = s[4]
     w = next(w for w in range(len(t.depth))
              if t.depth[w] == t.depth[b2v] and w != a2
              and not t.is_ancestor(w, v0))
-    return s._replace(b2=(a2, w, u1, v0))
+    return (*s[:4], (a2, w, u1, v0))
 
 
 @pytest.mark.parametrize("mode, region, corrupt, clause", [
     ("planar", (False, False),
-     lambda t, s: s._replace(v2=t.parent[s.v1]),
+     lambda t, s: (s[0], s[1], t.parent[s[1]], *s[3:]),
      "(wrapped) D lid is a tree edge"),
     ("planar", (False, False),
-     lambda t, s: s._replace(sink=s.v2),
+     lambda t, s: (s[2], *s[1:]),
      "(wrapped) D sink is not above both lid ends"),
     ("planar", (True, False),
-     lambda t, s: s._replace(b1=(s.b1[0], t.parent[s.b1[1]])),
+     lambda t, s: (*s[:3], (s[3][0], t.parent[s[3][1]]), s[4]),
      "(pre) B1 lid is not horizontal"),
     ("planar", (True, False),
-     lambda t, s: s._replace(b1=s.b1[::-1]),
+     lambda t, s: (*s[:3], s[3][::-1], s[4]),
      "(b) B1 wrapping paths not subpaths of D's"),
     ("planar", (False, True),
-     lambda t, s: s._replace(b2=(s.b2[0], t.parent[s.b2[1]], *s.b2[2:])),
+     lambda t, s: (*s[:4], (s[4][0], t.parent[s[4][1]], *s[4][2:])),
      "(pre) B2 lid is not horizontal"),
     ("planar", (False, True), b2_end_off_p0,
      "(d) B2 right wrapping path not inside P0 (or P0+P2)"),
     ("bipartite", (False, False),
-     lambda t, s: s._replace(v2=t.parent[s.v1]),
+     lambda t, s: (s[0], s[1], t.parent[s[1]], *s[3:]),
      "(wrapped) D lid is a tree edge"),
 ], ids=["tree-edge-lid", "sink-not-above", "b1-lid-not-horizontal",
         "b1-off-p1-p2", "b2-lid-not-horizontal", "b2-off-p0",
@@ -497,9 +502,9 @@ def walked_boundary(t, spec):
     walked up parent pointers: P1 and P2 less the parts that B1 and B2 cut
     off, and B2's part of P0."""
     dep = t.depth
-    b1, b2 = spec.b1, spec.b2
-    p1 = set(path_up(t, spec.v1, spec.sink))
-    p2 = set(path_up(t, spec.v2, spec.sink))
+    sink, v1, v2, b1, b2 = spec
+    p1 = set(path_up(t, v1, sink))
+    p2 = set(path_up(t, v2, sink))
     out = {}
     for w in p1:
         if b1 is not None and dep[w] < dep[b1[0]]:
