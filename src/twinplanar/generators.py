@@ -11,7 +11,9 @@ Each face is a consistently oriented vertex tuple followed by the internal
 ids of its edges; an insertion numbers the new vertex's edges as it makes
 them.  ``_from_faces`` then gives the edges their final ids, in order of
 first appearance over the final face list, and reads each vertex's rotation
-off the face corners.  Grids compute their edge ids and rotations directly.
+off the face corners.  Grids compute their edge ids and rotations directly
+and hand them, with the outer walk, to the quadrangulation's fill driver.
+Every generator builds its plane graph once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 import random
 from itertools import chain
 
-from .plane_graph import PlaneGraph, build, pause_gc, quadrangulate
+from .plane_graph import (PlaneGraph, _fill_faces, _is_quad, _quad_ring, build,
+                          pause_gc)
 
 
 class GeneratorError(ValueError):
@@ -132,8 +135,16 @@ def gen_stacked_quadrangulation(n: int, seed: int) -> PlaneGraph:
     return _from_faces(n, 2 * n - 4, 4, faces, 1)
 
 
+@pause_gc()
 def gen_grid(rows: int, cols: int) -> PlaneGraph:
-    """rows x cols grid, outer face quadrangulated."""
+    """rows x cols grid, outer face quadrangulated: the same graph as
+    ``quadrangulate`` makes of the plain grid, built once.
+
+    The plain grid is simple, connected and bipartite by construction, and
+    its bounded faces are 4-cycles, so its raw rotation data and its outer
+    walk go straight to the completion driver (``_fill_faces`` with
+    ``_quad_ring``), which fills that walk, builds and checks the result.
+    """
     if rows < 2 or cols < 2:
         raise GeneratorError("grid needs at least 2x2 vertices")
     # vertex (i, j) is i * cols + j; edges are numbered row by row, each
@@ -160,9 +171,21 @@ def gen_grid(rows: int, cols: int) -> PlaneGraph:
             if i:
                 r.append(2 * ((i - 1) * s + 2 * j + east) + 1)  # south
             rotations.append(r)
-    # outer dart 1 runs westbound from (0, 1) along the bottom row
-    g2, _ = quadrangulate(build(rows * cols, edges, rotations, 1))
-    return g2
+    # the outer face is on the left of dart 1, westbound from (0, 1) along
+    # the bottom row; dart 0 has the bottom-left square on its left, so the
+    # walk starts at its smallest dart, as build's face list starts it.  The
+    # face's next dart after d is the rotation predecessor of d ^ 1.
+    tail = list(chain.from_iterable(edges))
+    walk = [1]
+    while True:
+        x = walk[-1] ^ 1
+        r = rotations[tail[x]]
+        d = r[r.index(x) - 1]
+        if d == 1:
+            break
+        walk.append(d)
+    return _fill_faces(rows * cols, edges, rotations, tail, [walk], 0, 1,
+                       "quadrangulate", _is_quad, _quad_ring)
 
 
 def gen_quadrangulation(n: int, seed: int, grid: tuple[int, int] | None = None

@@ -210,16 +210,19 @@ def _check_euler(g: PlaneGraph) -> None:
 class _Splicer:
     """Accumulates new vertices/edges and rebuilds rotations in one pass.
 
-    A new dart registered with ``insert_after(d, nd)`` lands immediately
-    after ``d`` in ccw order, i.e. inside the face on the left of ``d`` at
-    that boundary visit.  Keyed by dart, so walks repeating a vertex get one
-    wedge per visit.
+    Starts from the rotation system ``rot`` of ``n`` vertices joined by
+    ``edges``, raw lists that it reads and never changes.  A new dart
+    registered with ``insert_after(d, nd)`` lands immediately after ``d`` in
+    ccw order, i.e. inside the face on the left of ``d`` at that boundary
+    visit.  Keyed by dart, so walks repeating a vertex get one wedge per
+    visit.
     """
 
-    def __init__(self, g: PlaneGraph):
-        self.g = g
-        self.n = g.n
-        self.edges = list(g.edges)
+    def __init__(self, n: int, edges: Sequence[tuple[int, int]],
+                 rot: Sequence[Sequence[int]]):
+        self.n0 = self.n = n
+        self.rot = rot
+        self.edges = list(edges)
         self.after: dict[int, list[int]] = {}
         self.new_rot: dict[int, list[int]] = {}
         self.tail_extra: dict[int, list[int]] = {}
@@ -240,8 +243,8 @@ class _Splicer:
 
     def attach_anywhere(self, v: int, dart: int) -> None:
         """Place a dart at an old vertex in any face (used across components)."""
-        if self.g.rot[v]:
-            self.insert_after(self.g.rot[v][0], dart)
+        if self.rot[v]:
+            self.insert_after(self.rot[v][0], dart)
         else:
             self.tail_extra.setdefault(v, []).append(dart)
 
@@ -250,14 +253,14 @@ class _Splicer:
 
     def finalize(self, outer: int) -> PlaneGraph:
         rotations: list[list[int]] = []
-        for v in range(self.g.n):
+        for v in range(self.n0):
             r: list[int] = []
-            for d in self.g.rot[v]:
+            for d in self.rot[v]:
                 r.append(d)
                 r.extend(self.after.get(d, ()))
             r.extend(self.tail_extra.get(v, ()))
             rotations.append(r)
-        for v in range(self.g.n, self.n):
+        for v in range(self.n0, self.n):
             rotations.append(self.new_rot[v])
         return build(self.n, self.edges, rotations, outer)
 
@@ -294,7 +297,7 @@ def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, range]:
     anchor_idx = g.comp[g.tail[g.outer_dart]] if g.m else 0
     base = min(comps[anchor_idx])
 
-    sp = _Splicer(g)
+    sp = _Splicer(g.n, g.edges, g.rot)
     outer = g.outer_dart if g.m else None
     for ci, comp_vs in enumerate(comps):
         if ci == anchor_idx:
@@ -378,25 +381,12 @@ def _is_quad(tail: list[int], walk: list[int]) -> bool:
 
 
 def _complete_faces(g0: PlaneGraph, what: str, is_done, fill) -> tuple[PlaneGraph, range]:
-    """Fill every face of a simple connected plane graph that fails
-    ``is_done(tail, walk)`` with ``fill(sp, walk, g)``.  A fill adds new
-    vertices inside the face only and returns one whose first rotation dart
-    has a new face on its left; the outer marker moves there.  Triangles
-    come from the arc fill, one apex per simple arc of the walk
-    (``_fill_triangles``); quadrangles from a ring per corner and a hub
-    (``_quad_ring``).  Each new edge has a new end, and its dart at an old
-    vertex is keyed by the boundary dart it follows, so a walk that visits
-    a vertex twice gets its spokes in the right wedge.
-
-    ``g0``'s vertex and edge ids are kept and the new ones appended.
-    Returns the completion and the appended vertex ids, after deciding
-    each postcondition once:
-
-    * ``g0`` induced: the first ``g0.m`` edges are ``g0``'s and every
-      appended edge has a new end;
-    * simple: ``g0`` is, and an edge with a new end repeats no old edge, so
-      only the appended edges are compared with each other;
-    * complete: the result is connected and every face passes ``is_done``.
+    """Complete a simple connected plane graph by filling every face that
+    fails ``is_done(tail, walk)`` (``_fill_faces``).  ``g0``'s vertex and
+    edge ids are kept and the new ones appended; returns the completion and
+    the appended vertex ids, ``g0`` itself when it is already complete.
+    ``_split_order2_faces`` adds only edges with a new end, so ``g0`` stays
+    induced when the graph handed to the driver does.
     """
     if not g0.is_simple():
         raise PlaneError(f"{what} requires a simple graph")
@@ -406,26 +396,56 @@ def _complete_faces(g0: PlaneGraph, what: str, is_done, fill) -> tuple[PlaneGrap
     tail = g1.tail
     if g1 is g0 and all(is_done(tail, w) for w in g1.faces):
         return g0, range(g0.n, g0.n)  # already complete
+    g = _fill_faces(g1.n, g1.edges, g1.rot, tail, g1.faces, g1.outer_face,
+                    g1.outer_dart, what, is_done, fill)
+    return g, range(g0.n, g.n)
 
-    sp = _Splicer(g1)
-    outer = g1.outer_dart
-    for f, walk in enumerate(g1.faces):
+
+def _fill_faces(n0: int, edges: list[tuple[int, int]], rot: Sequence[Sequence[int]],
+                tail: list[int], walks: list[list[int]], outer_face: int,
+                outer: int, what: str, is_done, fill) -> PlaneGraph:
+    """Build the completion of a simple connected plane graph given as raw
+    data: ``n0`` vertices, ``edges``, rotations ``rot``, per-dart ``tail``
+    and ``outer`` dart.  ``walks`` holds its face walks that may need a fill,
+    each starting at its smallest dart, the outer face's at index
+    ``outer_face``; faces left out must pass ``is_done``.
+
+    Each walk that fails ``is_done(tail, walk)`` gets ``fill(sp, walk,
+    tail)``.  A fill adds new vertices inside the face only and returns one
+    whose first rotation dart has a new face on its left; the outer marker
+    moves there.  Triangles come from the arc fill, one apex per simple arc
+    of the walk (``_fill_triangles``); quadrangles from a ring per corner and
+    a hub (``_quad_ring``).  Each new edge has a new end, and its dart at an
+    old vertex is keyed by the boundary dart it follows, so a walk that
+    visits a vertex twice gets its spokes in the right wedge.
+
+    The one ``build`` keeps the input's vertex and edge ids and appends the
+    new ones; each postcondition is decided once:
+
+    * the input induced: its edges come first and every appended edge has a
+      new end;
+    * simple: the input is, and an edge with a new end repeats no old edge,
+      so only the appended edges are compared with each other;
+    * complete: the result is connected and every face passes ``is_done``.
+    """
+    sp = _Splicer(n0, edges, rot)
+    for f, walk in enumerate(walks):
         if is_done(tail, walk):
             continue
-        x = fill(sp, walk, g1)
-        if f == g1.outer_face:
+        x = fill(sp, walk, tail)
+        if f == outer_face:
             outer = sp.new_rot[x][0]
     g = sp.finalize(outer)
-    n, n0, m0 = g.n, g0.n, g0.m
+    n, m0 = g.n, len(edges)
     appended = g.edges[m0:]
-    if g.edges[:m0] != g0.edges or any(u < n0 and v < n0 for u, v in appended):
+    if g.edges[:m0] != edges or any(u < n0 and v < n0 for u, v in appended):
         raise PlaneError("completion changed the induced subgraph on old vertices")
     keys = {u * n + v if u < v else v * n + u for u, v in appended}
     if len(keys) != len(appended):
         raise PlaneError(f"{what} result is not simple")
     if g.ncomp != 1 or not all(is_done(g.tail, w) for w in g.faces):
         raise PlaneError(f"incomplete face after {what}")
-    return g, range(n0, g.n)
+    return g
 
 
 def triangulate(g0: PlaneGraph) -> tuple[PlaneGraph, range]:
@@ -518,7 +538,7 @@ def _arc_starts(vs: list[int]) -> list[int]:
     return starts
 
 
-def _fill_triangles(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
+def _fill_triangles(sp: _Splicer, walk: list[int], tail: list[int]) -> int:
     """Triangulate one face with one new apex per arc (``_arc_starts``).
 
     Apex a_j is joined to every corner of arc j, giving a triangle on each
@@ -528,7 +548,6 @@ def _fill_triangles(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
     already bound a face.  A simple walk is one arc: a single apex and no
     cycle.  Returns a_0, whose first dart is the spoke a_0->w_0 with
     (w0, w1, a0) on its left."""
-    tail = g.tail
     starts = _arc_starts([tail[d] for d in walk])
     k = len(starts)
     apexes, fwd = _ring(sp, k) if k > 1 else ([sp.add_vertex()], [])
@@ -566,7 +585,7 @@ def _fill_triangles(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
     return apexes[0]
 
 
-def _quad_ring(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
+def _quad_ring(sp: _Splicer, walk: list[int], tail: list[int]) -> int:
     """Ring of |walk| new vertices (spoke x_i-v_i) and a hub joined to the
     odd ring positions.  Returns x_0, whose first dart is the spoke x_0->v_0
     with (v0, v1, x1, x0) on its left."""
@@ -574,7 +593,7 @@ def _quad_ring(sp: _Splicer, walk: list[int], g: PlaneGraph) -> int:
     ring, fwd = _ring(sp, m)
     spoke = []
     for i, d in enumerate(walk):
-        e = sp.add_edge(g.tail[d], ring[i])
+        e = sp.add_edge(tail[d], ring[i])
         sp.insert_after(d, 2 * e)
         spoke.append(2 * e + 1)
     hub = sp.add_vertex()

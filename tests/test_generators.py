@@ -6,7 +6,8 @@ rotations would change every downstream sequence.  The pins below are
 sha256 digests of ``write_plane`` output; the differential test compares
 the stacked generators with the original construction, which numbered
 edges through a dict while stitching the rotation system from the final
-face tuples.
+face tuples, and ``gen_grid`` with quadrangulating the plain grid, which
+built the grid twice.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinplanar as tp
+from twinplanar import generators as gen
 from twinplanar import plane_graph as pg
 
 
@@ -138,3 +140,50 @@ def test_stacked_generators_match_the_reference(n, seed):
             == pg.write_plane(_reference_triangulation(n, seed)))
     assert (pg.write_plane(tp.gen_stacked_quadrangulation(n, seed))
             == pg.write_plane(_reference_quadrangulation(n, seed)))
+
+
+def _plain_grid(rows: int, cols: int) -> tp.PlaneGraph:
+    """The rows x cols grid itself: edges numbered vertex by vertex, each
+    adding its east, then its north edge; rotations ccw from east; the
+    outer dart runs west from (0, 1)."""
+    n = rows * cols
+    edges: list[tuple[int, int]] = []
+    dart: dict[tuple[int, int], int] = {}
+    for v in range(n):
+        i, j = divmod(v, cols)
+        for w, present in ((v + 1, j + 1 < cols), (v + cols, i + 1 < rows)):
+            if present:
+                dart[v, w], dart[w, v] = 2 * len(edges), 2 * len(edges) + 1
+                edges.append((v, w))
+    rotations = [[dart[v, w] for w in (v + 1, v + cols, v - 1, v - cols)
+                  if (v, w) in dart] for v in range(n)]
+    return pg.build(n, edges, rotations, 1)
+
+
+GRID_SIZES = [(r, c) for r in range(2, 13) for c in range(2, 13)]
+GRID_SIZES += [(2, 40), (40, 2), (40, 25)]
+
+
+def test_gen_grid_matches_quadrangulating_the_plain_grid():
+    for rows, cols in GRID_SIZES:
+        ref, _ = pg.quadrangulate(_plain_grid(rows, cols))
+        assert pg.write_plane(tp.gen_grid(rows, cols)) == pg.write_plane(ref), (rows, cols)
+
+
+@pytest.mark.parametrize("key", [("grid", 2, 2), ("grid", 7, 9), ("tri", 60, 1),
+                                 ("quad", 60, 1)],
+                         ids=lambda k: "-".join(map(str, k)))
+def test_every_generator_builds_once(monkeypatch, key):
+    kind, *args = key
+    build, calls = pg.build, []
+
+    def counted(*a):
+        calls.append(a)
+        return build(*a)
+
+    monkeypatch.setattr(pg, "build", counted)
+    monkeypatch.setattr(gen, "build", counted)
+    for _ in range(3):
+        calls.clear()
+        GENERATORS[kind](*args)
+        assert len(calls) == 1

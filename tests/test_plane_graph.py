@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_atlas import planar_atlas
+from test_generators import _plain_grid
 from test_golden import _thinned
 from twinplanar import plane_graph as pg
 from twinplanar.buildctx import BuilderError
@@ -260,22 +261,23 @@ def nx_graph(g):
 # -- completion postconditions: each refused fill keeps its message -----------
 
 
-def _duplicate_spoke_fill(sp, walk, g):
+def _duplicate_spoke_fill(sp, walk, tail):
     # the apex fill plus a parallel copy of the apex's first spoke, placed
     # next to it at both ends so that the two bound a digon
-    a = pg._fill_triangles(sp, walk, g)
-    e = sp.add_edge(g.tail[walk[0]], a)
+    a = pg._fill_triangles(sp, walk, tail)
+    e = sp.add_edge(tail[walk[0]], a)
     sp.insert_after(walk[0], 2 * e)
     sp.new_rot[a].insert(0, 2 * e + 1)
     return a
 
 
-def _chord_fill(sp, walk, g):
+def _chord_fill(sp, walk, tail):
     # a chord between two old corners of the inner face, the apex fill
-    # outside: every face a triangle, but g0 no longer induced
-    if g.outer_dart in walk:
-        return pg._fill_triangles(sp, walk, g)
-    e = sp.add_edge(g.tail[walk[0]], g.tail[walk[2]])
+    # outside: every face a triangle, but g0 no longer induced.  The inner
+    # face of square_cycle is the one on the left of dart 0.
+    if walk[0] != 0:
+        return pg._fill_triangles(sp, walk, tail)
+    e = sp.add_edge(tail[walk[0]], tail[walk[2]])
     sp.insert_after(walk[0], 2 * e)
     sp.insert_after(walk[2], 2 * e + 1)
 
@@ -288,34 +290,44 @@ def _separate_square(sp):
     return ring[0]
 
 
-def _square_beside_fill(sp, walk, g):
+def _square_beside_fill(sp, walk, tail):
     # the face is left as it is, a 4-walk of P3 whose opposite corners
     # coincide, and a separate square takes the outer marker
     return _separate_square(sp)
 
 
-def _ring_and_square_fill(sp, walk, g):
+def _ring_and_square_fill(sp, walk, tail):
     # a correct ring fill plus a separate square: every face is a 4-cycle,
     # but the completion has two components
-    x = pg._quad_ring(sp, walk, g)
+    x = pg._quad_ring(sp, walk, tail)
     _separate_square(sp)
     return x
 
 
-@pytest.mark.parametrize("g0, what, fill, msg", [
-    (square_cycle(), "triangulate", _duplicate_spoke_fill,
+def _fill_outer_walk(g0, what, is_done, fill):
+    # the raw driver, handed the fields of a plain grid and its outer walk
+    # alone, as gen_grid hands it its arrays
+    return pg._fill_faces(g0.n, g0.edges, g0.rot, g0.tail, [g0.faces[g0.outer_face]],
+                          0, g0.outer_dart, what, is_done, fill)
+
+
+@pytest.mark.parametrize("complete, g0, what, fill, msg", [
+    (pg._complete_faces, square_cycle(), "triangulate", _duplicate_spoke_fill,
      "triangulate result is not simple"),
-    (square_cycle(), "triangulate", _chord_fill,
+    (pg._complete_faces, square_cycle(), "triangulate", _chord_fill,
      "completion changed the induced subgraph on old vertices"),
-    (path3(), "quadrangulate", _square_beside_fill,
+    (pg._complete_faces, path3(), "quadrangulate", _square_beside_fill,
      "incomplete face after quadrangulate"),
-    (path3(), "quadrangulate", _ring_and_square_fill,
+    (pg._complete_faces, path3(), "quadrangulate", _ring_and_square_fill,
      "incomplete face after quadrangulate"),
-], ids=["duplicate-edge", "old-old-edge", "coinciding-corners", "two-components"])
-def test_complete_faces_refuses_a_broken_fill(g0, what, fill, msg):
+    (_fill_outer_walk, _plain_grid(3, 4), "quadrangulate", _ring_and_square_fill,
+     "incomplete face after quadrangulate"),
+], ids=["duplicate-edge", "old-old-edge", "coinciding-corners", "two-components",
+        "raw-grid-two-components"])
+def test_complete_faces_refuses_a_broken_fill(complete, g0, what, fill, msg):
     is_done = pg._is_triangle if what == "triangulate" else pg._is_quad
     with pytest.raises(pg.PlaneError, match=f"^{re.escape(msg)}$"):
-        pg._complete_faces(g0, what, is_done, fill)
+        complete(g0, what, is_done, fill)
 
 
 def _quadrangulation_inputs():
