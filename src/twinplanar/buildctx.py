@@ -6,6 +6,10 @@ when it finishes without a sub-call it returns its result, and otherwise
 it returns a generator for the rest, which ``yield``s each sub-call's
 return value (either kind) and gets the finished result back.
 ``run_trampoline`` drives the generators with an explicit stack.
+
+``merge_survivors`` is the per-level merge both recursions end a region
+with.  It reads only the levels it is handed, never a whole survivor dict,
+so a merge costs O(1) per add, however many levels the survivors span.
 """
 
 from __future__ import annotations
@@ -87,19 +91,33 @@ def merge_survivors(ctx: BuildCtx, base: dict[int, int], adds, top: int,
     deepest first, lower id first; returns ``base``.
 
     Python code visits only the levels in ``adds``, so handing a child's
-    survivors up does not cost a loop over every level it spans; the one
-    whole-dict pass is the bound check's ``min()``.  Every level must lie
-    strictly below ``top`` (``where`` names that level in the error)."""
+    survivors up does not cost a loop over every level it spans, and no
+    call reads the whole dict.  Every level must lie strictly below ``top``
+    (``where`` names that level in the error); only the adds are tested,
+    before any pairing, and that covers the merged dict:
+
+    * a survivor enters a dict only as an add; pairing (here) and the
+      planar drain contract into a level already present;
+    * a child's ``top`` is never above its parent's.  In bipartite mode
+      ``top`` is the sink level, and each child's sink is the parent's or
+      u3, which ``_bisplit`` takes at depth >= the sink's.  In planar mode
+      ``top`` is kc, the minimum level on a region's boundary cycle C:
+      every vertex of a child Q's C lies on its parent R's C or inside R,
+      and the tree path of an inside vertex leaves R through a proper
+      ancestor on R's C, so kc_Q >= kc_R;
+
+    so a survivor checked against its own region's ``top`` clears every
+    ancestor's as well."""
     pairs: dict[int, int] = {}
     for i, w in adds:
+        if i <= top:
+            raise BuilderError(f"interior vertex at or above {where}")
         if i in pairs:
             raise BuilderError(f"level {i} holds 3 vertices")
         if i in base:
             pairs[i] = w
         else:
             base[i] = w
-    if base and min(base) <= top:
-        raise BuilderError(f"interior vertex at or above {where}")
     for i in sorted(pairs, reverse=True) if len(pairs) > 1 else pairs:
         a, b = base[i], pairs[i]
         base[i] = ctx.contract(a, b) if a < b else ctx.contract(b, a)

@@ -25,7 +25,6 @@ from .seq_bipartite import bipartite_sequence
 from .seq_planar import planar_sequence
 
 PRNG_ID = "python-mt19937"
-DEBUG_RECHECK_DEFAULT = 64
 
 
 def _read(path: str) -> str:
@@ -80,9 +79,8 @@ def cmd_verify(args) -> int:
     if args.root is not None:
         from .layering import bfs_layering
         levels = bfs_layering(g, args.root)
-    recheck = args.recheck or (DEBUG_RECHECK_DEFAULT if args.debug else 0)
     report = tg.verify_sequence(g.n, g.edges, seq, levels=levels,
-                                debug_recheck=recheck)
+                                debug_recheck=args.recheck)
     print(f"width {report.width}")
     if not report.full:
         print("note: sequence is partial", file=sys.stderr)
@@ -185,9 +183,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="validate d-steps against BFS levels from this root")
     p.add_argument("--recheck", type=int, default=0, metavar="K",
                    help="recompute red degrees from scratch every K steps "
-                        f"(debug; {DEBUG_RECHECK_DEFAULT} is the usual choice)")
-    p.add_argument("--debug", action="store_true",
-                   help=f"shorthand for --recheck {DEBUG_RECHECK_DEFAULT}")
+                        "(debug; 64 is the usual choice)")
     p.add_argument("--embed", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

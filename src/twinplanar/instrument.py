@@ -160,16 +160,22 @@ class InvariantChecker:
         s, _, _, b1, b2 = self.stack.pop()[1]
         if not survivors:
             return
-        # at region end the sink must see no red edge to survivors.
+        # at region end every survivor lies below the sink's level (the
+        # builders test a survivor only as it enters a dict; this is the
+        # property of the whole dict), and the sink sees no red edge to it.
         # For a T-wrapped region (no side faces, so two boundary vertices
         # per level) the survivors of the now 1-reduced face also stay below
         # the interior red ceiling of 7 (resp. 6 bipartite).
         sim = self.sim
-        red, region = sim.red, self.region
+        red, level, region = sim.red, sim.level, self.region
+        ds = self.t.depth[s]
         wrapped = b1 is None and b2 is None
         cap = self.cap_wrapped
         parent_rid = self.stack[-1][0] if self.stack else -1
         for v in survivors:
+            if level[v] <= ds:
+                raise InvariantViolation(
+                    f"survivor {v} at or above the sink level {ds}")
             rv = red[v]
             if s in rv:
                 raise InvariantViolation(
@@ -180,7 +186,7 @@ class InvariantChecker:
                     f"degree {len(rv)} > {cap}")
             region[v] = parent_rid
         # the region must be 1-reduced per level among survivors
-        if len(set(map(sim.level.__getitem__, survivors))) < len(survivors):
+        if len(set(map(level.__getitem__, survivors))) < len(survivors):
             raise InvariantViolation("two survivors on one level")
 
     def enter_final_phase(self) -> None:

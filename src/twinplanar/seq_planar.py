@@ -228,72 +228,76 @@ def _edge_count(ctx: BuildCtx, sink: int, v1: int, v2: int,
 def _second_stage(ctx: BuildCtx, base: dict[int, int], adds,
                   kc: int, v1: int, v2: int, ec: int) -> dict[int, int]:
     """Merge ``adds`` into the child survivors ``base`` with the pairwise
-    per-level pass, then drain downwards by contracting each level below
-    the boundary maximum ell (one deeper for triangles) into the level
-    above, down to ell.  ``kc`` is the minimum level on the boundary of C.
-    Leaves at most one vertex per level, in ``base``, which is returned.
-    The merged levels below ell have no gap (argued below), so the drain
-    emits only contractions."""
+    per-level pass, then drain: contract level ell + 1 into ell, where ell
+    is the boundary maximum (one deeper for triangles).  ``kc`` is the
+    minimum level on the boundary of C.  Leaves at most one vertex per
+    level, none below ell, in ``base``, which is returned.  No merged level
+    lies below ell + 1 and ell holds a survivor whenever ell + 1 does
+    (argued below), so the drain is at most one contraction."""
     dep = ctx.t.depth
     surv = merge_survivors(ctx, base, adds, kc, "the boundary minimum")
-    if not surv:
-        return surv
     ell = kc + 2 if ec == 3 else max(dep[v1], dep[v2])
-    j = max(surv)
-    while j > ell:
-        if j - 1 not in surv:
-            # Unreachable.  Let R be this region after the peel, int(R) its
-            # interior, dR its boundary cycle, M the levels of ``surv`` here,
-            # and "adds" the vertices of int(R) in no sub-call (v0, or the
-            # P0 vertices of the merge).  int(R) is the adds plus the
-            # interiors of the sub-calls.  The completion is a simple plane
-            # triangulation, so 3-connected when n >= 4, and BFS levels of
-            # neighbours differ by at most one.  "Above" is a smaller level.
-            # (1) dR holds v1, v2, B2's lid end x2 and tree ancestors of them
-            #     (``region_bounds``).  If ec > 3, ell = dep v1 >= dep v2
-            #     (the peel checks it) and dep x2 < ell by (2), so every
-            #     vertex of dR but v1 and v2 lies above ell.  A triangle's
-            #     corners sit on kc (dR's minimum) and kc + 1, above its
-            #     ell = kc + 2.
-            # (2) When R splits, dep v0 <= ell; so x2, which is v0 or above
-            #     it on P0, lies above ell (if x2 = v0, its partner x1 is a
-            #     proper ancestor of v1: x1 = v1 is the fallback).  Else
-            #     dep v0 = ell + 1 = dep v2 + 1 and v0's parent p is no lid
-            #     end, so p lies inside D, as does its tree path up to its
-            #     first vertex u on P1 or P2.  The edges from u into D form
-            #     one arc of u's rotation between its two D-edges, and the
-            #     arcs turn the same way all round D.  So, counting from the
-            #     anchor (outside D at the sink, the parental edge below it),
-            #     either P1's branch comes first at the sink and precedes the
-            #     interior at every P1 vertex while P2's follows it at every
-            #     P2 vertex, or the mirror image.  Either way v1 or v2
-            #     precedes p in the preorder, which is the BFS queue order
-            #     within a level, and would have adopted v0 before p.
-            # (3) Call z in int(R) visible if every region Q below R in the
-            #     recursion with z in int(Q) has dep z <= ell_Q.  By
-            #     induction over the regions, children first (none has a
-            #     gap): the levels in M are exactly the depths of the visible
-            #     vertices.  An add is visible and on its own level in M; a
-            #     vertex of a child Q is visible in R iff it is visible in Q
-            #     and no deeper than ell_Q, and Q hands up the levels of its
-            #     own M down to ell_Q.
-            # (4) Let j > ell be in M and w visible at depth j.  If j - 1 >
-            #     ell, z = parent(w) is in int(R) by (1), and visible: a
-            #     region Q below R holding z inside holds w inside or on dQ,
-            #     and either way j <= ell_Q.  If j - 1 = ell, let K be w's
-            #     component among the vertices of int(R) below ell.  Its
-            #     neighbours sit on ell (deeper ones would be in K or on dR)
-            #     and separate it from the vertices of dR other than v1 and
-            #     v2 (a cycle has three), so there are at least three of
-            #     them, and one, z, is in int(R) by (1).  z is visible: a
-            #     region Q below R with z inside and ell_Q < ell would hold
-            #     z's neighbour in K inside, then all of K, which lies below
-            #     dQ; so also w, though dep w > ell_Q.  In both cases z sits
-            #     on j - 1, which is in M by (3).
-            raise BuilderError(f"no survivor on level {j - 1} to drain "
-                               f"level {j} into")
-        surv[j - 1] = ctx.contract(surv.pop(j), surv[j - 1])
-        j -= 1
+    # Let R be this region after the peel, int(R) its interior, dR its
+    # boundary cycle, M the levels of ``surv`` here, lam = dep v1 >= dep v2
+    # (the peel checks it), and "adds" the vertices of int(R) in no sub-call
+    # (v0, or the P0 vertices of the merge).  int(R) is the adds plus the
+    # interiors of the sub-calls.  The completion is a simple plane
+    # triangulation, so 3-connected when n >= 4, and BFS levels of
+    # neighbours differ by at most one.  "Above" is a smaller level.
+    # (1) dR holds v1, v2, B2's lid end x2 and tree ancestors of them
+    #     (``region_bounds``), and dep x2 < lam by (2) for R's parent,
+    #     whose lid R keeps.  So every vertex of dR but v1 and v2 lies above
+    #     lam, and kc < lam, as dR has a third vertex.  If ec > 3, ell =
+    #     lam.  A triangle's corners sit on kc and kc + 1 = lam, so ell = kc
+    #     + 2 = lam + 1.  Without side faces it is the sink over a
+    #     horizontal lid; with B1, v2 is B1's lid end b1 on kc and v1 a
+    #     child of a1; B2 leaves no triangle (with u1 on P1, or with B1, dR
+    #     has four edges or more, and with u1 on P2 a triangle needs dep x2
+    #     = lam).
+    # (2) When R splits, dep v0 <= lam, so x2, which is v0 or above it on
+    #     P0, lies above lam (if x2 = v0, its partner x1 is a proper
+    #     ancestor of v1: x1 = v1 is the fallback).  For dep v0 <= dep v2 +
+    #     1 <= lam + 1, and if dep v0 = lam + 1 = dep v2 + 1, v0's parent p
+    #     is no lid end (R would shrink), so p lies inside D by (1), as does
+    #     its tree path up to its first vertex u on P1 or P2.  The edges
+    #     from u into D form one arc of u's rotation between its two
+    #     D-edges, and the arcs turn the same way all round D.  So, counting
+    #     from the anchor (outside D at the sink, the parental edge below
+    #     it), either P1's branch comes first at the sink and precedes the
+    #     interior at every P1 vertex while P2's follows it at every P2
+    #     vertex, or the mirror image.  Either way v1 or v2 precedes p in
+    #     the preorder, which is the BFS queue order within a level, and
+    #     would have adopted v0 before p.
+    # (3) Call z in int(R) visible if every region Q below R in the
+    #     recursion with z in int(Q) has dep z <= ell_Q.  By induction over
+    #     the regions, children first: the levels in M are exactly the
+    #     depths of the visible vertices.  An add is visible and on its own
+    #     level in M; a vertex of a child Q is visible in R iff it is
+    #     visible in Q and no deeper than ell_Q, and Q hands up the levels
+    #     of its own M down to ell_Q, by (4) and (5) for Q.
+    # (4) Every level in M is at most ell + 1.  The adds are v0 and the P0
+    #     vertices above it, and dep v0 <= dep v2 + 1 <= ell + 1, since v0
+    #     and v2 share the lid face.  A child Q hands up levels <= ell_Q.
+    #     Its peel moves its lid ends up its entry cycle dQ, so lam_Q is at
+    #     most dQ's deepest level, and ell_Q <= lam_Q + 1 by (1).  After a
+    #     shrink, dQ is dR plus v0, whose parent is v1 or v2, so ell_Q =
+    #     lam_Q <= lam + 1 unless Q is a triangle; a triangle Q keeps R's
+    #     sink and B1 and has no B2, so ell_Q = kc + 2 <= lam + 1.  After a split, dQ lies on dR
+    #     and P0, on levels <= lam by (1) and (2), so ell_Q <= lam + 1.
+    # (5) If ell + 1 is in M, so is ell.  Let w be visible at depth ell + 1
+    #     and K its component among the vertices of int(R) below ell.  Its
+    #     neighbours sit on ell (deeper ones would be in K or on dR) and
+    #     separate it from the vertices of dR other than v1 and v2 (a cycle
+    #     has three), so there are at least three of them, and one, z, is in
+    #     int(R) by (1).  z is visible: a region Q below R with z inside and
+    #     ell_Q < ell would hold z's neighbour in K inside, then all of K,
+    #     which lies below dQ; so also w, though dep w > ell_Q.  So z sits on
+    #     ell, which is in M by (3).
+    if ell + 1 in surv:
+        if ell not in surv:
+            raise BuilderError(f"no survivor on level {ell} to drain "
+                               f"level {ell + 1} into")
+        surv[ell] = ctx.contract(surv.pop(ell + 1), surv[ell])
     return surv
 
 

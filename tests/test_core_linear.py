@@ -12,6 +12,10 @@ verification) is held to the same bound, and a third the left-alignment
 check that ``--assert`` runs on the tree.  The same counts show that a
 plain build runs no line of ``instrument``, and that a checked planar
 build does flat work per step there.
+
+Line events miss work done inside a C call, such as ``min`` over a whole
+dict.  So a last guard counts the entries that ``min``, ``max`` and
+``sorted`` read when the builder modules call them, per input vertex.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import twinplanar as tp
+from twinplanar import buildctx, seq_bipartite, seq_planar
 from twinplanar.layering import check_left_aligned, left_aligned_bfs_tree
 from twinplanar.seq_bipartite import bipartite_sequence_full
 from twinplanar.seq_planar import planar_sequence_full
@@ -150,4 +155,51 @@ def test_checker_work_per_step_flat_on_stacked_triangulations():
         return _count_lines(run, {"instrument.py"}) / len(built["steps"])
 
     a, b = per_step(1000), per_step(4000)
+    assert b <= 1.05 * a, (a, b)
+
+
+# -- work inside C calls -----------------------------------------------------
+
+SCANNING_MODULES = (buildctx, seq_planar, seq_bipartite)
+
+
+def _count_scanned(call) -> int:
+    """Entries that ``min``, ``max`` and ``sorted`` read during ``call()``
+    when the builder modules call them: the length of a single iterable
+    argument, else the number of arguments."""
+    count = 0
+
+    def counting(real):
+        def scan(*args, **kwargs):
+            nonlocal count
+            if len(args) == 1:
+                args = (list(args[0]),)
+                count += len(args[0])
+            else:
+                count += len(args)
+            return real(*args, **kwargs)
+        return scan
+
+    reals = {"min": min, "max": max, "sorted": sorted}
+    for mod in SCANNING_MODULES:
+        for name, real in reals.items():
+            setattr(mod, name, counting(real))
+    try:
+        call()
+    finally:
+        for mod in SCANNING_MODULES:
+            for name in reals:
+                delattr(mod, name)
+    return count
+
+
+@BUILDS
+def test_builder_scans_per_vertex_flat_on_nested_cycles(build):
+    # a region's survivor dict spans about as many levels as the region, so
+    # a scan of the whole dict per merge grows with the depth
+    def per_vertex(k):
+        g = _nested_4cycles(k)
+        return _count_scanned(lambda: build(g, None, False)) / g.n
+
+    a, b = per_vertex(128), per_vertex(256)
     assert b <= 1.05 * a, (a, b)

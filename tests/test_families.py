@@ -12,7 +12,8 @@ are derandomized, so every run draws the same graphs.
 Deep, non-stacked triangulations get the same checks: triangulated grids
 with seeded random diagonals and nested triangles, whose BFS depth grows
 with their size, embedded straight-line from coordinates, on any outer
-face and thinned.
+face and thinned.  On them and on stacked triangulations, a sweep checks
+the lemma that lets the planar drain take a single step.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinplanar as tp
+from twinplanar import seq_planar
 from test_atlas import _check_both_modes
 from test_plane_graph import thinned
 
@@ -196,3 +198,33 @@ def test_checked_builds_on_a_30x30_triangulated_grid(keep):
         h = on_face(g, i * len(g.faces) // 4)
         _, report = tp.planar_sequence(h, checker=tp.InvariantChecker("planar"))
         assert report.width <= 8
+
+
+def test_planar_merges_stop_one_level_below_the_drain_level(monkeypatch):
+    # the lemma behind ``_second_stage``'s one-step drain: every level it
+    # merges, child survivors and adds alike, is at most ell + 1, with ell
+    # the boundary maximum (kc + 2 for a triangle)
+    real = seq_planar._second_stage
+    seen = {"stages": 0, "drains": 0}
+
+    def second_stage(ctx, base, adds, kc, v1, v2, ec):
+        adds = list(adds)
+        dep = ctx.t.depth
+        ell = kc + 2 if ec == 3 else max(dep[v1], dep[v2])
+        deepest = max([*base, *(i for i, _ in adds)], default=ell)
+        assert deepest <= ell + 1, (deepest, ell, ec)
+        seen["stages"] += 1
+        seen["drains"] += deepest == ell + 1
+        return real(ctx, base, adds, kc, v1, v2, ec)
+
+    monkeypatch.setattr(seq_planar, "_second_stage", second_stage)
+    graphs = [tp.gen_triangulation(n, n) for n in (50, 300, 2000)]
+    for seed in range(6):
+        for g in (triangulated_grid(12 + seed, 30 - seed, seed),
+                  nested_triangles(20 + 5 * seed, seed)):
+            for keep in (1.0, 0.8, 0.5):
+                h = thinned(g, keep, seed)
+                graphs += [on_face(h, i * 37) for i in range(3)]
+    for g in graphs:
+        seq_planar.planar_sequence_full(g, None, False)
+    assert seen["drains"] > 0, seen

@@ -69,6 +69,22 @@ def test_cli_gen_seq_verify_roundtrip(tmp_path, capsys):
     assert int(out.split()[-1]) == w_build  # round-trip equality
 
 
+def test_cli_verify_recheck_prints_the_plain_width(tmp_path, capsys):
+    # 299 steps, so the rescan runs four times
+    gpath = tmp_path / "g.plane"
+    spath = tmp_path / "g.seq"
+    run_cli(["gen", "tri", "--n", "300", "--seed", "5", "--out", str(gpath)],
+            capsys)
+    run_cli(["seq", str(gpath), "--mode", "planar", "--out", str(spath)],
+            capsys)
+    code, plain, _ = run_cli(["verify", str(gpath), str(spath)], capsys)
+    assert code == 0 and re.fullmatch(r"width \d\n", plain)
+    for extra in (["--recheck", "64"], ["--root", "0", "--recheck", "64"]):
+        code, out, err = run_cli(["verify", str(gpath), str(spath), *extra],
+                                 capsys)
+        assert (code, out, err) == (0, plain, "")
+
+
 def test_cli_seq_assert_mode(tmp_path, capsys):
     gpath = tmp_path / "g.plane"
     run_cli(["gen", "quad", "--n", "60", "--seed", "3", "--out", str(gpath)],

@@ -160,6 +160,20 @@ def test_checker_rejects_two_survivors_on_one_level():
         chk.pop_region([v["L2"], v["R2"]])
 
 
+@pytest.mark.parametrize("mode", ["planar", "bipartite"])
+def test_checker_rejects_a_survivor_at_the_sink_level(mode):
+    # the region below L1 between the L and M paths; I1 shares the sink's
+    # level 1, and I2 one level below passes
+    chk, v, _ = bound_checker(mode)
+    region = (v["L1"], v["L5"], v["M5"], None, None)
+    chk.push_region(*region)
+    chk.pop_region([v["I2"]])
+    chk.push_region(*region)
+    with pytest.raises(tp.InvariantViolation, match=re.escape(
+            f"survivor {v['I1']} at or above the sink level 1")):
+        chk.pop_region([v["I1"]])
+
+
 def test_checker_rejects_a_level_assignment_that_is_not_good():
     chk, v, _ = bound_checker("planar")
     chk.sim.level[v["I3"]] = 4  # two below I2

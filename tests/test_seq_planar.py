@@ -95,38 +95,53 @@ def test_rejects_multigraph():
         tp.planar_sequence(g)
 
 
+def _lid_above_the_deepest_level(g, t):
+    """An edge whose deeper end lies one level above the deepest vertex,
+    deeper end first: the lid of a region whose survivors reach ell + 1,
+    the deepest level a region can hand its drain (see ``_second_stage``)."""
+    dep = t.depth
+    ell = max(dep) - 1
+    return next((u, w) if dep[u] >= dep[w] else (w, u) for u, w in g.edges
+                if max(dep[u], dep[w]) == ell)
+
+
+def _by_level(g, t):
+    by_level = {}
+    for v in range(g.n):
+        if t.depth[v] >= 1:
+            by_level.setdefault(t.depth[v], []).append(v)
+    return by_level
+
+
 def test_second_stage_drain_only_when_one_per_level():
-    # a 1-reduced face with a vertex on every level only needs the drain
-    # pass: every emitted contraction joins consecutive levels
+    # a 1-reduced face with a vertex on every level down to ell + 1 only
+    # needs the drain: one contraction, ell + 1 into ell
     g = tp.gen_triangulation(30, 2)
     t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
     ctx = BuildCtx(g, t)
-    base = {}
-    for v in range(g.n):
-        if t.depth[v] >= 1:
-            base.setdefault(t.depth[v], v)
-    levels = {v: lv for lv, v in base.items()}
-    out = _second_stage(ctx, base, (), 0, *_pick_lid(g, t), 99)
-    for _, x, y, z in ctx.steps:
-        assert abs(levels[x] - levels[y]) == 1
-        levels[z] = min(levels[x], levels[y])
-    assert len(out) >= 1
+    v1, v2 = _lid_above_the_deepest_level(g, t)
+    ell = t.depth[v1]
+    base = {lv: vs[0] for lv, vs in _by_level(g, t).items()}
+    assert sorted(base) == list(range(1, ell + 2))
+    before = dict(base)
+    out = _second_stage(ctx, base, (), 0, v1, v2, 99)
+    assert ctx.steps == [("k", before[ell + 1], before[ell], g.n)]
+    assert out == {**{i: w for i, w in before.items() if i < ell}, ell: g.n}
 
 
 def test_second_stage_refuses_a_level_gap():
-    # survivors on ell + 3 and ell + 1: no region can hand up such a gap
+    # survivors on ell + 1 and ell - 1: no region can hand up such a gap
     # (see the drain), so the drain stops before it emits a step
     g = tp.gen_triangulation(100, 2)
     t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
     ctx = BuildCtx(g, t)
-    v1, v2 = _pick_lid(g, t)
-    ell = max(t.depth[v1], t.depth[v2])
-    a = next(v for v in range(g.n) if t.depth[v] == ell + 3)
-    b = next(v for v in range(g.n) if t.depth[v] == ell + 1)
+    v1, v2 = _lid_above_the_deepest_level(g, t)
+    ell = t.depth[v1]
+    by_level = _by_level(g, t)
     with pytest.raises(tp.BuilderError, match=re.escape(
-            f"no survivor on level {ell + 2} to drain level {ell + 3} "
-            f"into")):
-        _second_stage(ctx, {ell + 3: a, ell + 1: b}, (), 0, v1, v2, 99)
+            f"no survivor on level {ell} to drain level {ell + 1} into")):
+        _second_stage(ctx, {ell + 1: by_level[ell + 1][0],
+                            ell - 1: by_level[ell - 1][0]}, (), 0, v1, v2, 99)
     assert ctx.steps == []
 
 
@@ -138,25 +153,21 @@ def _pick_lid(g, t):
 
 
 def test_second_stage_ladder_two_per_level():
-    # two vertices per level: pass one contracts exactly one pair per level
+    # two vertices per level down to ell + 1: pass one contracts exactly one
+    # pair per level, then the drain takes ell + 1 into ell
     g = tp.gen_triangulation(40, 3)
     t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
     ctx = BuildCtx(g, t)
-    by_level = {}
-    for v in range(g.n):
-        if t.depth[v] >= 1:
-            by_level.setdefault(t.depth[v], []).append(v)
+    v1, v2 = _lid_above_the_deepest_level(g, t)
+    ell = t.depth[v1]
+    by_level = _by_level(g, t)
     base = {lv: vs[0] for lv, vs in by_level.items() if len(vs) >= 2}
     adds = [(lv, by_level[lv][1]) for lv in base]
-    if not base:
-        pytest.skip("no doubled level")
     levels = sorted(base)
-    n_pairs = len(levels)
-    out = _second_stage(ctx, base, adds, min(levels) - 1, *_pick_lid(g, t), 99)
-    pair_steps = sum(1 for s in ctx.steps if s[0] == "k")
-    assert pair_steps >= n_pairs  # one pairing per level, plus drains
-    assert max(out) <= max(levels)
-    assert all(len([w]) == 1 for w in out.values())
+    assert levels == list(range(1, ell + 2))
+    out = _second_stage(ctx, base, adds, 0, v1, v2, 99)
+    assert len(ctx.steps) == len(levels) + 1
+    assert sorted(out) == levels[:-1]
 
 
 def _three_at_depth(g, t):
