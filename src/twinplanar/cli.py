@@ -102,11 +102,12 @@ def cmd_exact(args) -> int:
 
 
 def cmd_prep(args) -> int:
-    g, _ = pg.connect_components(_load_graph(args.graph, args.embed))
+    g0 = _load_graph(args.graph, args.embed)
+    g, _ = pg.connect_components(g0)
     complete = pg.triangulate if args.kind == "triangulate" else pg.quadrangulate
     g2, _ = complete(g)
-    # the completion keeps the ids of g, the input made connected
-    comments = [f"prep {args.kind}"] + [f"map {v} {v}" for v in range(g.n)]
+    # connecting and completing keep the input's ids and append the rest
+    comments = [f"prep {args.kind}"] + [f"map {v} {v}" for v in range(g0.n)]
     _write(args.out, pg.write_plane(g2, comments))
     return 0
 
@@ -149,6 +150,8 @@ def cmd_bench(args) -> int:
     """One TSV row (n, mode, verified width, build ms) per seeded graph."""
     gen = gen_triangulation if args.mode == "planar" else gen_quadrangulation
     build = planar_sequence if args.mode == "planar" else bipartite_sequence
+    if args.seeds < 1:
+        raise GeneratorError(f"--seeds must be at least 1, got {args.seeds}")
     for n in args.sizes:
         for seed in range(args.seeds):
             g = gen(n, seed)

@@ -61,9 +61,6 @@ class PlaneGraph:
     walks ``faces`` in order of their smallest dart, each starting there;
     ``outer_face``; and ``comp``, the component id of every vertex
     (components numbered by smallest vertex), with ``ncomp`` components.
-    Nothing changes after ``build``, so the whole-graph checks
-    ``is_simple()`` and ``find_odd_cycle(g)`` run at most once per graph and
-    keep their result on it.
     """
 
     n: int
@@ -80,10 +77,6 @@ class PlaneGraph:
     outer_face: int = -1
     comp: list[int] = field(default_factory=list, repr=False)
     ncomp: int = 0
-    # whole-graph check results, filled on first use
-    _simple: bool | None = field(default=None, init=False, repr=False, compare=False)
-    _odd_cycle: list[int] | None = field(default=None, init=False, repr=False,
-                                         compare=False)
 
     @property
     def m(self) -> int:
@@ -96,11 +89,9 @@ class PlaneGraph:
 
     def is_simple(self) -> bool:
         """No two edges join the same pair (``build`` rejects loops)."""
-        if self._simple is None:
-            n = self.n
-            keys = {u * n + v if u < v else v * n + u for u, v in self.edges}
-            self._simple = len(keys) == len(self.edges)
-        return self._simple
+        n = self.n
+        keys = {u * n + v if u < v else v * n + u for u, v in self.edges}
+        return len(keys) == len(self.edges)
 
 
 def build(n: int, edges: Sequence[tuple[int, int]], rotations: Sequence[Sequence[int]],
@@ -283,11 +274,12 @@ def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, range]:
     """Join all components with fresh degree-2 vertices (one per merge).
 
     Each merge re-embeds the next component inside a face of the anchor
-    drawing; the new vertices add no cycle and no repeated pair, so ``g``'s
-    kept ``is_simple`` and ``find_odd_cycle`` results carry over.
-    Like the completions below, it keeps ``g``'s vertex and edge ids and
-    returns the ids it appended; a connected ``g`` comes back as it is.
-    A graph without vertices raises ``PlaneError``.
+    drawing; the new vertices add no cycle and no repeated pair, so the
+    result is simple (bipartite) exactly when ``g`` is, and the completions
+    decide both on it.  Like the completions below, it keeps ``g``'s vertex
+    and edge ids and returns the ids it appended; a connected ``g`` comes
+    back as it is.  A graph without vertices raises ``PlaneError``: this is
+    the builders' one refusal of empty input.
     """
     if g.n == 0:
         raise PlaneError("empty graph: nothing to connect")
@@ -312,7 +304,6 @@ def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, range]:
         if outer is None:
             outer = 2 * e1
     g2 = sp.finalize(outer if outer is not None else 0)
-    g2._simple, g2._odd_cycle = g._simple, g._odd_cycle  # kept results hold
     return g2, range(g.n, g2.n)
 
 
@@ -322,17 +313,16 @@ def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, range]:
 
 
 def find_odd_cycle(g: PlaneGraph) -> list[int] | None:
-    """An odd cycle as a vertex list, or None if bipartite; decided once
-    per graph, later calls return the kept result.  Face walks span the
-    cycle space mod 2, so only a graph with an odd face is searched."""
-    if g._odd_cycle is None:
-        odd = any(len(walk) & 1 for walk in g.faces)
-        g._odd_cycle = _search_odd_cycle(g) if odd else []
-    return list(g._odd_cycle) or None
+    """An odd cycle as a vertex list, or None if bipartite.  Face walks
+    span the cycle space mod 2, so only a graph with an odd face is
+    searched."""
+    if not any(len(walk) & 1 for walk in g.faces):
+        return None
+    return _search_odd_cycle(g)
 
 
-def _search_odd_cycle(g: PlaneGraph) -> list[int]:
-    """An odd cycle, or [] if bipartite."""
+def _search_odd_cycle(g: PlaneGraph) -> list[int] | None:
+    """An odd cycle, or None if bipartite."""
     color = [-1] * g.n
     par = [-1] * g.n
     for s in range(g.n):
@@ -359,7 +349,7 @@ def _search_odd_cycle(g: PlaneGraph) -> list[int]:
                         pb.append(x)
                         x = par[x]
                     return list(at)[at[x]::-1] + pb  # x .. v, then w .. back below x
-    return []
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +375,10 @@ def _complete_faces(g0: PlaneGraph, what: str, is_done, fill) -> tuple[PlaneGrap
     fails ``is_done(tail, walk)`` (``_fill_faces``).  ``g0``'s vertex and
     edge ids are kept and the new ones appended; returns the completion and
     the appended vertex ids, ``g0`` itself when it is already complete.
-    ``_split_order2_faces`` adds only edges with a new end, so ``g0`` stays
-    induced when the graph handed to the driver does.
+    A non-simple ``g0`` raises ``PlaneError``; the builders refuse
+    multigraphs here and nowhere else.  ``_split_order2_faces`` adds only
+    edges with a new end, so ``g0`` stays induced when the graph handed to
+    the driver does.
     """
     if not g0.is_simple():
         raise PlaneError(f"{what} requires a simple graph")
@@ -477,7 +469,8 @@ def quadrangulate(g0: PlaneGraph) -> tuple[PlaneGraph, range]:
     faces are all 4-cycles, the face walks span the cycle space mod 2, so
     every cycle is even and the graph is bipartite; and a cut vertex would
     appear twice on the walk of a face it separates, so the graph is
-    2-connected.
+    2-connected.  A ``g0`` with an odd cycle raises ``PlaneError``; the
+    bipartite builder refuses non-bipartite input here and nowhere else.
     """
     odd = find_odd_cycle(g0)
     if odd is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .buildctx import (BuildCtx, BuilderError, check_mode, climb,
                        fold_contract, merge_survivors, run_trampoline)
 from .layering import BfsTree
-from .plane_graph import PlaneGraph, find_odd_cycle, pause_gc, quadrangulate
+from .plane_graph import PlaneGraph, pause_gc, quadrangulate
 from .seq_planar import run_pipeline
 from .trigraph import ContractionSequence, WidthReport
 
@@ -172,13 +172,6 @@ def _outer_quad_call(g: PlaneGraph, t: BfsTree) -> tuple[int, int]:
     return lid, t.root
 
 
-def _complete(g0: PlaneGraph, gc: PlaneGraph):
-    odd = find_odd_cycle(g0)
-    if odd is not None:
-        raise BuilderError(f"input not bipartite: odd cycle {odd}")
-    return quadrangulate(gc)
-
-
 def _run_core(ctx: BuildCtx) -> tuple[dict[int, int], int]:
     lid_dart, sink = _outer_quad_call(ctx.g, ctx.t)
     return run_trampoline(_bicore, ctx, lid_dart, sink), lid_dart
@@ -204,8 +197,9 @@ def bipartite_sequence(g0: PlaneGraph, checker=None,
     """Full contraction sequence of width <= 6 for a simple bipartite plane
     graph: connect, quadrangulate, left-aligned BFS tree, the bicore
     recursion on the outer quadrangle, a final phase pairing opposite outer
-    vertices, then restriction back to V(g0).  An empty graph or a verified
-    width above ``WIDTH_BOUND`` raises ``BuilderError``."""
+    vertices, then restriction back to V(g0).  An empty, non-simple or
+    non-bipartite graph raises ``PlaneError``, a verified width above
+    ``WIDTH_BOUND`` ``BuilderError``."""
     seq0, report, _ = bipartite_sequence_full(g0, checker)
     return seq0, report
 
@@ -213,5 +207,5 @@ def bipartite_sequence(g0: PlaneGraph, checker=None,
 @pause_gc()
 def bipartite_sequence_full(g0: PlaneGraph, checker=None, verify: bool = True):
     check_mode(checker, "bipartite")
-    return run_pipeline(g0, checker, verify, _complete, _run_core,
+    return run_pipeline(g0, checker, verify, quadrangulate, _run_core,
                         _final_phase, WIDTH_BOUND)

@@ -325,10 +325,6 @@ def _outer_triangle_call(g: PlaneGraph, t: BfsTree) -> tuple[int, int]:
     return lid ^ 1, r
 
 
-def _complete(g0: PlaneGraph, gc: PlaneGraph):
-    return triangulate(gc)
-
-
 def _run_core(ctx: BuildCtx) -> tuple[dict[int, int], int]:
     lid_dart, sink = _outer_triangle_call(ctx.g, ctx.t)
     return run_trampoline(_core, ctx, lid_dart, sink, None, None), lid_dart
@@ -348,22 +344,22 @@ def run_pipeline(g0: PlaneGraph, checker, verify: bool,
     """The pipeline both builders share; each mode supplies the steps that
     differ.
 
-    ``complete(g0, gc)`` refuses g0 if the mode cannot take it and turns
-    ``gc``, g0 made connected, into a triangulation or quadrangulation;
-    both steps keep g0's ids and append the vertices they add,
+    ``complete(gc)`` turns ``gc``, g0 made connected, into a triangulation
+    or quadrangulation, keeping its ids and appending the vertices it adds
+    (the entry points read their module's binding at call time, so a
+    wrapper put on it, as ``perfbench/spans.py`` does, sees the call);
     ``run_core(ctx)`` runs the recursion on the outer face and returns its
     survivors and lid dart, and ``final_phase(ctx, survivors, lid_dart)``
-    contracts what is left into one vertex.  The sequence is restricted
-    back to V(g0) and replayed by the independent verifier; returns
-    ``(seq0, report, (seq, g, t))`` with the completed graph's sequence,
-    graph and tree, which the plain entry points drop under their GC pause.
+    contracts what is left into one vertex.  Input rules are refused by the
+    layer that owns them, with ``PlaneError``: ``connect_components`` an
+    empty graph, the completion a non-simple or (``quadrangulate``) a
+    non-bipartite one.  The sequence is restricted back to V(g0) and
+    replayed by the independent verifier; returns ``(seq0, report, (seq,
+    g, t))`` with the completed graph's sequence, graph and tree, which the
+    plain entry points drop under their GC pause.
     """
-    if g0.n == 0:
-        raise BuilderError("empty graph: nothing to contract")
-    if not g0.is_simple():
-        raise BuilderError("input must be simple")
     gc, _ = connect_components(g0)
-    g, _ = complete(g0, gc)
+    g, _ = complete(gc)
     r = g.tail[g.outer_dart]
     t = left_aligned_bfs_tree(g, r)
     if checker is not None:
@@ -396,8 +392,9 @@ def planar_sequence(g0: PlaneGraph, checker=None,
     tree from a root on the outer triangle, the core recursion on the outer
     face, a final phase on the <= 5 leftover vertices, then restriction back
     to V(g0).  The returned report comes from replaying the restricted
-    sequence with the independent verifier; an empty graph or a verified
-    width above ``WIDTH_BOUND`` raises ``BuilderError``.
+    sequence with the independent verifier.  An empty or non-simple graph
+    raises ``PlaneError``, a verified width above ``WIDTH_BOUND``
+    ``BuilderError``.
     """
     seq0, report, _ = planar_sequence_full(g0, checker)
     return seq0, report
@@ -406,5 +403,5 @@ def planar_sequence(g0: PlaneGraph, checker=None,
 @pause_gc()
 def planar_sequence_full(g0: PlaneGraph, checker=None, verify: bool = True):
     check_mode(checker, "planar")
-    return run_pipeline(g0, checker, verify, _complete, _run_core,
+    return run_pipeline(g0, checker, verify, triangulate, _run_core,
                         _final_phase, WIDTH_BOUND)

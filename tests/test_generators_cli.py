@@ -188,6 +188,22 @@ def test_cli_prep_triangulate(tmp_path, capsys):
     assert "map 0 0" in out_path.read_text()
 
 
+@pytest.mark.parametrize("kind", ["triangulate", "quadrangulate"])
+def test_cli_prep_maps_only_the_input_ids(tmp_path, capsys, kind):
+    # two components: connecting them appends a vertex the input lacks
+    p = tmp_path / "two.plane"
+    p.write_text(pg.write_plane(pg.build(4, [(0, 1), (2, 3)],
+                                         [[0], [1], [2], [3]], 0)))
+    out_path = tmp_path / "done.plane"
+    code, _, err = run_cli(["prep", kind, str(p), "--out", str(out_path)],
+                           capsys)
+    assert (code, err) == (0, "")
+    text = out_path.read_text()
+    maps = [l.split()[2:] for l in text.splitlines() if l.startswith("c map")]
+    assert maps == [[str(v), str(v)] for v in range(4)]
+    assert pg.parse_plane(text).n > 4
+
+
 def test_cli_tree(tmp_path, capsys):
     p = tmp_path / "g.plane"
     p.write_text(pg.write_plane(tp.gen_triangulation(10, 1)))
@@ -257,8 +273,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     (["bench", "--sizes", "3"], "needs n >= 4"),
     (["gen", "tri", "--n", "10", "--grid", "3x5"], "--grid makes a quadrangulation"),
     (["gen", "quad"], "--n is required without --grid"),
+    (["bench", "--sizes", "30", "--seeds", "0"], "--seeds must be at least 1"),
+    (["bench", "--sizes", "30", "--seeds", "-2"], "--seeds must be at least 1"),
 ], ids=["tri-n3", "grid-no-x", "grid-not-numbers", "grid-1x5", "bench-n3",
-        "tri-grid", "quad-no-n"])
+        "tri-grid", "quad-no-n", "bench-seeds-0", "bench-seeds-negative"])
 def test_cli_bad_generator_argument_is_an_error(capsys, args, msg):
     code, out, err = run_cli(args, capsys)
     assert code == 1

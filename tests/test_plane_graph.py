@@ -10,7 +10,6 @@ from test_atlas import planar_atlas
 from test_generators import _plain_grid
 from test_golden import _thinned
 from twinplanar import plane_graph as pg
-from twinplanar.buildctx import BuilderError
 from twinplanar.generators import (gen_grid, gen_stacked_quadrangulation,
                                    gen_triangulation)
 from twinplanar.instrument import InvariantChecker
@@ -414,8 +413,7 @@ def test_connect_carries_a_repeated_pair():
     g = pg.build(4, [(0, 1), (0, 1), (2, 3)], [[0, 2], [3, 1], [4], [5]], 0)
     assert not g.is_simple()
     g2, added = pg.connect_components(g)
-    assert added and g2._simple is False
-    assert pg.build(g2.n, g2.edges, g2.rot, g2.outer_dart).is_simple() is False
+    assert added and g2.is_simple() is False
 
 
 # -- facts derived once per graph ---------------------------------------------
@@ -474,7 +472,7 @@ def test_derived_facts_match_direct_computation(g):
     assert [set(c) for c in got] == comps
     assert sum(len(c) for c in got) == g.n
 
-    # whole-graph checks: the kept result equals the first one
+    # whole-graph checks: a repeated call gives the same answer
     simple = g.is_simple()
     assert simple is True and g.is_simple() is simple
     check_odd_cycle(g, colour)
@@ -484,18 +482,50 @@ def test_derived_facts_match_direct_computation(g):
 @given(thinned_plane_graphs())
 def test_connect_carries_the_kept_checks(g):
     # each connector is a new vertex joined to two components: it adds no
-    # repeated pair and no cycle, so g's results hold for the joined graph
+    # repeated pair and no cycle, so the joined graph is simple (bipartite)
+    # exactly when g is, and the completions may decide both on it
     simple, odd = g.is_simple(), pg.find_odd_cycle(g)
     g2, _ = pg.connect_components(g)
-    fresh = pg.build(g2.n, g2.edges, g2.rot, g2.outer_dart)
-    assert g2._simple is simple is fresh.is_simple()
-    assert pg.find_odd_cycle(g2) == odd
-    assert (odd is None) == (pg.find_odd_cycle(fresh) is None)
-    if odd is not None:  # still a cycle of the joined graph
-        pairs = {frozenset(e) for e in g2.edges}
-        assert all(frozenset((odd[i - 1], odd[i])) in pairs
-                   for i in range(len(odd)))
+    assert g2.is_simple() is simple
+    odd2 = pg.find_odd_cycle(g2)
+    assert (odd2 is None) == (odd is None)
+    if g2 is g:
+        assert odd2 == odd
+    elif odd2 is not None:
+        # the search may meet another component's odd cycle first, but the
+        # connectors lie on no cycle, so the witness is one of g's
+        pairs = {frozenset(e) for e in g.edges}
+        assert len(odd2) % 2 == 1 and len(set(odd2)) == len(odd2)
+        assert all(frozenset((odd2[i - 1], odd2[i])) in pairs
+                   for i in range(len(odd2)))
 
+
+
+@pytest.mark.parametrize("mode, make, disconnected", [
+    ("planar", lambda: gen_triangulation(500, 1), False),
+    ("planar", lambda: thinned(gen_triangulation(500, 1), 0.45, 1), True),
+    ("bipartite", lambda: gen_grid(20, 30), False),
+], ids=["stacked", "thinned", "grid"])
+def test_each_input_rule_is_decided_once_per_run(monkeypatch, mode, make,
+                                                 disconnected):
+    # simple in both modes, bipartite in bipartite mode; one call each
+    g = make()
+    assert (g.ncomp > 1) is disconnected
+    calls = {"is_simple": 0, "find_odd_cycle": 0}
+    is_simple, find_odd_cycle = pg.PlaneGraph.is_simple, pg.find_odd_cycle
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(pg.PlaneGraph, "is_simple",
+                        counted("is_simple", is_simple))
+    monkeypatch.setattr(pg, "find_odd_cycle",
+                        counted("find_odd_cycle", find_odd_cycle))
+    (planar_sequence if mode == "planar" else bipartite_sequence)(g)
+    assert calls == {"is_simple": 1, "find_odd_cycle": int(mode == "bipartite")}
 
 
 def components_and_colouring(g):
@@ -592,14 +622,13 @@ def test_face_parity_agrees_with_a_2_colouring():
 def test_odd_cycle_refusal_scales_linearly():
     import time
     # the two sizes alternate trial by trial, so that drift in machine speed
-    # hits both means alike; each trial refuses a fresh graph, since the
-    # result is kept on the graph
+    # hits both means alike
     trials = {8001: [], 32001: []}
     for _ in range(5):
         for n, times in trials.items():
             g = cycle(n)
             t0 = time.perf_counter()
-            with pytest.raises(BuilderError, match="odd cycle"):
+            with pytest.raises(pg.PlaneError, match="^not bipartite: odd cycle"):
                 bipartite_sequence(g)
             times.append(time.perf_counter() - t0)
     small = sum(trials[8001]) / 5

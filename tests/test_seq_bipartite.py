@@ -81,8 +81,27 @@ def test_bipartite_trees_and_even_cycles():
 
 
 def test_rejects_odd_cycle():
-    with pytest.raises(tp.BuilderError, match="bipartite"):
+    with pytest.raises(tp.PlaneError, match="^not bipartite: odd cycle"):
         tp.bipartite_sequence(cycle_graph(5))
+    # neither simple nor bipartite, and disconnected: the odd cycle is
+    # reported, after connecting
+    c5 = cycle_graph(5)
+    g = pg.build(7, c5.edges + [(5, 6), (5, 6)],
+                 c5.rot + [[10, 12], [13, 11]], c5.outer_dart)
+    with pytest.raises(tp.PlaneError,
+                       match=r"^not bipartite: odd cycle \[0, 1, 2, 3, 4\]$"):
+        tp.bipartite_sequence(g)
+
+
+def test_rejects_multigraph():
+    # the completion refuses it; a disconnected one is connected first
+    connected = pg.build(2, [(0, 1), (0, 1)], [[0, 2], [1, 3]], 0)
+    disconnected = pg.build(4, [(0, 1), (0, 1), (2, 3)],
+                            [[0, 2], [3, 1], [4], [5]], 0)
+    for g in (connected, disconnected):
+        with pytest.raises(tp.PlaneError,
+                           match="^quadrangulate requires a simple graph$"):
+            tp.bipartite_sequence(g)
 
 
 def test_deterministic_output():
