@@ -13,8 +13,8 @@ queries per region:
 Replays every emitted step on a trigraph simulation and asserts, against
 the innermost active region of the recursion:
 
-* step discipline (level-respecting resp. level-preserving, as
-  ``trigraph.classify_step`` defines them),
+* the step rule (``_step_ok``): level-respecting in planar runs,
+  level-preserving in bipartite ones,
 * goodness of the level assignment after every step,
 * strict level-crossing of all edges in bipartite runs,
 * the red-degree ceilings of the recursion: interior vertices at most
@@ -30,10 +30,11 @@ A step looks only at the new vertex and its neighbours.  Per-vertex state
 lives in lists over the dense ids, and a region's boundary is a dozen
 constants (``region_bounds``), so a boundary test is a few comparisons;
 it runs only for a vertex with more than two red edges into the region,
-since every boundary cap is at least 2.  A checked build costs about 2.4
-times a plain one on stacked triangulations of 3,000 vertices (2-core VM,
-CPython 3.11); about 30% of the extra time is the one-step trigraph
-replay.
+since every boundary cap is at least 2.  Each step is replayed through
+``Trigraph.replay``, the verifier's one definition of a step, one call
+per step.  A checked build costs about 2.4 times a plain one on stacked
+triangulations of 3,000 vertices (2-core VM, CPython 3.11); 26-29% of
+the extra time is that replay.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .layering import BfsTree
 from .plane_graph import PlaneGraph
 from .seq_bipartite import WIDTH_BOUND as BIPARTITE_BOUND
 from .seq_planar import WIDTH_BOUND as PLANAR_BOUND
-from .trigraph import VIOLATION, Trigraph, classify_step
+from .trigraph import Trigraph
 
 # where a vertex sits relative to a region's boundary (``boundary_class``)
 OFF, ON, ON_RIGHT = 0, 1, 2
@@ -50,6 +51,24 @@ OFF, ON, ON_RIGHT = 0, 1, 2
 
 class InvariantViolation(AssertionError):
     pass
+
+
+def _step_ok(t: Trigraph, x: int, y: int, respecting: bool) -> bool:
+    """The step rule of the recursion for contracting x and y in ``t``.
+
+    A pair on one level is level-preserving and passes in both modes.  In
+    planar runs (``respecting``) a pair one level apart is level-respecting
+    and passes too when every black or red neighbour of the deeper vertex
+    sits on the shallower level.  Anything else fails.
+    """
+    level = t.level
+    lx, ly = level[x], level[y]
+    if lx == ly:
+        return True
+    if not respecting or abs(lx - ly) != 1:
+        return False
+    hi, lo = (x, ly) if lx > ly else (y, lx)
+    return all(level[w] == lo for ws in (t.black[hi], t.red[hi]) for w in ws)
 
 
 def region_bounds(t: BfsTree, spec: tuple) -> tuple:
@@ -119,8 +138,6 @@ class InvariantChecker:
         self.cap_boundary = 5 if mode == "planar" else 4
         self.cap_right = 3 if mode == "planar" else 2
         self.cap_wrapped = 7 if mode == "planar" else 6
-        # the step rule of the recursion (see trigraph.classify_step)
-        self.discipline = "respecting" if mode == "planar" else "preserving"
         self.t: BfsTree | None = None
         self.sim: Trigraph | None = None
         self.n = 0
@@ -198,14 +215,16 @@ class InvariantChecker:
         sim = self.sim
         self.steps_checked += 1
         final = self.final_phase
-        if not final and classify_step(
-                sim, ("k", x, y, z), self.discipline) == VIOLATION:
+        if not final and not _step_ok(sim, x, y, self.mode == "planar"):
+            rule = "respecting" if self.mode == "planar" else "preserving"
             raise InvariantViolation(
                 f"contraction ({x}@{sim.level[x]}, {y}@{sim.level[y]}) is not "
-                f"level-{self.discipline}")
-        got = sim.contract(x, y)
-        if got != z:
-            raise InvariantViolation(f"fresh id drift {got} != {z}")
+                f"level-{rule}")
+        # tested first, so a drift is not reported as the replay's bad
+        # fresh id
+        if sim.next_id != z:
+            raise InvariantViolation(f"fresh id drift {sim.next_id} != {z}")
+        sim.replay((("k", x, y, z),), [])
         pure = self.pure
         px = pure[x]
         pure[z] = px if px == pure[y] else None

@@ -92,6 +92,8 @@ def left_aligned_bfs_tree(g: PlaneGraph, r: int) -> BfsTree:
     come from subtree sizes.
     """
     n = g.n
+    if n == 0:
+        raise LayeringError("empty graph")
     if not 0 <= r < n:
         raise LayeringError(f"root {r} out of range")
     if g.ncomp != 1:

@@ -319,9 +319,9 @@ def _outer_triangle_call(g: PlaneGraph, t: BfsTree) -> tuple[int, int]:
     if lid is None:
         raise BuilderError("no outer edge avoiding the root")
     for d in walk:
-        for v in (g.tail[d],):
-            if v != r and t.parent[v] != r:
-                raise BuilderError("outer triangle vertex not a child of the root")
+        v = g.tail[d]
+        if v != r and t.parent[v] != r:
+            raise BuilderError("outer triangle vertex not a child of the root")
     return lid ^ 1, r
 
 

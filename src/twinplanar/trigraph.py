@@ -17,8 +17,11 @@ A trigraph stores its adjacency and levels in lists indexed by the dense
 ids of the sequence, 0..2n-2: ``black[v]`` and ``red[v]`` are sets, and
 both are ``None`` once v is contracted; ``level`` is a list as well.
 ``Trigraph.replay`` holds the one definition of a step: the verifier
-replays a whole sequence through it, and ``contract`` is a one-step
-replay.
+replays a whole sequence through it, and the per-step checker of
+``instrument`` replays one step per call, which resumes where the last
+call stopped.  Here levels only decide which ``d`` steps are legal; the
+builders' step rule (level-preserving, level-respecting) is the
+checker's and lives in ``instrument``.
 """
 
 from __future__ import annotations
@@ -103,13 +106,6 @@ class Trigraph:
             list(levels) if levels is not None else None)
         self.next_id = n
         self.steps_done = 0
-
-    # -- queries ------------------------------------------------------------
-
-    def neighbors(self, v: int) -> set[int]:
-        return self.black[v] | self.red[v]
-
-    # -- operations ----------------------------------------------------------
 
     def replay(self, steps: Iterable[Step], per_step: list[int],
                recheck: int = 0) -> None:
@@ -222,50 +218,6 @@ class Trigraph:
             self.next_id = z
             self._max_red = mx
             self.steps_done = idx
-
-    def contract(self, x: int, y: int) -> int:
-        """Contract x and y into a fresh vertex, returning its id."""
-        z = self.next_id
-        self.replay((("k", x, y, z),), [])
-        return z
-
-
-# ---------------------------------------------------------------------------
-# Level-assignment checks
-# ---------------------------------------------------------------------------
-
-LEVEL_PRESERVING = "level-preserving"
-LEVEL_RESPECTING = "level-respecting"
-VIOLATION = "violation"
-
-
-def classify_step(t: Trigraph, step: Step, mode: str) -> str:
-    """Classify a contraction against Definition-style level rules.
-
-    Contractions of equal levels are level-preserving; a one-apart pair is
-    level-respecting iff every neighbour of the deeper vertex sits on the
-    shallower level.  ``mode`` selects the discipline being enforced:
-    "preserving" accepts only same-level contractions, "respecting" also
-    the one-apart case.  A dummy level decrease is no contraction and
-    classifies as a violation; ``Trigraph.replay`` checks its legality.
-    """
-    if mode not in ("preserving", "respecting"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if t.level is None:
-        raise SequenceError("no level assignment present")
-    if step[0] == "d":
-        return VIOLATION
-    _, x, y, _z = step
-    lx, ly = t.level[x], t.level[y]
-    if lx == ly:
-        return LEVEL_PRESERVING
-    if mode == "preserving" or abs(lx - ly) != 1:
-        return VIOLATION
-    hi = x if lx > ly else y
-    lo_level = min(lx, ly)
-    if all(t.level[w] == lo_level for w in t.neighbors(hi)):
-        return LEVEL_RESPECTING
-    return VIOLATION
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,8 @@ def test_cli_edgeless_graphs_exit_cleanly(tmp_path, capsys, cmd, n):
         assert err.startswith(("error:", "invariant violation:"))
     if cmd == ["tree"] and n == 1:
         assert out.split() == ["-1"]
+    if cmd == ["tree"] and n == 0:
+        assert (code, err) == (2, "invariant violation: empty graph\n")
 
 
 @pytest.mark.parametrize("extra", [[], ["--assert"]], ids=["plain", "assert"])
@@ -364,6 +366,17 @@ def test_console_entrypoint():
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert "twinplanar" in r.stdout
+
+
+def test_importing_the_package_leaves_networkx_unloaded():
+    # embed_abstract and platonic_solids import networkx when called; an
+    # import at load time would add its 130-200 ms (2-core VM) to every CLI
+    # call
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys, twinplanar, twinplanar.cli; "
+                        "print('networkx' in sys.modules)"],
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
 
 
 SUPPORTED_API = {

@@ -9,23 +9,23 @@ from hypothesis import strategies as st
 import twinplanar as tp
 from twinplanar import layering as ly
 from twinplanar import trigraph as tg
-from twinplanar.instrument import (OFF, ON, ON_RIGHT,
+from twinplanar.instrument import (OFF, ON, ON_RIGHT, _step_ok,
                                    boundary_class, region_bounds)
 
 
 def test_contract_twins_stay_black():
     t = tg.Trigraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    z = t.contract(0, 1)
-    assert t.black[z] == {2, 3}
-    assert t.red[z] == set()
+    t.replay([("k", 0, 1, 4)], [])
+    assert t.black[4] == {2, 3}
+    assert t.red[4] == set()
 
 
 def test_contract_symmetric_difference_goes_red():
     # N(0)={2,3}, N(1)={3,4}: z red to 2 and 4, black to 3
     t = tg.Trigraph(5, [(0, 2), (0, 3), (1, 3), (1, 4)])
-    z = t.contract(0, 1)
-    assert t.red[z] == {2, 4}
-    assert t.black[z] == {3}
+    t.replay([("k", 0, 1, 5)], [])
+    assert t.red[5] == {2, 4}
+    assert t.black[5] == {3}
 
 
 def test_contract_red_inherited():
@@ -34,17 +34,17 @@ def test_contract_red_inherited():
     t.black[2].discard(0)
     t.red[0].add(2)
     t.red[2].add(0)
-    z = t.contract(0, 1)
-    assert t.red[z] == {2}
+    t.replay([("k", 0, 1, 3)], [])
+    assert t.red[3] == {2}
 
 
 def test_contract_errors():
     t = tg.Trigraph(3, [(0, 1)])
-    with pytest.raises(tg.SequenceError):
-        t.contract(0, 0)
-    t.contract(0, 1)
-    with pytest.raises(tg.SequenceError):
-        t.contract(0, 2)
+    with pytest.raises(tg.SequenceError, match="with itself"):
+        t.replay([("k", 0, 0, 3)], [])
+    t.replay([("k", 0, 1, 3)], [])
+    with pytest.raises(tg.SequenceError, match="dead/unknown vertex"):
+        t.replay([("k", 0, 2, 4)], [])
 
 
 # -- verify_sequence ----------------------------------------------------------
@@ -225,21 +225,34 @@ def is_good_assignment(t: tg.Trigraph) -> bool:
     return True
 
 
+# -- the checker's step rule (``instrument._step_ok``) ---------------------
+
+
 def test_classify_level_preserving():
     t = tg.Trigraph(4, [(0, 1), (2, 3)], levels=[5, 5, 5, 5])
-    assert tg.classify_step(t, ("k", 0, 1, 4), "preserving") == tg.LEVEL_PRESERVING
+    assert _step_ok(t, 0, 1, respecting=False)
+    assert _step_ok(t, 0, 1, respecting=True)
 
 
 def test_classify_level_respecting_case():
     # y at level 5, every neighbour of y at level 4
     t = tg.Trigraph(3, [(0, 1), (1, 2)], levels=[4, 5, 4])
-    assert tg.classify_step(t, ("k", 0, 1, 3), "respecting") == tg.LEVEL_RESPECTING
+    assert _step_ok(t, 0, 1, respecting=True)
+    assert _step_ok(t, 1, 0, respecting=True)
 
 
 def test_classify_violation():
     # y at level 5 keeps a level-6 neighbour
     t = tg.Trigraph(4, [(0, 1), (1, 2), (1, 3)], levels=[4, 5, 4, 6])
-    assert tg.classify_step(t, ("k", 0, 1, 4), "respecting") == tg.VIOLATION
+    assert not _step_ok(t, 0, 1, respecting=True)
+    # a red neighbour counts as much as a black one
+    t = tg.Trigraph(4, [(0, 1), (1, 2)], levels=[4, 5, 4, 6])
+    t.red[1].add(3)
+    t.red[3].add(1)
+    assert not _step_ok(t, 0, 1, respecting=True)
+    # two levels apart, though the deeper vertex has no neighbour at all
+    t = tg.Trigraph(3, [(0, 1)], levels=[4, 5, 6])
+    assert not _step_ok(t, 0, 2, respecting=True)
 
 
 @pytest.mark.parametrize("levels", [[0], [0, 1, 1, 5]], ids=["short", "long"])
@@ -252,7 +265,7 @@ def test_verify_rejects_levels_of_the_wrong_length(levels):
 
 def test_min_level_update_and_decrease():
     t = tg.Trigraph(3, [(0, 1), (1, 2)], levels=[3, 4, 3])
-    assert t.contract(0, 1) == 3
+    t.replay([("k", 0, 1, 3)], [])
     assert t.level[3] == 3
     t2 = tg.Trigraph(2, [(0, 1)], levels=[3, 2])
     t2.replay([("d", 0)], [])
@@ -275,9 +288,37 @@ def test_min_level_respecting_keeps_goodness():
     seq, _rep, (full_seq, G, t) = tp.planar_sequence_full(g)
     sim = tg.Trigraph(G.n, G.edges, levels=t.depth)
     nfinal = 4  # final-phase steps are outside the level discipline
-    for _, x, y, z in full_seq.steps[:-nfinal]:
-        assert sim.contract(x, y) == z
+    for step in full_seq.steps[:-nfinal]:
+        sim.replay((step,), [])
         assert is_good_assignment(sim)
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_one_step_per_call_equals_one_batch(s):
+    # the checker replays one step per call, each call resuming the last
+    _, _, (full, G, t) = tp.planar_sequence_full(tp.gen_triangulation(300, s))
+
+    def run(steps, per_call):
+        """(error text or None, per-step maxima, next_id)"""
+        sim = tg.Trigraph(G.n, G.edges, levels=t.depth)
+        per_step = []
+        try:
+            for chunk in [(step,) for step in steps] if per_call else [steps]:
+                sim.replay(chunk, per_step)
+        except tg.SequenceError as exc:
+            return str(exc), per_step, sim.next_id
+        return None, per_step, sim.next_id
+
+    one = run(full.steps, True)
+    assert one == run(full.steps, False)
+    assert (one[0], one[2]) == (None, 2 * G.n - 1)
+    i = len(full.steps) // 2
+    _, x, _, z = full.steps[i]
+    bad = full.steps[:i] + [("k", x, x, z)] + full.steps[i + 1:]
+    one = run(bad, True)
+    assert one == run(bad, False)
+    assert (one[0], one[2]) == (
+        f"step {i}: cannot contract a vertex with itself", z)
 
 
 def test_claim_new_red_edges_stay_within_one_layer():
@@ -293,7 +334,8 @@ def test_claim_new_red_edges_stay_within_one_layer():
         pair = next(vs for vs in by_level.values() if len(vs) >= 2)
         x, y = pair[:2]
         lev = sim.level[x]
-        z = sim.contract(x, y)
+        z = sim.next_id
+        sim.replay([("k", x, y, z)], [])
         for w in sim.red[z]:
             assert sim.level[w] in (lev - 1, lev, lev + 1)
 
@@ -376,14 +418,10 @@ def test_parse_seq_rejects_a_bad_header(text, msg):
 
 
 def test_classify_modes():
+    # one level apart passes in planar runs only
     t = tg.Trigraph(3, [(0, 1), (1, 2)], levels=[4, 5, 4])
-    step = ("k", 0, 1, 3)
-    assert tg.classify_step(t, step, mode="respecting") == tg.LEVEL_RESPECTING
-    assert tg.classify_step(t, step, mode="preserving") == tg.VIOLATION
-    t2 = tg.Trigraph(2, [(0, 1)], levels=[3, 2])
-    assert tg.classify_step(t2, ("d", 0), mode="respecting") == tg.VIOLATION
-    with pytest.raises(ValueError):
-        tg.classify_step(t2, step, mode="bogus")
+    assert _step_ok(t, 0, 1, respecting=True)
+    assert not _step_ok(t, 0, 1, respecting=False)
 
 
 @pytest.mark.parametrize("mode, x, y, rule", [
