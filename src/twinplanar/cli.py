@@ -75,12 +75,7 @@ def cmd_seq(args) -> int:
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph, args.embed)
     seq = tg.parse_seq(_read(args.seq))
-    levels = None
-    if args.root is not None:
-        from .layering import bfs_layering
-        levels = bfs_layering(g, args.root)
-    report = tg.verify_sequence(g.n, g.edges, seq, levels=levels,
-                                debug_recheck=args.recheck)
+    report = tg.verify_sequence(g.n, g.edges, seq, debug_recheck=args.recheck)
     print(f"width {report.width}")
     if not report.full:
         print("note: sequence is partial", file=sys.stderr)
@@ -182,8 +177,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="replay a sequence and print its width")
     p.add_argument("graph")
     p.add_argument("seq")
-    p.add_argument("--root", type=int, default=None,
-                   help="validate d-steps against BFS levels from this root")
     p.add_argument("--recheck", type=int, default=0, metavar="K",
                    help="recompute red degrees from scratch every K steps "
                         "(debug; 64 is the usual choice)")

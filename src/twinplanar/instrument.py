@@ -214,6 +214,13 @@ class InvariantChecker:
     def on_contract(self, x: int, y: int, z: int) -> None:
         sim = self.sim
         self.steps_checked += 1
+        # before the step rule, which reads the levels of live ids only
+        black, nid = sim.black, sim.next_id
+        if (not (0 <= x < nid and 0 <= y < nid) or black[x] is None
+                or black[y] is None):
+            bad = y if 0 <= x < nid and black[x] is not None else x
+            raise InvariantViolation(
+                f"contraction ({x}, {y}) names {bad}, which is not live")
         final = self.final_phase
         if not final and not _step_ok(sim, x, y, self.mode == "planar"):
             rule = "respecting" if self.mode == "planar" else "preserving"

@@ -1,4 +1,4 @@
-"""BFS layerings and left-aligned BFS trees on plane graphs.
+"""Left-aligned BFS trees on plane graphs.
 
 The left-aligned tree is one BFS: each dequeued vertex adopts its
 undiscovered neighbours in ccw order from the parental edge (at the root:
@@ -49,26 +49,6 @@ class BfsTree:
         """z on the vertical path from ``bottom`` up to its ancestor ``top``."""
         return (self.depth[top] <= self.depth[z] <= self.depth[bottom]
                 and self.is_ancestor(z, bottom))
-
-
-def bfs_layering(g: PlaneGraph, r: int) -> list[int]:
-    """Graph distances from r.  Raises on out-of-range root or disconnected g."""
-    if not 0 <= r < g.n:
-        raise LayeringError(f"root {r} out of range")
-    dist = [-1] * g.n
-    dist[r] = 0
-    q = [r]
-    head, rot = g.head, g.rot
-    for v in q:  # grows while it is walked: a FIFO queue
-        dv = dist[v] + 1
-        for d in rot[v]:
-            w = head[d]
-            if dist[w] == -1:
-                dist[w] = dv
-                q.append(w)
-    if -1 in dist:
-        raise LayeringError("graph is disconnected")
-    return dist
 
 
 def _root_anchor(g: PlaneGraph, r: int) -> int:

@@ -209,20 +209,13 @@ def exact_twinwidth(n: int, edges: Iterable[tuple[int, int]],
     return ExactResult(width, seq)
 
 
-def _check_ids(idx: int, ids, bound: int) -> None:
-    # a list would wrap a negative id and overrun a not yet created one
-    for v in ids:
-        if not 0 <= v < bound:
-            raise SequenceError(f"step {idx}: id {v} outside 0..{bound - 1}")
-
-
 def reference_verify(n: int, edges: Iterable[tuple[int, int]],
                      seq: ContractionSequence) -> WidthReport:
     """Dense-matrix replay (0 none, 1 black, 2 red); O(n^2) per step on
     purpose and fully independent of the incremental verifier."""
     if seq.n != n:
         raise SequenceError(f"sequence is for n={seq.n}, graph has n={n}")
-    size = n + seq.contract_count
+    size = n + len(seq.steps)
     M = [[0] * size for _ in range(size)]
     live = [False] * size
     for v in range(n):
@@ -233,30 +226,28 @@ def reference_verify(n: int, edges: Iterable[tuple[int, int]],
     per_step: list[int] = []
     width = 0
     for idx, step in enumerate(seq.steps):
-        if step[0] == "k":
-            _, x, y, z = step
-            if z != expected:
-                raise SequenceError(f"step {idx}: bad fresh id")
-            _check_ids(idx, (x, y), z)
-            expected += 1
-            if x == y or not (live[x] and live[y]):
-                raise SequenceError(f"step {idx}: dead or equal endpoints")
-            for w in range(size):
-                if not live[w] or w == x or w == y:
-                    continue
-                a, c = M[x][w], M[y][w]
-                val = 0 if (a == 0 and c == 0) else (1 if (a == 1 and c == 1) else 2)
-                M[z][w] = M[w][z] = val
-            live[x] = live[y] = False
-            live[z] = True
-            for w in range(size):
-                M[x][w] = M[w][x] = M[y][w] = M[w][y] = 0
-        elif step[0] == "d":
-            _check_ids(idx, step[1:], expected)
-            if not live[step[1]]:
-                raise SequenceError(f"step {idx}: d-step on dead vertex")
-        else:
+        if step[0] != "k":
             raise SequenceError(f"step {idx}: unknown step")
+        _, x, y, z = step
+        if z != expected:
+            raise SequenceError(f"step {idx}: bad fresh id")
+        # a list would wrap a negative id and overrun a not yet created one
+        for v in (x, y):
+            if not 0 <= v < z:
+                raise SequenceError(f"step {idx}: id {v} outside 0..{z - 1}")
+        expected += 1
+        if x == y or not (live[x] and live[y]):
+            raise SequenceError(f"step {idx}: dead or equal endpoints")
+        for w in range(size):
+            if not live[w] or w == x or w == y:
+                continue
+            a, c = M[x][w], M[y][w]
+            val = 0 if (a == 0 and c == 0) else (1 if (a == 1 and c == 1) else 2)
+            M[z][w] = M[w][z] = val
+        live[x] = live[y] = False
+        live[z] = True
+        for w in range(size):
+            M[x][w] = M[w][x] = M[y][w] = M[w][y] = 0
         mx = 0
         for v in range(size):
             if live[v]:

@@ -5,13 +5,10 @@ black and turns every other inherited adjacency red:
 ``N(z) = (N(x) | N(y)) - {x, y}`` and
 ``red(z) = (red(x) | red(y) | (N(x) ^ N(y))) - {x, y}``.
 
-A sequence's width is the maximum red degree seen after any step; dummy
-``d x`` steps lower the level of x by one and never touch adjacency.  The
-builders emit contractions only; ``d`` steps come from sequences read
-from files, which the verifier checks all the same.  The
-trigraph keeps a histogram of red degrees, updated by each contraction
-only at z and its red neighbours, so the verifier reads the running
-maximum after every step in O(1).
+A sequence is contractions only, and its width is the maximum red degree
+seen after any step.  The trigraph keeps a histogram of red degrees,
+updated by each contraction only at z and its red neighbours, so the
+verifier reads the running maximum after every step in O(1).
 
 A trigraph stores its adjacency and levels in lists indexed by the dense
 ids of the sequence, 0..2n-2: ``black[v]`` and ``red[v]`` are sets, and
@@ -19,9 +16,9 @@ both are ``None`` once v is contracted; ``level`` is a list as well.
 ``Trigraph.replay`` holds the one definition of a step: the verifier
 replays a whole sequence through it, and the per-step checker of
 ``instrument`` replays one step per call, which resumes where the last
-call stopped.  Here levels only decide which ``d`` steps are legal; the
-builders' step rule (level-preserving, level-respecting) is the
-checker's and lives in ``instrument``.
+call stopped.  The verifier reads no level: levels are carried for the
+checker, whose step rule (level-preserving, level-respecting) lives in
+``instrument``.
 """
 
 from __future__ import annotations
@@ -31,11 +28,12 @@ from typing import Iterable, Sequence
 
 from .plane_graph import FormatError, pause_gc, read_header, records
 
-Step = tuple  # ("k", x, y, z) or ("d", x)
+Step = tuple  # ("k", x, y, z): contract x and y into the fresh z
 
 
 class SequenceError(ValueError):
-    """Invalid contraction sequence (bad ids, wrong fresh id, bad d-step)."""
+    """Invalid contraction sequence (an unknown step kind, a dead, negative
+    or not yet created id, a wrong fresh id)."""
 
 
 @dataclass
@@ -48,12 +46,8 @@ class ContractionSequence:
     n: int
     steps: list[Step] = field(default_factory=list)
 
-    @property
-    def contract_count(self) -> int:
-        return sum(1 for s in self.steps if s[0] == "k")
-
     def is_full(self) -> bool:
-        return self.contract_count == self.n - 1
+        return len(self.steps) == max(self.n - 1, 0)
 
 
 @dataclass
@@ -114,13 +108,12 @@ class Trigraph:
 
         This is the one definition of a step.  ``("k", x, y, z)`` contracts
         the live x, y into the fresh z: common black neighbours keep a black
-        edge to z, every other neighbour of x or y becomes red to z.
-        ``("d", x)`` lowers the level of the live x by one, legal only if
-        no neighbour sits deeper than the new level; without levels it only
-        checks that x is live.  Errors are ``SequenceError("step i: ...")``
-        with i counted over every step this trigraph has replayed, and so
-        is the rescan: with ``recheck=K`` the red degrees are recounted
-        from scratch after every K-th step to catch drift in the histogram.
+        edge to z, every other neighbour of x or y becomes red to z, and
+        with levels z takes the smaller level of x and y.  Any other step
+        kind is refused.  Errors are ``SequenceError("step i: ...")`` with i
+        counted over every step this trigraph has replayed, and so is the
+        rescan: with ``recheck=K`` the red degrees are recounted from
+        scratch after every K-th step to catch drift in the histogram.
         """
         black, red, hist, level = self.black, self.red, self._red_hist, self.level
         append = per_step.append
@@ -129,75 +122,62 @@ class Trigraph:
         idx = self.steps_done  # global index of ``step``
         try:
             for step in steps:
-                if step[0] == "k":
-                    _, x, y, fresh = step
-                    if fresh != z:
-                        raise SequenceError(f"fresh id {fresh} != expected {z}")
-                    if x == y:
-                        raise SequenceError("cannot contract a vertex with itself")
-                    if x < 0 or y < 0:
-                        raise IndexError  # a list would wrap a negative id
-                    bx, by = black[x], black[y]
-                    if bx is None or by is None:
-                        raise IndexError
-                    rx, ry = red[x], red[y]
-                    black[x] = black[y] = red[x] = red[y] = None
-                    hist[len(rx)] -= 1
-                    hist[len(ry)] -= 1
-                    # z takes over the sets of x: bx becomes its black and
-                    # rx its red neighbourhood
-                    xy = {x, y}
-                    once = bx ^ by
-                    once -= xy
-                    bx &= by
-                    # common black neighbours keep a black edge and their
-                    # red degree
-                    for w in bx:
-                        bw = black[w]
-                        bw -= xy
-                        bw.add(z)
-                    # a black edge to only one of x, y is dropped
-                    for w in once:
-                        bw = black[w]
-                        bw -= xy
-                    rx |= ry
-                    rx |= once
-                    rx -= xy
-                    for w in rx:
-                        rw = red[w]
-                        d = len(rw)
-                        rw -= xy
-                        rw.add(z)
-                        e = len(rw)
-                        if e != d:
-                            hist[d] -= 1
-                            hist[e] += 1
-                    black.append(bx)
-                    red.append(rx)
-                    d = len(rx)
-                    hist[d] += 1
-                    # any red degree but z's grew by at most one
-                    mx = mx + 1 if mx >= d else d
-                    while mx and not hist[mx]:
-                        mx -= 1
-                    if level is not None:
-                        level.append(min(level[x], level[y]))
-                        level[x] = level[y] = None
-                    z += 1
-                elif step[0] == "d":
-                    x = step[1]
-                    if x < 0 or black[x] is None:
-                        raise IndexError
-                    if level is not None:
-                        lx = level[x] - 1
-                        for t in black[x] | red[x]:
-                            if level[t] > lx:
-                                raise SequenceError(
-                                    f"illegal level decrease of {x}: neighbour "
-                                    f"{t} at level {level[t]} > {lx}")
-                        level[x] = lx
-                else:
+                if step[0] != "k":
                     raise SequenceError(f"unknown step kind {step[0]!r}")
+                _, x, y, fresh = step
+                if fresh != z:
+                    raise SequenceError(f"fresh id {fresh} != expected {z}")
+                if x == y:
+                    raise SequenceError("cannot contract a vertex with itself")
+                if x < 0 or y < 0:
+                    raise IndexError  # a list would wrap a negative id
+                bx, by = black[x], black[y]
+                if bx is None or by is None:
+                    raise IndexError
+                rx, ry = red[x], red[y]
+                black[x] = black[y] = red[x] = red[y] = None
+                hist[len(rx)] -= 1
+                hist[len(ry)] -= 1
+                # z takes over the sets of x: bx becomes its black and rx its
+                # red neighbourhood
+                xy = {x, y}
+                once = bx ^ by
+                once -= xy
+                bx &= by
+                # common black neighbours keep a black edge and their red
+                # degree
+                for w in bx:
+                    bw = black[w]
+                    bw -= xy
+                    bw.add(z)
+                # a black edge to only one of x, y is dropped
+                for w in once:
+                    bw = black[w]
+                    bw -= xy
+                rx |= ry
+                rx |= once
+                rx -= xy
+                for w in rx:
+                    rw = red[w]
+                    d = len(rw)
+                    rw -= xy
+                    rw.add(z)
+                    e = len(rw)
+                    if e != d:
+                        hist[d] -= 1
+                        hist[e] += 1
+                black.append(bx)
+                red.append(rx)
+                d = len(rx)
+                hist[d] += 1
+                # any red degree but z's grew by at most one
+                mx = mx + 1 if mx >= d else d
+                while mx and not hist[mx]:
+                    mx -= 1
+                if level is not None:
+                    level.append(min(level[x], level[y]))
+                    level[x] = level[y] = None
+                z += 1
                 if recheck and (idx + 1) % recheck == 0:
                     real = max((len(r) for r in red if r is not None), default=0)
                     if real != mx:
@@ -207,13 +187,8 @@ class Trigraph:
         except SequenceError as exc:
             raise SequenceError(f"step {idx}: {exc}") from None
         except IndexError:  # a negative, dead or not yet created id
-            if step[0] == "k":
-                msg = f"contracting dead/unknown vertex ({step[1]},{step[2]})"
-            elif level is not None:
-                msg = f"level decrease of dead vertex {step[1]}"
-            else:
-                msg = "d-step on dead vertex"
-            raise SequenceError(f"step {idx}: {msg}") from None
+            raise SequenceError(f"step {idx}: contracting dead/unknown vertex "
+                                f"({step[1]},{step[2]})") from None
         finally:
             self.next_id = z
             self._max_red = mx
@@ -228,12 +203,9 @@ class Trigraph:
 @pause_gc()
 def verify_sequence(n: int, edges: Iterable[tuple[int, int]],
                     seq: ContractionSequence,
-                    levels: Sequence[int] | None = None,
                     debug_recheck: int = 0) -> WidthReport:
     """Replay a sequence, reporting the exact max red degree after each step.
 
-    Levels are optional, one per vertex of the graph; without them ``d``
-    steps are replayed unchecked.
     With ``debug_recheck=k`` the incremental red-degree maximum is recomputed
     from scratch every k steps to catch drift; a negative k is a
     ``ValueError``.  Errors name the failing step: ``"step i: ..."``.
@@ -242,12 +214,9 @@ def verify_sequence(n: int, edges: Iterable[tuple[int, int]],
         raise ValueError(f"debug_recheck must be >= 0, got {debug_recheck}")
     if seq.n != n:
         raise SequenceError(f"sequence is for n={seq.n}, graph has n={n}")
-    t = Trigraph(n, edges, levels)
     per_step: list[int] = []
-    t.replay(seq.steps, per_step, debug_recheck)
-    # the replay checked every fresh id, so it made the contractions
-    return WidthReport(max(per_step, default=0), per_step,
-                       t.next_id - n == n - 1)
+    Trigraph(n, edges).replay(seq.steps, per_step, debug_recheck)
+    return WidthReport(max(per_step, default=0), per_step, seq.is_full())
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +230,9 @@ def restrict_sequence(seq: ContractionSequence, keep: Iterable[int]
 
     A contraction survives iff both sides still represent at least one kept
     original vertex; the kept originals are renumbered 0..k-1 in sorted
-    order and fresh ids follow deterministically.  Dummy steps are dropped.
-    A kept id outside 0..n-1 raises ``SequenceError``.
+    order and fresh ids follow deterministically.  A kept id outside
+    0..n-1 raises ``SequenceError``, and so does a step that the verifier
+    would refuse for its kind or its ids, as ``"step i: ..."``.
     """
     keep_sorted = sorted(set(keep))
     n = seq.n
@@ -270,9 +240,10 @@ def restrict_sequence(seq: ContractionSequence, keep: Iterable[int]
     if keep_sorted and not (0 <= keep_sorted[0] and keep_sorted[-1] < n):
         bad = keep_sorted[0] if keep_sorted[0] < 0 else keep_sorted[-1]
         raise SequenceError(f"kept vertex {bad} outside 0..{n - 1}")
-    # per dense id: number of kept originals, restricted id or -1
+    # per dense id: number of kept originals, -1 while not live (not yet
+    # created or contracted); restricted id or -1
     size = n + len(seq.steps)
-    cnt = [0] * size
+    cnt = [0] * n + [-1] * len(seq.steps)
     rid = [-1] * size
     for i, v in enumerate(keep_sorted):
         cnt[v] = 1
@@ -280,18 +251,31 @@ def restrict_sequence(seq: ContractionSequence, keep: Iterable[int]
     out = ContractionSequence(k)
     append = out.steps.append
     fresh = k
-    for step in seq.steps:
-        if step[0] != "k":
-            continue
-        _, x, y, z = step
-        cx, cy = cnt[x], cnt[y]
-        cnt[z] = cx + cy
-        if cx and cy:
-            append(("k", rid[x], rid[y], fresh))
-            rid[z] = fresh
-            fresh += 1
-        else:
-            rid[z] = rid[x] if cx else rid[y]
+    try:
+        for z, step in enumerate(seq.steps, n):
+            if step[0] != "k":
+                raise SequenceError(f"unknown step kind {step[0]!r}")
+            _, x, y, zs = step
+            if zs != z:
+                raise SequenceError(f"fresh id {zs} != expected {z}")
+            if x < 0 or y < 0 or x == y:
+                raise IndexError  # a list would wrap a negative id
+            cx, cy = cnt[x], cnt[y]
+            if cx < 0 or cy < 0:
+                raise IndexError
+            cnt[x] = cnt[y] = -1
+            cnt[z] = cx + cy
+            if cx and cy:
+                append(("k", rid[x], rid[y], fresh))
+                rid[z] = fresh
+                fresh += 1
+            else:
+                rid[z] = rid[x] if cx else rid[y]
+    except SequenceError as exc:
+        raise SequenceError(f"step {z - n}: {exc}") from None
+    except IndexError:  # a negative, dead, repeated or not yet created id
+        raise SequenceError(f"step {z - n}: ({x},{y}) is not a pair of live "
+                            f"vertices") from None
     return out
 
 
@@ -303,11 +287,8 @@ def restrict_sequence(seq: ContractionSequence, keep: Iterable[int]
 def write_seq(seq: ContractionSequence, comments: Iterable[str] = ()) -> str:
     lines = [f"c {c}" for c in comments]
     lines.append(f"p tww-seq {seq.n} {len(seq.steps)}")
-    for step in seq.steps:
-        if step[0] == "k":
-            lines.append(f"k {step[1]} {step[2]} {step[3]}")
-        else:
-            lines.append(f"d {step[1]}")
+    for _, x, y, z in seq.steps:
+        lines.append(f"k {x} {y} {z}")
     return "\n".join(lines) + "\n"
 
 
@@ -321,11 +302,11 @@ def parse_seq(text: str) -> ContractionSequence:
             if tag == "p":
                 n, declared = read_header(parts, "tww-seq", n >= 0)
                 fresh = n
-            elif tag not in ("k", "d"):
+            elif tag != "k":
                 raise FormatError(f"unknown record {tag!r}")
             elif n < 0:
                 raise FormatError("step before the 'p tww-seq' header")
-            elif tag == "k":
+            else:
                 _, x, y, z = parts
                 z = int(z)
                 if z != fresh:
@@ -333,9 +314,6 @@ def parse_seq(text: str) -> ContractionSequence:
                         f"contraction produces {z}, expected fresh id {fresh}")
                 steps.append(("k", int(x), int(y), z))
                 fresh += 1
-            else:
-                _, x = parts
-                steps.append(("d", int(x)))
     except (IndexError, ValueError) as exc:
         raise FormatError(f"line {ln}: {raw!r}: {exc}") from exc
     if n < 0:

@@ -79,10 +79,9 @@ def test_cli_verify_recheck_prints_the_plain_width(tmp_path, capsys):
             capsys)
     code, plain, _ = run_cli(["verify", str(gpath), str(spath)], capsys)
     assert code == 0 and re.fullmatch(r"width \d\n", plain)
-    for extra in (["--recheck", "64"], ["--root", "0", "--recheck", "64"]):
-        code, out, err = run_cli(["verify", str(gpath), str(spath), *extra],
-                                 capsys)
-        assert (code, out, err) == (0, plain, "")
+    code, out, err = run_cli(["verify", str(gpath), str(spath),
+                              "--recheck", "64"], capsys)
+    assert (code, out, err) == (0, plain, "")
 
 
 def test_cli_seq_assert_mode(tmp_path, capsys):
@@ -150,6 +149,28 @@ def test_cli_verify_rejects_a_sequence_without_a_leading_header(tmp_path,
     assert code == 1 and out == ""
     assert err == ("error: line 1: 'k 0 1 2': step before the 'p tww-seq' "
                    "header\n")
+
+
+def test_cli_verify_refuses_a_level_decrease_record(tmp_path, capsys):
+    # a sequence is contractions only: `d x` is no record of the format
+    gpath = tmp_path / "p3.plane"
+    gpath.write_text(pg.write_plane(pg.build(3, [(0, 1), (1, 2)],
+                                             [[0], [1, 2], [3]], 0)))
+    spath = tmp_path / "d.seq"
+    spath.write_text("p tww-seq 3 3\nk 0 1 3\nd 2\nk 3 2 4\n")
+    code, out, err = run_cli(["verify", str(gpath), str(spath)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: line 3: 'd 2': unknown record 'd'\n"
+
+
+def test_cli_verify_calls_the_empty_sequence_of_an_empty_graph_full(
+        tmp_path, capsys):
+    gpath = tmp_path / "empty.plane"
+    gpath.write_text("p plane 0 0\n")
+    spath = tmp_path / "empty.seq"
+    spath.write_text("p tww-seq 0 0\n")
+    code, out, err = run_cli(["verify", str(gpath), str(spath)], capsys)
+    assert (code, out, err) == (0, "width 0\n", "")
 
 
 @pytest.mark.parametrize("text, n", [

@@ -11,6 +11,25 @@ from twinplanar import layering as ly
 from twinplanar import plane_graph as pg
 
 
+def bfs_layering(g, r):
+    """Graph distances from r, the layers of the oracle trees below.
+    Raises on an out-of-range root or a disconnected g."""
+    if not 0 <= r < g.n:
+        raise ly.LayeringError(f"root {r} out of range")
+    dist = [-1] * g.n
+    dist[r] = 0
+    q = [r]
+    for v in q:  # grows while it is walked: a FIFO queue
+        for d in g.rot[v]:
+            w = g.head[d]
+            if dist[w] == -1:
+                dist[w] = dist[v] + 1
+                q.append(w)
+    if -1 in dist:
+        raise ly.LayeringError("graph is disconnected")
+    return dist
+
+
 # -- the definition of "left of", as the differential oracle ----------------
 
 
@@ -88,7 +107,7 @@ def dfs_left_aligned_tree(g, r):
     vertex, all its un-treed next-layer neighbours in ccw order from the
     anchor (through the lowest edge id among parallels) and recurses in
     that order."""
-    depth = ly.bfs_layering(g, r)
+    depth = bfs_layering(g, r)
     n = g.n
     parent, parent_dart, order, tin = [-1] * n, [-1] * n, [], [0] * n
     stack = [r]
@@ -121,7 +140,7 @@ def dfs_left_aligned_tree(g, r):
 def random_bfs_tree(g, r, rng):
     """A BFS tree of g rooted at r with every parent drawn at random from
     the vertex's neighbours one layer up (left-aligned only by chance)."""
-    depth = ly.bfs_layering(g, r)
+    depth = bfs_layering(g, r)
     parent, parent_dart = [-1] * g.n, [-1] * g.n
     for v in range(g.n):
         ups = [d for d in g.rot[v] if depth[g.head[d]] == depth[v] - 1]
@@ -147,18 +166,18 @@ def random_bfs_tree(g, r, rng):
 
 def test_bfs_layering_triangle():
     g = pg.build(3, [(0, 1), (0, 2), (1, 2)], [[0, 2], [4, 1], [3, 5]], 1)
-    assert ly.bfs_layering(g, 0) == [0, 1, 1]
+    assert bfs_layering(g, 0) == [0, 1, 1]
 
 
 def test_bfs_layering_path_from_end():
     g = pg.build(4, [(0, 1), (1, 2), (2, 3)],
                  [[0], [2, 1], [4, 3], [5]], 0)
-    assert ly.bfs_layering(g, 0) == [0, 1, 2, 3]
+    assert bfs_layering(g, 0) == [0, 1, 2, 3]
 
 
 def test_bfs_layering_grid_corner():
     g = tp.gen_grid(3, 3)
-    dist = ly.bfs_layering(g, 0)
+    dist = bfs_layering(g, 0)
     from collections import Counter
     sizes = Counter(dist[v] for v in range(9))
     assert [sizes[i] for i in range(5)] == [1, 2, 3, 2, 1]
@@ -167,9 +186,9 @@ def test_bfs_layering_grid_corner():
 def test_bfs_layering_errors():
     g = pg.build(2, [], [[], []], 0)
     with pytest.raises(ly.LayeringError, match="disconnected"):
-        ly.bfs_layering(g, 0)
+        bfs_layering(g, 0)
     with pytest.raises(ly.LayeringError, match="range"):
-        ly.bfs_layering(g, 9)
+        bfs_layering(g, 9)
 
 
 def test_tree_host_is_its_own_left_aligned_tree():

@@ -696,9 +696,8 @@ PLANE = "p plane 2 1\ne 0 0 1\nr 0 0\nr 1 0\nouter 0 0\n"
     (pg.parse_edge_list, "p edge 2 1\ne 0 1 1\n", 2),
     (parse_seq, "p tww-seq 2 1 0\nk 0 1 2\n", 1),
     (parse_seq, "p tww-seq 2 1\nk 0 1 2 9\n", 2),
-    (parse_seq, "p tww-seq 2 2\nd 0 1\nk 0 1 2\n", 2),
 ], ids=["plane-header", "plane-edge", "plane-outer", "edge-header",
-        "edge-edge", "seq-header", "seq-contraction", "seq-decrease"])
+        "edge-edge", "seq-header", "seq-contraction"])
 def test_parsers_reject_trailing_fields(parse, text, line):
     bad = text.splitlines()[line - 1]
     with pytest.raises(pg.FormatError,

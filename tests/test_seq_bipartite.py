@@ -65,7 +65,7 @@ def test_bipartite_property(n, seed):
     seq, rep = tp.bipartite_sequence(g, checker=InvariantChecker("bipartite"))
     assert rep.full
     assert rep.width <= 6
-    assert seq.contract_count == n - 1
+    assert len(seq.steps) == n - 1
 
 
 def test_bipartite_trees_and_even_cycles():

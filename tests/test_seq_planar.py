@@ -68,7 +68,7 @@ def test_planar_property(n, seed):
     seq, rep = tp.planar_sequence(g)
     assert rep.full
     assert rep.width <= 8
-    assert seq.contract_count == n - 1
+    assert len(seq.steps) == n - 1
 
 
 def test_sparse_planar_inputs_via_embedding():
@@ -210,7 +210,7 @@ def test_second_stage_rejects_an_added_vertex_at_the_bound():
 def test_verify_roundtrip_on_completed_graph():
     g0 = tp.gen_triangulation(80, 21)
     seq, rep, (full_seq, G, t) = planar_sequence_full(g0)
-    rep_full = tp.verify_sequence(G.n, G.edges, full_seq, levels=t.depth)
+    rep_full = tp.verify_sequence(G.n, G.edges, full_seq)
     assert rep_full.full
     assert rep_full.width <= 8
 

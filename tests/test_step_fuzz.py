@@ -1,0 +1,121 @@
+"""Mutated steps of real builds, fed to every library consumer of a sequence.
+
+The parser fuzz mutates text; here one step of a seeded build is mutated
+and the sequence handed to ``verify_sequence``, ``reference_verify`` and
+``restrict_sequence``, and the mutated step, after the valid prefix, to a
+bound checker's ``on_contract``.  Each must answer with ``SequenceError``
+or ``InvariantViolation`` and nothing else.  A step that names a dead,
+negative or not yet created id, a wrong fresh id, the same id twice, or
+a kind other than ``k`` is refused by all of them; a pair two levels
+apart is still a contraction, so only the checker's step rule refuses it.
+"""
+
+import random
+
+import pytest
+
+import twinplanar as tp
+
+TYPED = (tp.SequenceError, tp.InvariantViolation)
+ID_KINDS = ("dead", "negative", "past-fresh", "wrong-fresh", "equal", "d")
+
+
+class _FinalPhaseMark(tp.InvariantChecker):
+    """A checker that notes how many steps come before the final phase,
+    which is outside the level discipline."""
+
+    def enter_final_phase(self):
+        self.final_at = self.steps_checked
+        super().enter_final_phase()
+
+
+def _build(mode, n, seed):
+    chk = _FinalPhaseMark(mode)
+    if mode == "planar":
+        g0 = tp.gen_triangulation(n, seed)
+        _, _, (seq, g, t) = tp.planar_sequence_full(g0, chk)
+    else:
+        g0 = tp.gen_quadrangulation(n, seed)
+        _, _, (seq, g, t) = tp.bipartite_sequence_full(g0, chk)
+    return g, t, seq.steps, chk.final_at
+
+
+def _checker_after(mode, g, t, prefix):
+    chk = tp.InvariantChecker(mode)
+    chk.bind(g, t)
+    for _, x, y, z in prefix:
+        chk.on_contract(x, y, z)
+    return chk
+
+
+def _mutate(kind, step, prefix, sim, rng):
+    """``step`` changed into a mutation of ``kind``, or None if the state
+    after ``prefix`` (replayed on ``sim``) offers none."""
+    _, x, y, z = step
+    if kind == "dead":
+        if not prefix:
+            return None
+        dead = rng.choice(prefix)[rng.randrange(1, 3)]
+        return ("k", dead, y, z) if rng.random() < 0.5 else ("k", x, dead, z)
+    if kind == "negative":
+        return ("k", x, -rng.randrange(1, z + 1), z)
+    if kind == "past-fresh":
+        return ("k", z + rng.randrange(1, 4), y, z)
+    if kind == "wrong-fresh":
+        return ("k", x, y, z + rng.choice((-1, 1, 2)))
+    if kind == "equal":
+        return ("k", x, x, z)
+    if kind == "d":
+        return ("d", x)
+    # two levels apart: any live pair will do
+    level = sim.level
+    live = [v for v in range(z) if sim.black[v] is not None]
+    pairs = [(u, v) for u in live for v in live if level[v] - level[u] == 2]
+    if not pairs:
+        return None
+    u, v = rng.choice(pairs)
+    return ("k", u, v, z)
+
+
+def _answer(call):
+    """Whether ``call`` ends in a typed error ("refused") or returns
+    ("accepted"); any other exception fails the test."""
+    try:
+        call()
+    except TYPED:
+        return "refused"
+    return "accepted"
+
+
+@pytest.mark.parametrize("mode, n, seed", [
+    ("planar", 24, 0), ("planar", 45, 1), ("planar", 60, 2),
+    ("bipartite", 24, 3), ("bipartite", 45, 4), ("bipartite", 60, 5),
+])
+def test_mutated_steps_of_a_build_end_in_a_typed_error(mode, n, seed):
+    g, t, steps, final_at = _build(mode, n, seed)
+    rng = random.Random(f"{mode}-{n}-{seed}")
+    keep = rng.sample(range(g.n), g.n // 2)
+    made = dict.fromkeys(ID_KINDS + ("two-levels",), 0)
+    for i in rng.sample(range(final_at), min(final_at, 10)):
+        prefix = steps[:i]
+        chk = _checker_after(mode, g, t, prefix)
+        for kind in made:
+            bad = _mutate(kind, steps[i], prefix, chk.sim, rng)
+            if bad is None:
+                continue
+            made[kind] += 1
+            seq = tp.ContractionSequence(g.n, prefix + [bad] + steps[i + 1:])
+            answers = {
+                "verify": _answer(lambda: tp.verify_sequence(g.n, g.edges, seq)),
+                "reference": _answer(
+                    lambda: tp.reference_verify(g.n, g.edges, seq)),
+                "restrict": _answer(lambda: tp.restrict_sequence(seq, keep)),
+            }
+            if kind != "d":  # on_contract takes a contraction only
+                answers["checker"] = _answer(lambda: _checker_after(
+                    mode, g, t, prefix).on_contract(*bad[1:]))
+            if kind == "two-levels":
+                assert answers.pop("checker") == "refused", (i, bad)
+            else:
+                assert set(answers.values()) == {"refused"}, (i, bad, answers)
+    assert all(made.values()), made

@@ -100,17 +100,14 @@ def test_verify_rejects_reuse():
         tg.verify_sequence(3, [(0, 1)], seq)
 
 
-def test_verify_rejects_bad_level_decrease():
-    seq = tg.ContractionSequence(2, [("d", 0)])
-    with pytest.raises(tg.SequenceError, match="illegal level decrease"):
-        tg.verify_sequence(2, [(0, 1)], seq, levels=[0, 1])
-
-
 VERIFIERS = {
     "incremental": lambda n, edges, seq: tg.verify_sequence(n, edges, seq),
-    "incremental-levels": lambda n, edges, seq: tg.verify_sequence(
-        n, edges, seq, levels=[0, 1, 2]),
+    # the level-carrying trigraph that the checker replays on
+    "incremental-levels": lambda n, edges, seq: tg.Trigraph(
+        n, edges, levels=[0, 1, 2]).replay(seq.steps, []),
     "reference": tp.reference_verify,
+    # restriction reads the same ids, whatever it keeps
+    "restrict": lambda n, edges, seq: tg.restrict_sequence(seq, [1, 2]),
 }
 
 
@@ -118,15 +115,26 @@ VERIFIERS = {
 @pytest.mark.parametrize("step", [
     ("k", -2, 2, 4), ("k", 2, -1, 4), ("d", -1),
     ("k", 2, 4, 4), ("k", 9, 2, 4), ("d", 4), ("d", 7),
-    ("k", 0, 2, 4), ("d", 1),
+    ("k", 0, 2, 4), ("d", 1), ("k", 2, 3, 7), ("k", 3, 3, 4),
 ], ids=["k-negative-x", "k-negative-y", "d-negative", "k-fresh-id",
-        "k-past-fresh", "d-fresh-id", "d-past-fresh", "k-dead", "d-dead"])
+        "k-past-fresh", "d-fresh-id", "d-past-fresh", "k-dead", "d-dead",
+        "k-wrong-fresh", "k-equal"])
 def test_verifiers_reject_a_step_on_an_id_that_is_not_live(verify, step):
     # after step 0, ids 0 and 1 are dead and 3 is the only fresh one;
-    # a list would wrap -1 and -2 onto live ids
+    # a list would wrap -1 and -2 onto live ids.  A sequence is contractions
+    # only, so a ``d`` step is refused for its kind, whatever id it names.
     seq = tg.ContractionSequence(3, [("k", 0, 1, 3), step])
-    with pytest.raises(tg.SequenceError, match=r"^step 1: "):
+    msg = r"^step 1: unknown step" if step[0] == "d" else r"^step 1: "
+    with pytest.raises(tg.SequenceError, match=msg):
         verify(3, [(0, 1), (1, 2)], seq)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_a_sequence_without_steps_is_full_below_two_vertices(n):
+    seq = tg.ContractionSequence(n)
+    assert seq.is_full()
+    assert tg.verify_sequence(n, [], seq).full
+    assert tp.reference_verify(n, [], seq).full
 
 
 def test_verify_debug_recheck_rejects_a_negative_period():
@@ -257,21 +265,16 @@ def test_classify_violation():
 
 @pytest.mark.parametrize("levels", [[0], [0, 1, 1, 5]], ids=["short", "long"])
 def test_verify_rejects_levels_of_the_wrong_length(levels):
-    seq = tg.ContractionSequence(3, [("k", 0, 1, 3), ("k", 3, 2, 4)])
     with pytest.raises(tg.SequenceError, match=re.escape(
             f"{len(levels)} levels given for 3 vertices")):
-        tg.verify_sequence(3, [(0, 1), (1, 2)], seq, levels=levels)
+        tg.Trigraph(3, [(0, 1), (1, 2)], levels=levels)
 
 
 def test_min_level_update_and_decrease():
     t = tg.Trigraph(3, [(0, 1), (1, 2)], levels=[3, 4, 3])
     t.replay([("k", 0, 1, 3)], [])
     assert t.level[3] == 3
-    t2 = tg.Trigraph(2, [(0, 1)], levels=[3, 2])
-    t2.replay([("d", 0)], [])
-    assert t2.level[0] == 2
-    with pytest.raises(tg.SequenceError, match="illegal level decrease"):
-        t2.replay([("d", 1)], [])
+    assert t.level[0] is None and t.level[1] is None
 
 
 def test_good_assignment():
@@ -347,7 +350,7 @@ def test_restrict_identity():
     g = tp.gen_triangulation(12, 0)
     seq, rep = tp.planar_sequence(g)
     sub = tg.restrict_sequence(seq, range(g.n))
-    assert sub.contract_count == seq.contract_count
+    assert len(sub.steps) == len(seq.steps)
     rep2 = tg.verify_sequence(g.n, g.edges, sub)
     assert rep2.width == rep.width
 
@@ -409,9 +412,7 @@ def test_seq_format_rejects_bad_fresh():
     ("p tww-seq -2 0\n", "line 1: 'p tww-seq -2 0': negative count"),
     ("k 0 1 2\np tww-seq 2 1\n",
      "line 1: 'k 0 1 2': step before the 'p tww-seq' header"),
-    ("c no header yet\nd 0\np tww-seq 2 1\n",
-     "line 2: 'd 0': step before the 'p tww-seq' header"),
-], ids=["second-header", "negative-n", "contraction-first", "decrease-first"])
+], ids=["second-header", "negative-n", "contraction-first"])
 def test_parse_seq_rejects_a_bad_header(text, msg):
     with pytest.raises(tp.FormatError, match=msg):
         tg.parse_seq(text)
@@ -436,6 +437,22 @@ def test_checker_rejects_steps_off_the_level_rule(mode, x, y, rule):
     chk.bind(g, ly.left_aligned_bfs_tree(g, 0))
     with pytest.raises(tp.InvariantViolation, match=f"is not {rule}"):
         chk.on_contract(x, y, 3)
+
+
+@pytest.mark.parametrize("mode", ["planar", "bipartite"])
+@pytest.mark.parametrize("x, y, bad", [
+    (0, 2, 0), (2, 0, 0), (-1, 2, -1), (2, 9, 9), (5, 2, 5),
+], ids=["dead-x", "dead-y", "negative", "past-fresh", "fresh"])
+def test_checker_rejects_a_step_on_an_id_that_is_not_live(mode, x, y, bad):
+    # the 4-cycle 0-1-3-2 rooted at 1: 0 and 3 share level 1 and merge
+    # into 4, which leaves 1, 2 and 4 live and 5 the next fresh id
+    g = tp.gen_grid(2, 2)
+    chk = tp.InvariantChecker(mode)
+    chk.bind(g, ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart]))
+    chk.on_contract(0, 3, 4)
+    with pytest.raises(tp.InvariantViolation,
+                       match=f"names {bad}, which is not live"):
+        chk.on_contract(x, y, 5)
 
 
 def test_checker_accepts_a_level_respecting_step():
@@ -582,3 +599,4 @@ def test_boundary_class_matches_the_walked_paths(mode, graph):
         for w in range(G.n):
             expect = OFF if w not in want else ON_RIGHT if want[w] else ON
             assert boundary_class(T, bounds, w) == expect, (spec, w)
+
