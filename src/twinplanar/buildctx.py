@@ -41,7 +41,7 @@ class BuildCtx:
     def contract(self, x: int, y: int) -> int:
         z = self.next_id
         self.next_id += 1
-        self.steps.append(("k", x, y, z))
+        self.steps.append((x, y))
         if self.checker is not None:
             self.checker.on_contract(x, y, z)
         return z

@@ -27,10 +27,11 @@ The final phase (contracting the few leftovers) is outside the
 recursion's discipline; there only the global red-degree cap is asserted.
 
 A step looks only at the new vertex and its neighbours.  Per-vertex state
-lives in lists over the dense ids, and a region's boundary is a dozen
-constants (``region_bounds``), so a boundary test is a few comparisons;
-it runs only for a vertex with more than two red edges into the region,
-since every boundary cap is at least 2.  Each step is replayed through
+lives in lists over the dense ids, the BFS levels too (the checker owns
+them; the trigraph it replays on carries none), and a region's boundary
+is a dozen constants (``region_bounds``), so a boundary test is a few
+comparisons; it runs only for a vertex with more than two red edges into
+the region, since every boundary cap is at least 2.  Each step is replayed through
 ``Trigraph.replay``, the verifier's one definition of a step, one call
 per step.  A checked build costs about 2.4 times a plain one on stacked
 triangulations of 3,000 vertices (2-core VM, CPython 3.11); 26-29% of
@@ -53,15 +54,16 @@ class InvariantViolation(AssertionError):
     pass
 
 
-def _step_ok(t: Trigraph, x: int, y: int, respecting: bool) -> bool:
-    """The step rule of the recursion for contracting x and y in ``t``.
+def _step_ok(t: Trigraph, level: list, x: int, y: int,
+             respecting: bool) -> bool:
+    """The step rule of the recursion for contracting x and y in ``t``,
+    whose live vertices sit on the levels ``level``.
 
     A pair on one level is level-preserving and passes in both modes.  In
     planar runs (``respecting``) a pair one level apart is level-respecting
     and passes too when every black or red neighbour of the deeper vertex
     sits on the shallower level.  Anything else fails.
     """
-    level = t.level
     lx, ly = level[x], level[y]
     if lx == ly:
         return True
@@ -142,8 +144,10 @@ class InvariantChecker:
         self.sim: Trigraph | None = None
         self.n = 0
         # over the dense ids 0..2n-2: the region a vertex was made or handed
-        # up in (-1: none), and its original level while it stems from one
+        # up in (-1: none), its level (the smaller of its halves'; None once
+        # contracted) and its original level while it stems from one
         self.region: list[int] = []
+        self.level: list[int | None] = []
         self.pure: list[int | None] = []
         # per active region: [rid, (sink, v1, v2, b1, b2), region_bounds or
         # None]
@@ -159,9 +163,10 @@ class InvariantChecker:
             raise ValueError("InvariantChecker already bound to a build")
         self.t = t
         n = self.n = g.n
-        self.sim = Trigraph(n, g.edges, levels=t.depth)
+        self.sim = Trigraph(n, g.edges)
         self.region = [-1] * (2 * n - 1)
-        self.pure = [*t.depth, *[None] * (n - 1)]
+        self.level = [*t.depth, *[None] * (n - 1)]
+        self.pure = self.level[:]
 
     def push_region(self, sink: int, v1: int, v2: int, b1, b2) -> None:
         """A region as it enters: P1 and P2 run from the lid ends ``v1`` and
@@ -184,7 +189,7 @@ class InvariantChecker:
         # per level) the survivors of the now 1-reduced face also stay below
         # the interior red ceiling of 7 (resp. 6 bipartite).
         sim = self.sim
-        red, level, region = sim.red, sim.level, self.region
+        red, level, region = sim.red, self.level, self.region
         ds = self.t.depth[s]
         wrapped = b1 is None and b2 is None
         cap = self.cap_wrapped
@@ -221,24 +226,25 @@ class InvariantChecker:
             bad = y if 0 <= x < nid and black[x] is not None else x
             raise InvariantViolation(
                 f"contraction ({x}, {y}) names {bad}, which is not live")
-        final = self.final_phase
-        if not final and not _step_ok(sim, x, y, self.mode == "planar"):
+        final, level = self.final_phase, self.level
+        if not final and not _step_ok(sim, level, x, y, self.mode == "planar"):
             rule = "respecting" if self.mode == "planar" else "preserving"
             raise InvariantViolation(
-                f"contraction ({x}@{sim.level[x]}, {y}@{sim.level[y]}) is not "
+                f"contraction ({x}@{level[x]}, {y}@{level[y]}) is not "
                 f"level-{rule}")
-        # tested first, so a drift is not reported as the replay's bad
-        # fresh id
+        # the replay makes the fresh id ``next_id``; the builder's z must be
+        # that one
         if sim.next_id != z:
             raise InvariantViolation(f"fresh id drift {sim.next_id} != {z}")
-        sim.replay((("k", x, y, z),), [])
+        sim.replay(((x, y),), [])
+        lz = level[z] = min(level[x], level[y])
+        level[x] = level[y] = None
         pure = self.pure
         px = pure[x]
         pure[z] = px if px == pure[y] else None
 
-        level, red = sim.level, sim.red
+        red = sim.red
         rz, bz = red[z], sim.black[z]
-        lz = level[z]
         if not final:
             # every edge at z spans one level (bipartite), at most one
             # (planar); ``flat`` is the level none may stay on, -1 if any may
@@ -288,7 +294,7 @@ class InvariantChecker:
     # -- condition checks ---------------------------------------------------
 
     def _bad_edge(self, z: int, w: int) -> None:
-        gap = abs(self.sim.level[w] - self.sim.level[z])
+        gap = abs(self.level[w] - self.level[z])
         if self.mode == "bipartite":
             raise InvariantViolation(
                 f"bipartite edge ({z},{w}) spans {gap} levels")

@@ -14,6 +14,7 @@ independent from the incremental engine, for differential testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
 from .trigraph import (ContractionSequence, SequenceError, WidthReport,
@@ -160,7 +161,8 @@ def exact_twinwidth(n: int, edges: Iterable[tuple[int, int]],
                     limit: int = 10) -> ExactResult:
     """Minimum width over all contraction sequences, with a replayable
     witness.  n above ``limit`` is rejected: the search space explodes
-    combinatorially (the default 10 keeps runtimes in seconds)."""
+    combinatorially (the default 10 keeps runtimes in seconds).  So is an
+    edge with an endpoint outside 0..n-1, before the search starts."""
     if n > limit:
         raise OracleError(f"n={n} exceeds the exact-search limit {limit}")
     if n == 0:
@@ -168,6 +170,9 @@ def exact_twinwidth(n: int, edges: Iterable[tuple[int, int]],
     edges = [(u, v) for u, v in edges]
     black = {v: 0 for v in range(n)}
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise OracleError(f"edge ({u}, {v}) has an endpoint outside "
+                              f"0..{n - 1}")
         if u != v:
             black[u] |= 1 << v
             black[v] |= 1 << u
@@ -198,11 +203,9 @@ def exact_twinwidth(n: int, edges: Iterable[tuple[int, int]],
 
     seq = ContractionSequence(n)
     alias = list(range(n))
-    fresh = n
-    for x, y in merges:
-        seq.steps.append(("k", alias[x], alias[y], fresh))
+    for fresh, (x, y) in enumerate(merges, n):
+        seq.steps.append((alias[x], alias[y]))
         alias[x] = fresh
-        fresh += 1
     check = verify_sequence(n, edges, seq)
     if check.width != width:
         raise OracleError(f"witness width {check.width} != computed {width}")
@@ -222,20 +225,19 @@ def reference_verify(n: int, edges: Iterable[tuple[int, int]],
         live[v] = True
     for u, v in edges:
         M[u][v] = M[v][u] = 1
-    expected = n
     per_step: list[int] = []
     width = 0
-    for idx, step in enumerate(seq.steps):
-        if step[0] != "k":
-            raise SequenceError(f"step {idx}: unknown step")
-        _, x, y, z = step
-        if z != expected:
-            raise SequenceError(f"step {idx}: bad fresh id")
+    for z, step in enumerate(seq.steps, n):
+        idx = z - n
+        try:
+            x, y = map(index, step)
+        except (TypeError, ValueError):
+            raise SequenceError(
+                f"step {idx}: {step!r} is not a pair of vertex ids") from None
         # a list would wrap a negative id and overrun a not yet created one
         for v in (x, y):
             if not 0 <= v < z:
                 raise SequenceError(f"step {idx}: id {v} outside 0..{z - 1}")
-        expected += 1
         if x == y or not (live[x] and live[y]):
             raise SequenceError(f"step {idx}: dead or equal endpoints")
         for w in range(size):

@@ -5,42 +5,43 @@ black and turns every other inherited adjacency red:
 ``N(z) = (N(x) | N(y)) - {x, y}`` and
 ``red(z) = (red(x) | red(y) | (N(x) ^ N(y))) - {x, y}``.
 
-A sequence is contractions only, and its width is the maximum red degree
-seen after any step.  The trigraph keeps a histogram of red degrees,
-updated by each contraction only at z and its red neighbours, so the
-verifier reads the running maximum after every step in O(1).
+A sequence is contractions only: step i is a pair ``(x, y)`` that
+contracts x and y into the fresh vertex n + i.  Its width is the maximum
+red degree seen after any step.  The trigraph keeps a histogram of red
+degrees, updated by each contraction only at z and its red neighbours, so
+the verifier reads the running maximum after every step in O(1).
 
-A trigraph stores its adjacency and levels in lists indexed by the dense
-ids of the sequence, 0..2n-2: ``black[v]`` and ``red[v]`` are sets, and
-both are ``None`` once v is contracted; ``level`` is a list as well.
-``Trigraph.replay`` holds the one definition of a step: the verifier
-replays a whole sequence through it, and the per-step checker of
-``instrument`` replays one step per call, which resumes where the last
-call stopped.  The verifier reads no level: levels are carried for the
-checker, whose step rule (level-preserving, level-respecting) lives in
-``instrument``.
+A trigraph stores its adjacency in lists indexed by the dense ids of the
+sequence, 0..2n-2: ``black[v]`` and ``red[v]`` are sets, and both are
+``None`` once v is contracted.  ``Trigraph.replay`` holds the one
+definition of a step: the verifier replays a whole sequence through it,
+and the per-step checker of ``instrument`` replays one step per call,
+which resumes where the last call stopped.  A trigraph carries no levels:
+the checker keeps its own, next to its step rule (level-preserving,
+level-respecting).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .plane_graph import FormatError, pause_gc, read_header, records
 
-Step = tuple  # ("k", x, y, z): contract x and y into the fresh z
+Step = tuple[int, int]  # (x, y): step i contracts x and y into n + i
 
 
 class SequenceError(ValueError):
-    """Invalid contraction sequence (an unknown step kind, a dead, negative
-    or not yet created id, a wrong fresh id)."""
+    """Invalid contraction sequence (a step that is no pair of ids, or
+    that names a dead, negative or not yet created id)."""
 
 
 @dataclass
 class ContractionSequence:
     """Ordered contraction steps over a graph on vertices 0..n-1.
 
-    Fresh ids are forced: the k-th contraction creates vertex n + k.
+    Each step is a pair ``(x, y)``.  Fresh ids are forced, so a step does
+    not carry one: step i contracts x and y into vertex n + i.
     """
 
     n: int
@@ -58,14 +59,12 @@ class WidthReport:
 
 
 class Trigraph:
-    """Mutable trigraph with black/red adjacency and optional levels.
+    """Mutable trigraph with black/red adjacency.
 
     Vertices carry the dense ids of a sequence: the originals 0..n-1, then
-    one fresh id per contraction, so ``black``, ``red`` and ``level`` are
-    lists indexed by id (length ``next_id``).  ``black[v]`` and ``red[v]``
-    are sets of live ids; once v is contracted, ``black[v]``, ``red[v]``
-    and ``level[v]`` are ``None``.  ``level`` is ``None`` altogether when
-    no level assignment is given.
+    one fresh id per contraction, so ``black`` and ``red`` are lists
+    indexed by id (length ``next_id``).  ``black[v]`` and ``red[v]`` are
+    sets of live ids, and both are ``None`` once v is contracted.
 
     Single-writer.  ``_red_hist[d]`` counts the live vertices of red degree
     d and ``_max_red`` is the largest d with a nonzero count; ``replay``
@@ -74,8 +73,7 @@ class Trigraph:
     directly bypasses that bookkeeping.
     """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]],
-                 levels: Sequence[int] | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         black: list[set[int] | None] = [set() for _ in range(n)]
         try:
             for u, v in edges:
@@ -93,11 +91,6 @@ class Trigraph:
         self.red: list[set[int] | None] = [set() for _ in range(n)]
         self._red_hist = [n] + [0] * n  # all n vertices start at red degree 0
         self._max_red = 0
-        if levels is not None and len(levels) != n:
-            raise SequenceError(
-                f"{len(levels)} levels given for {n} vertices")
-        self.level: list[int | None] | None = (
-            list(levels) if levels is not None else None)
         self.next_id = n
         self.steps_done = 0
 
@@ -106,27 +99,23 @@ class Trigraph:
         """Apply ``steps`` in order, appending the maximum red degree after
         each one to ``per_step``.
 
-        This is the one definition of a step.  ``("k", x, y, z)`` contracts
-        the live x, y into the fresh z: common black neighbours keep a black
-        edge to z, every other neighbour of x or y becomes red to z, and
-        with levels z takes the smaller level of x and y.  Any other step
-        kind is refused.  Errors are ``SequenceError("step i: ...")`` with i
-        counted over every step this trigraph has replayed, and so is the
-        rescan: with ``recheck=K`` the red degrees are recounted from
-        scratch after every K-th step to catch drift in the histogram.
+        This is the one definition of a step.  ``(x, y)`` contracts the live
+        x, y into the fresh z, ``next_id``: common black neighbours keep a
+        black edge to z, and every other neighbour of x or y becomes red to
+        z.  A step that is no pair of ids is refused.  Errors are
+        ``SequenceError("step i: ...")`` with i counted over every step this
+        trigraph has replayed, and so is the rescan: with ``recheck=K`` the
+        red degrees are recounted from scratch after every K-th step to
+        catch drift in the histogram.
         """
-        black, red, hist, level = self.black, self.red, self._red_hist, self.level
+        black, red, hist = self.black, self.red, self._red_hist
         append = per_step.append
         z = self.next_id
         mx = self._max_red
         idx = self.steps_done  # global index of ``step``
         try:
             for step in steps:
-                if step[0] != "k":
-                    raise SequenceError(f"unknown step kind {step[0]!r}")
-                _, x, y, fresh = step
-                if fresh != z:
-                    raise SequenceError(f"fresh id {fresh} != expected {z}")
+                x, y = step
                 if x == y:
                     raise SequenceError("cannot contract a vertex with itself")
                 if x < 0 or y < 0:
@@ -174,9 +163,6 @@ class Trigraph:
                 mx = mx + 1 if mx >= d else d
                 while mx and not hist[mx]:
                     mx -= 1
-                if level is not None:
-                    level.append(min(level[x], level[y]))
-                    level[x] = level[y] = None
                 z += 1
                 if recheck and (idx + 1) % recheck == 0:
                     real = max((len(r) for r in red if r is not None), default=0)
@@ -188,7 +174,10 @@ class Trigraph:
             raise SequenceError(f"step {idx}: {exc}") from None
         except IndexError:  # a negative, dead or not yet created id
             raise SequenceError(f"step {idx}: contracting dead/unknown vertex "
-                                f"({step[1]},{step[2]})") from None
+                                f"({x},{y})") from None
+        except (TypeError, ValueError):  # no pair, or ids that are no ints
+            raise SequenceError(
+                f"step {idx}: {step!r} is not a pair of vertex ids") from None
         finally:
             self.next_id = z
             self._max_red = mx
@@ -232,7 +221,7 @@ def restrict_sequence(seq: ContractionSequence, keep: Iterable[int]
     original vertex; the kept originals are renumbered 0..k-1 in sorted
     order and fresh ids follow deterministically.  A kept id outside
     0..n-1 raises ``SequenceError``, and so does a step that the verifier
-    would refuse for its kind or its ids, as ``"step i: ..."``.
+    would refuse for its shape or its ids, as ``"step i: ..."``.
     """
     keep_sorted = sorted(set(keep))
     n = seq.n
@@ -253,11 +242,7 @@ def restrict_sequence(seq: ContractionSequence, keep: Iterable[int]
     fresh = k
     try:
         for z, step in enumerate(seq.steps, n):
-            if step[0] != "k":
-                raise SequenceError(f"unknown step kind {step[0]!r}")
-            _, x, y, zs = step
-            if zs != z:
-                raise SequenceError(f"fresh id {zs} != expected {z}")
+            x, y = step
             if x < 0 or y < 0 or x == y:
                 raise IndexError  # a list would wrap a negative id
             cx, cy = cnt[x], cnt[y]
@@ -266,16 +251,17 @@ def restrict_sequence(seq: ContractionSequence, keep: Iterable[int]
             cnt[x] = cnt[y] = -1
             cnt[z] = cx + cy
             if cx and cy:
-                append(("k", rid[x], rid[y], fresh))
+                append((rid[x], rid[y]))
                 rid[z] = fresh
                 fresh += 1
             else:
                 rid[z] = rid[x] if cx else rid[y]
-    except SequenceError as exc:
-        raise SequenceError(f"step {z - n}: {exc}") from None
     except IndexError:  # a negative, dead, repeated or not yet created id
         raise SequenceError(f"step {z - n}: ({x},{y}) is not a pair of live "
                             f"vertices") from None
+    except (TypeError, ValueError):  # no pair, or ids that are no ints
+        raise SequenceError(
+            f"step {z - n}: {step!r} is not a pair of vertex ids") from None
     return out
 
 
@@ -287,7 +273,7 @@ def restrict_sequence(seq: ContractionSequence, keep: Iterable[int]
 def write_seq(seq: ContractionSequence, comments: Iterable[str] = ()) -> str:
     lines = [f"c {c}" for c in comments]
     lines.append(f"p tww-seq {seq.n} {len(seq.steps)}")
-    for _, x, y, z in seq.steps:
+    for z, (x, y) in enumerate(seq.steps, seq.n):
         lines.append(f"k {x} {y} {z}")
     return "\n".join(lines) + "\n"
 
@@ -312,7 +298,7 @@ def parse_seq(text: str) -> ContractionSequence:
                 if z != fresh:
                     raise FormatError(
                         f"contraction produces {z}, expected fresh id {fresh}")
-                steps.append(("k", int(x), int(y), z))
+                steps.append((int(x), int(y)))
                 fresh += 1
     except (IndexError, ValueError) as exc:
         raise FormatError(f"line {ln}: {raw!r}: {exc}") from exc

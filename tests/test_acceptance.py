@@ -173,14 +173,12 @@ def test_criterion_4_differential_simulation():
         edges = [e for e in combinations(range(n), 2) if rng.random() < 0.45]
         live = list(range(n))
         steps = []
-        fresh = n
         while len(live) > 1:
             x, y = rng.sample(live, 2)
-            steps.append(("k", min(x, y), max(x, y), fresh))
+            steps.append((min(x, y), max(x, y)))
             live.remove(x)
             live.remove(y)
-            live.append(fresh)
-            fresh += 1
+            live.append(n + len(steps) - 1)
         seq = tg.ContractionSequence(n, steps)
         a = tg.verify_sequence(n, edges, seq)
         b = orc.reference_verify(n, edges, seq)

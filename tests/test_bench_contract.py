@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import twinplanar as tp
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import harness  # noqa: E402
@@ -66,6 +68,14 @@ def test_a_traced_request_measures_every_layer(name):
     runs += RUN_BY.get(name, ())
     calls = tracer.self_times()[1]
     assert [layer for layer in runs if not calls.get(layer)] == []
+    # a step is a pair of ids, so the harness's d-step test (``s[0] ==
+    # "d"``) finds none, and the step count is that of the whole sequence
+    # on the completed graph, before any restriction
+    build = (tp.planar_sequence_full if wl.mode == "planar"
+             else tp.bipartite_sequence_full)
+    full_seq = build(reply.g)[2][0]
+    assert sample["buildctx.dsteps"] == 0
+    assert sample["buildctx.steps"] == len(full_seq.steps)
 
 
 @pytest.mark.parametrize("name, checked", [("planar-assert", True),

@@ -98,8 +98,7 @@ def test_cli_verify_width_zero_twin_sequence(tmp_path, capsys):
     g = tp.gen_triangulation(4, 0)  # K4
     gpath = tmp_path / "k4.plane"
     gpath.write_text(pg.write_plane(g))
-    seq = tp.ContractionSequence(4, [("k", 0, 1, 4), ("k", 2, 3, 5),
-                                     ("k", 4, 5, 6)])
+    seq = tp.ContractionSequence(4, [(0, 1), (2, 3), (4, 5)])
     spath = tmp_path / "k4.seq"
     spath.write_text(tp.write_seq(seq))
     code, out, _ = run_cli(["verify", str(gpath), str(spath)], capsys)
@@ -188,8 +187,7 @@ def test_cli_reads_the_format_its_first_p_record_names(tmp_path, capsys,
     gpath.write_text(text)
     spath = tmp_path / "g.seq"  # merge 0 and 1, then the rest one by one
     spath.write_text(tp.write_seq(tp.ContractionSequence(
-        n, [("k", 0, 1, n)] + [("k", n + i, i + 2, n + i + 1)
-                               for i in range(n - 2)])))
+        n, [(0, 1)] + [(n + i, i + 2) for i in range(n - 2)])))
     code, out, err = run_cli([a.format(g=gpath, s=spath) for a in cmd],
                              capsys)
     assert (code, err) == (0, "")

@@ -86,5 +86,9 @@ def test_write_seq_is_byte_identical(name):
     assert (g.n > g0.n) == grows  # restriction runs iff vertices were added
     text = tp.write_seq(seq0)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # a step is a pair of ints, and the text format reads back the same pairs
+    assert all(type(s) is tuple and len(s) == 2 and type(s[0]) is int
+               and type(s[1]) is int for s in seq0.steps)
+    assert tp.parse_seq(text).steps == seq0.steps
     plane = pg.write_plane(g)
     assert hashlib.sha256(plane.encode()).hexdigest() == plane_digest

@@ -176,7 +176,7 @@ def test_checker_rejects_a_survivor_at_the_sink_level(mode):
 
 def test_checker_rejects_a_level_assignment_that_is_not_good():
     chk, v, _ = bound_checker("planar")
-    chk.sim.level[v["I3"]] = 4  # two below I2
+    chk.level[v["I3"]] = 4  # two below I2
     z = chk.sim.next_id
     with pytest.raises(tp.InvariantViolation, match=re.escape(
             f"level assignment not good at ({z},{v['I3']})")):

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -80,6 +81,14 @@ def test_limit_enforced():
     tp.exact_twinwidth(11, [(0, 1)], limit=11)
 
 
+@pytest.mark.parametrize("edge", [(0, 5), (-1, 2), (3, 0)],
+                         ids=["past-n", "negative", "at-n"])
+def test_exact_refuses_an_edge_endpoint_outside_the_graph(edge):
+    with pytest.raises(orc.OracleError, match=re.escape(
+            f"edge {edge} has an endpoint outside 0..2")):
+        tp.exact_twinwidth(3, [(0, 1), edge])
+
+
 def cograph(rng, size):
     """Random cograph by union/join composition; returns (n, edges)."""
     if size == 1:
@@ -123,28 +132,26 @@ def test_induced_subgraph_monotone():
 def test_reference_kn_twin_order_zero():
     n = 5
     edges = list(combinations(range(n), 2))
-    steps = [("k", 0, 1, 5), ("k", 5, 2, 6), ("k", 6, 3, 7), ("k", 7, 4, 8)]
+    steps = [(0, 1), (5, 2), (6, 3), (7, 4)]
     rep = orc.reference_verify(n, edges, tg.ContractionSequence(n, steps))
     assert rep.width == 0 and rep.full
 
 
 def test_reference_single_edge_zero():
     rep = orc.reference_verify(2, [(0, 1)],
-                               tg.ContractionSequence(2, [("k", 0, 1, 2)]))
+                               tg.ContractionSequence(2, [(0, 1)]))
     assert rep.width == 0
 
 
 def random_full_sequence(rng, n):
     live = list(range(n))
     steps = []
-    fresh = n
     while len(live) > 1:
         x, y = rng.sample(live, 2)
-        steps.append(("k", min(x, y), max(x, y), fresh))
+        steps.append((min(x, y), max(x, y)))
         live.remove(x)
         live.remove(y)
-        live.append(fresh)
-        fresh += 1
+        live.append(n + len(steps) - 1)
     return tg.ContractionSequence(n, steps)
 
 

@@ -130,7 +130,7 @@ def test_second_stage_drain_only_when_one_per_level():
     assert sorted(base) == list(range(1, ell + 2))
     before = dict(base)
     out = _second_stage(ctx, base, (), 0, v1, v2, 99)
-    assert ctx.steps == [("k", before[ell + 1], before[ell], g.n)]
+    assert ctx.steps == [(before[ell + 1], before[ell])]
     assert out == {**{i: w for i, w in before.items() if i < ell}, ell: g.n}
 
 

@@ -5,9 +5,10 @@ and the sequence handed to ``verify_sequence``, ``reference_verify`` and
 ``restrict_sequence``, and the mutated step, after the valid prefix, to a
 bound checker's ``on_contract``.  Each must answer with ``SequenceError``
 or ``InvariantViolation`` and nothing else.  A step that names a dead,
-negative or not yet created id, a wrong fresh id, the same id twice, or
-a kind other than ``k`` is refused by all of them; a pair two levels
-apart is still a contraction, so only the checker's step rule refuses it.
+negative or not yet created id or the same id twice is refused by all of
+them, and so is one that is no pair of ids (the sequence consumers only:
+the checker is called with ids); a pair two levels apart is still a
+contraction, so only the checker's step rule refuses it.
 """
 
 import random
@@ -17,7 +18,7 @@ import pytest
 import twinplanar as tp
 
 TYPED = (tp.SequenceError, tp.InvariantViolation)
-ID_KINDS = ("dead", "negative", "past-fresh", "wrong-fresh", "equal", "d")
+ID_KINDS = ("dead", "negative", "past-fresh", "equal", "not-a-pair")
 
 
 class _FinalPhaseMark(tp.InvariantChecker):
@@ -43,38 +44,35 @@ def _build(mode, n, seed):
 def _checker_after(mode, g, t, prefix):
     chk = tp.InvariantChecker(mode)
     chk.bind(g, t)
-    for _, x, y, z in prefix:
+    for z, (x, y) in enumerate(prefix, g.n):
         chk.on_contract(x, y, z)
     return chk
 
 
-def _mutate(kind, step, prefix, sim, rng):
+def _mutate(kind, step, prefix, chk, rng):
     """``step`` changed into a mutation of ``kind``, or None if the state
-    after ``prefix`` (replayed on ``sim``) offers none."""
-    _, x, y, z = step
+    after ``prefix`` (replayed by ``chk``) offers none."""
+    x, y = step
+    z = chk.sim.next_id
     if kind == "dead":
         if not prefix:
             return None
-        dead = rng.choice(prefix)[rng.randrange(1, 3)]
-        return ("k", dead, y, z) if rng.random() < 0.5 else ("k", x, dead, z)
+        dead = rng.choice(prefix)[rng.randrange(2)]
+        return (dead, y) if rng.random() < 0.5 else (x, dead)
     if kind == "negative":
-        return ("k", x, -rng.randrange(1, z + 1), z)
+        return x, -rng.randrange(1, z + 1)
     if kind == "past-fresh":
-        return ("k", z + rng.randrange(1, 4), y, z)
-    if kind == "wrong-fresh":
-        return ("k", x, y, z + rng.choice((-1, 1, 2)))
+        return z + rng.randrange(1, 4), y
     if kind == "equal":
-        return ("k", x, x, z)
-    if kind == "d":
-        return ("d", x)
+        return x, x
+    if kind == "not-a-pair":
+        return rng.choice([(x,), (x, y, z), ("k", x, y, z), ("k", x, y),
+                           ("d", x), (x, None), (x, float(y))])
     # two levels apart: any live pair will do
-    level = sim.level
-    live = [v for v in range(z) if sim.black[v] is not None]
+    level = chk.level
+    live = [v for v in range(z) if chk.sim.black[v] is not None]
     pairs = [(u, v) for u in live for v in live if level[v] - level[u] == 2]
-    if not pairs:
-        return None
-    u, v = rng.choice(pairs)
-    return ("k", u, v, z)
+    return rng.choice(pairs) if pairs else None
 
 
 def _answer(call):
@@ -100,7 +98,7 @@ def test_mutated_steps_of_a_build_end_in_a_typed_error(mode, n, seed):
         prefix = steps[:i]
         chk = _checker_after(mode, g, t, prefix)
         for kind in made:
-            bad = _mutate(kind, steps[i], prefix, chk.sim, rng)
+            bad = _mutate(kind, steps[i], prefix, chk, rng)
             if bad is None:
                 continue
             made[kind] += 1
@@ -111,9 +109,9 @@ def test_mutated_steps_of_a_build_end_in_a_typed_error(mode, n, seed):
                     lambda: tp.reference_verify(g.n, g.edges, seq)),
                 "restrict": _answer(lambda: tp.restrict_sequence(seq, keep)),
             }
-            if kind != "d":  # on_contract takes a contraction only
+            if kind != "not-a-pair":  # the builder hands on_contract ids
                 answers["checker"] = _answer(lambda: _checker_after(
-                    mode, g, t, prefix).on_contract(*bad[1:]))
+                    mode, g, t, prefix).on_contract(*bad, g.n + i))
             if kind == "two-levels":
                 assert answers.pop("checker") == "refused", (i, bad)
             else:

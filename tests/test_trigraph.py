@@ -13,9 +13,20 @@ from twinplanar.instrument import (OFF, ON, ON_RIGHT, _step_ok,
                                    boundary_class, region_bounds)
 
 
+def replay_with_levels(sim, level, steps):
+    """Replay ``steps`` on ``sim`` one call per step, as the checker does,
+    and keep the levels ``level`` beside it as the checker keeps its own:
+    z takes the smaller level of x and y, which lose theirs."""
+    for step in steps:
+        sim.replay((step,), [])
+        x, y = step
+        level.append(min(level[x], level[y]))
+        level[x] = level[y] = None
+
+
 def test_contract_twins_stay_black():
     t = tg.Trigraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    t.replay([("k", 0, 1, 4)], [])
+    t.replay([(0, 1)], [])
     assert t.black[4] == {2, 3}
     assert t.red[4] == set()
 
@@ -23,7 +34,7 @@ def test_contract_twins_stay_black():
 def test_contract_symmetric_difference_goes_red():
     # N(0)={2,3}, N(1)={3,4}: z red to 2 and 4, black to 3
     t = tg.Trigraph(5, [(0, 2), (0, 3), (1, 3), (1, 4)])
-    t.replay([("k", 0, 1, 5)], [])
+    t.replay([(0, 1)], [])
     assert t.red[5] == {2, 4}
     assert t.black[5] == {3}
 
@@ -34,17 +45,17 @@ def test_contract_red_inherited():
     t.black[2].discard(0)
     t.red[0].add(2)
     t.red[2].add(0)
-    t.replay([("k", 0, 1, 3)], [])
+    t.replay([(0, 1)], [])
     assert t.red[3] == {2}
 
 
 def test_contract_errors():
     t = tg.Trigraph(3, [(0, 1)])
     with pytest.raises(tg.SequenceError, match="with itself"):
-        t.replay([("k", 0, 0, 3)], [])
-    t.replay([("k", 0, 1, 3)], [])
+        t.replay([(0, 0)], [])
+    t.replay([(0, 1)], [])
     with pytest.raises(tg.SequenceError, match="dead/unknown vertex"):
-        t.replay([("k", 0, 2, 4)], [])
+        t.replay([(0, 2)], [])
 
 
 # -- verify_sequence ----------------------------------------------------------
@@ -57,14 +68,11 @@ def kn_edges(n):
 def test_verify_kn_twins_width_zero():
     n = 6
     seq = tg.ContractionSequence(n)
-    alias = 0
     cur = list(range(n))
-    fresh = n
     while len(cur) > 1:
         x, y = cur[0], cur[1]
-        seq.steps.append(("k", x, y, fresh))
-        cur = cur[2:] + [fresh]
-        fresh += 1
+        seq.steps.append((x, y))
+        cur = cur[2:] + [n + len(seq.steps) - 1]
     rep = tg.verify_sequence(n, kn_edges(n), seq)
     assert rep.width == 0
     assert rep.full
@@ -73,8 +81,7 @@ def test_verify_kn_twins_width_zero():
 def test_verify_cograph_width_zero():
     # (K2 + K2) fully joined: a cograph; twin-eliminating order
     edges = [(0, 1), (2, 3)] + [(a, b) for a in (0, 1) for b in (2, 3)]
-    seq = tg.ContractionSequence(4, [("k", 0, 1, 4), ("k", 2, 3, 5),
-                                     ("k", 4, 5, 6)])
+    seq = tg.ContractionSequence(4, [(0, 1), (2, 3), (4, 5)])
     rep = tg.verify_sequence(4, edges, seq)
     assert rep.width == 0
 
@@ -88,23 +95,17 @@ def test_verify_p4_best_width_one():
     assert rep.width == 1
 
 
-def test_verify_rejects_bad_fresh_id():
-    seq = tg.ContractionSequence(3, [("k", 0, 1, 5)])
-    with pytest.raises(tg.SequenceError, match="fresh id"):
-        tg.verify_sequence(3, [(0, 1)], seq)
-
-
 def test_verify_rejects_reuse():
-    seq = tg.ContractionSequence(3, [("k", 0, 1, 3), ("k", 0, 2, 4)])
+    seq = tg.ContractionSequence(3, [(0, 1), (0, 2)])
     with pytest.raises(tg.SequenceError, match="dead"):
         tg.verify_sequence(3, [(0, 1)], seq)
 
 
 VERIFIERS = {
     "incremental": lambda n, edges, seq: tg.verify_sequence(n, edges, seq),
-    # the level-carrying trigraph that the checker replays on
-    "incremental-levels": lambda n, edges, seq: tg.Trigraph(
-        n, edges, levels=[0, 1, 2]).replay(seq.steps, []),
+    # the checker's replay: one step per call, with levels beside it
+    "incremental-levels": lambda n, edges, seq: replay_with_levels(
+        tg.Trigraph(n, edges), [0, 1, 2], seq.steps),
     "reference": tp.reference_verify,
     # restriction reads the same ids, whatever it keeps
     "restrict": lambda n, edges, seq: tg.restrict_sequence(seq, [1, 2]),
@@ -113,19 +114,32 @@ VERIFIERS = {
 
 @pytest.mark.parametrize("verify", VERIFIERS.values(), ids=VERIFIERS.keys())
 @pytest.mark.parametrize("step", [
-    ("k", -2, 2, 4), ("k", 2, -1, 4), ("d", -1),
-    ("k", 2, 4, 4), ("k", 9, 2, 4), ("d", 4), ("d", 7),
-    ("k", 0, 2, 4), ("d", 1), ("k", 2, 3, 7), ("k", 3, 3, 4),
+    (-2, 2), (2, -1), ("d", -1),
+    (2, 4), (9, 2), ("d", 4), ("d", 7),
+    (0, 2), ("d", 1), ("k", 2, 3, 7), (3, 3), (2,), (2, 3, 4), (2, None),
 ], ids=["k-negative-x", "k-negative-y", "d-negative", "k-fresh-id",
         "k-past-fresh", "d-fresh-id", "d-past-fresh", "k-dead", "d-dead",
-        "k-wrong-fresh", "k-equal"])
+        "k-wrong-fresh", "k-equal", "one-id", "three-ids", "none-id"])
 def test_verifiers_reject_a_step_on_an_id_that_is_not_live(verify, step):
     # after step 0, ids 0 and 1 are dead and 3 is the only fresh one;
-    # a list would wrap -1 and -2 onto live ids.  A sequence is contractions
-    # only, so a ``d`` step is refused for its kind, whatever id it names.
-    seq = tg.ContractionSequence(3, [("k", 0, 1, 3), step])
-    msg = r"^step 1: unknown step" if step[0] == "d" else r"^step 1: "
+    # a list would wrap -1 and -2 onto live ids.  A step is a pair of ids,
+    # so a tagged record, a single id, a triple or a pair with a non-id is
+    # refused for its shape, whatever ids it names.
+    seq = tg.ContractionSequence(3, [(0, 1), step])
+    pair = len(step) == 2 and all(type(v) is int for v in step)
+    msg = r"^step 1: " if pair else (
+        rf"^step 1: {re.escape(repr(step))} is not a pair of vertex ids$")
     with pytest.raises(tg.SequenceError, match=msg):
+        verify(3, [(0, 1), (1, 2)], seq)
+
+
+@pytest.mark.parametrize("verify", VERIFIERS.values(), ids=VERIFIERS.keys())
+def test_verifiers_reject_a_tagged_step_of_the_old_shape(verify):
+    # a tagged record with a field missing: no replay may unpack it as a
+    # step of another shape
+    seq = tg.ContractionSequence(3, [("k", 0, 1)])
+    with pytest.raises(tg.SequenceError, match=re.escape(
+            "step 0: ('k', 0, 1) is not a pair of vertex ids")):
         verify(3, [(0, 1), (1, 2)], seq)
 
 
@@ -138,7 +152,7 @@ def test_a_sequence_without_steps_is_full_below_two_vertices(n):
 
 
 def test_verify_debug_recheck_rejects_a_negative_period():
-    seq = tg.ContractionSequence(2, [("k", 0, 1, 2)])
+    seq = tg.ContractionSequence(2, [(0, 1)])
     with pytest.raises(ValueError, match="debug_recheck must be >= 0"):
         tg.verify_sequence(2, [(0, 1)], seq, debug_recheck=-1)
 
@@ -155,8 +169,7 @@ def test_recheck_runs_after_every_kth_global_step(monkeypatch):
 
     monkeypatch.setattr(tg.Trigraph, "__init__", phantom)
     n = 6
-    steps = [("k", 0, 1, 6), ("k", 2, 3, 7), ("k", 4, 5, 8),
-             ("k", 6, 7, 9), ("k", 8, 9, 10)]
+    steps = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
     seq = tg.ContractionSequence(n, steps)
     with pytest.raises(tg.SequenceError,
                        match=r"^step 2: red-degree drift: 1 != 0$"):
@@ -196,18 +209,17 @@ def test_red_histogram_matches_reference(n, p, rng):
     live = list(range(n))
     while len(live) > 1:
         x, y = rng.sample(live, 2)
-        z = n + len(seq.steps)
         live.remove(x)
         live.remove(y)
-        live.append(z)
-        seq.steps.append(("k", x, y, z))
+        live.append(n + len(seq.steps))
+        seq.steps.append((x, y))
     rep = tg.verify_sequence(n, edges, seq, debug_recheck=1)
     assert rep.per_step_max == tp.reference_verify(n, edges, seq).per_step_max
 
 
 @pytest.mark.parametrize("edge", [(0, 5), (0, -1)], ids=["past-n", "negative"])
 def test_verify_rejects_edge_endpoint_out_of_range(edge):
-    seq = tg.ContractionSequence(3, [("k", 0, 1, 3), ("k", 2, 3, 4)])
+    seq = tg.ContractionSequence(3, [(0, 1), (2, 3)])
     with pytest.raises(tg.SequenceError, match=r"outside 0\.\.2"):
         tg.verify_sequence(3, [edge], seq)
 
@@ -215,11 +227,9 @@ def test_verify_rejects_edge_endpoint_out_of_range(edge):
 # -- classification and levels ------------------------------------------------
 
 
-def is_good_assignment(t: tg.Trigraph) -> bool:
-    """True iff every (black or red) edge spans at most one level."""
-    if t.level is None:
-        raise tg.SequenceError("no level assignment present")
-    lev = t.level
+def is_good_assignment(t: tg.Trigraph, lev: list) -> bool:
+    """True iff every (black or red) edge of ``t`` spans at most one of the
+    levels ``lev``."""
     for v, bl in enumerate(t.black):
         if bl is None:
             continue  # contracted
@@ -237,51 +247,48 @@ def is_good_assignment(t: tg.Trigraph) -> bool:
 
 
 def test_classify_level_preserving():
-    t = tg.Trigraph(4, [(0, 1), (2, 3)], levels=[5, 5, 5, 5])
-    assert _step_ok(t, 0, 1, respecting=False)
-    assert _step_ok(t, 0, 1, respecting=True)
+    t = tg.Trigraph(4, [(0, 1), (2, 3)])
+    assert _step_ok(t, [5, 5, 5, 5], 0, 1, respecting=False)
+    assert _step_ok(t, [5, 5, 5, 5], 0, 1, respecting=True)
 
 
 def test_classify_level_respecting_case():
     # y at level 5, every neighbour of y at level 4
-    t = tg.Trigraph(3, [(0, 1), (1, 2)], levels=[4, 5, 4])
-    assert _step_ok(t, 0, 1, respecting=True)
-    assert _step_ok(t, 1, 0, respecting=True)
+    t = tg.Trigraph(3, [(0, 1), (1, 2)])
+    assert _step_ok(t, [4, 5, 4], 0, 1, respecting=True)
+    assert _step_ok(t, [4, 5, 4], 1, 0, respecting=True)
 
 
 def test_classify_violation():
     # y at level 5 keeps a level-6 neighbour
-    t = tg.Trigraph(4, [(0, 1), (1, 2), (1, 3)], levels=[4, 5, 4, 6])
-    assert not _step_ok(t, 0, 1, respecting=True)
+    t = tg.Trigraph(4, [(0, 1), (1, 2), (1, 3)])
+    assert not _step_ok(t, [4, 5, 4, 6], 0, 1, respecting=True)
     # a red neighbour counts as much as a black one
-    t = tg.Trigraph(4, [(0, 1), (1, 2)], levels=[4, 5, 4, 6])
+    t = tg.Trigraph(4, [(0, 1), (1, 2)])
     t.red[1].add(3)
     t.red[3].add(1)
-    assert not _step_ok(t, 0, 1, respecting=True)
+    assert not _step_ok(t, [4, 5, 4, 6], 0, 1, respecting=True)
     # two levels apart, though the deeper vertex has no neighbour at all
-    t = tg.Trigraph(3, [(0, 1)], levels=[4, 5, 6])
-    assert not _step_ok(t, 0, 2, respecting=True)
-
-
-@pytest.mark.parametrize("levels", [[0], [0, 1, 1, 5]], ids=["short", "long"])
-def test_verify_rejects_levels_of_the_wrong_length(levels):
-    with pytest.raises(tg.SequenceError, match=re.escape(
-            f"{len(levels)} levels given for 3 vertices")):
-        tg.Trigraph(3, [(0, 1), (1, 2)], levels=levels)
+    t = tg.Trigraph(3, [(0, 1)])
+    assert not _step_ok(t, [4, 5, 6], 0, 2, respecting=True)
 
 
 def test_min_level_update_and_decrease():
-    t = tg.Trigraph(3, [(0, 1), (1, 2)], levels=[3, 4, 3])
-    t.replay([("k", 0, 1, 3)], [])
-    assert t.level[3] == 3
-    assert t.level[0] is None and t.level[1] is None
+    # the checker's levels: z takes the smaller one, x and y lose theirs
+    g = tp.build(3, [(0, 1), (1, 2)], [[0], [1, 2], [3]], 0)
+    chk = tp.InvariantChecker("planar")
+    chk.bind(g, ly.left_aligned_bfs_tree(g, 0))
+    chk.level[:3] = [3, 4, 3]
+    chk.on_contract(0, 1, 3)
+    assert chk.level[3] == 3
+    assert chk.level[0] is None and chk.level[1] is None
 
 
 def test_good_assignment():
-    t = tg.Trigraph(3, [(0, 1), (1, 2)], levels=[0, 1, 2])
-    assert is_good_assignment(t)
-    t2 = tg.Trigraph(2, [(0, 1)], levels=[0, 2])
-    assert not is_good_assignment(t2)
+    t = tg.Trigraph(3, [(0, 1), (1, 2)])
+    assert is_good_assignment(t, [0, 1, 2])
+    t2 = tg.Trigraph(2, [(0, 1)])
+    assert not is_good_assignment(t2, [0, 2])
 
 
 def test_min_level_respecting_keeps_goodness():
@@ -289,11 +296,12 @@ def test_min_level_respecting_keeps_goodness():
     rng = random.Random(0)
     g = tp.gen_triangulation(30, rng.randrange(10 ** 6))
     seq, _rep, (full_seq, G, t) = tp.planar_sequence_full(g)
-    sim = tg.Trigraph(G.n, G.edges, levels=t.depth)
+    sim = tg.Trigraph(G.n, G.edges)
+    level = list(t.depth)
     nfinal = 4  # final-phase steps are outside the level discipline
     for step in full_seq.steps[:-nfinal]:
-        sim.replay((step,), [])
-        assert is_good_assignment(sim)
+        replay_with_levels(sim, level, (step,))
+        assert is_good_assignment(sim, level)
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -303,7 +311,7 @@ def test_one_step_per_call_equals_one_batch(s):
 
     def run(steps, per_call):
         """(error text or None, per-step maxima, next_id)"""
-        sim = tg.Trigraph(G.n, G.edges, levels=t.depth)
+        sim = tg.Trigraph(G.n, G.edges)
         per_step = []
         try:
             for chunk in [(step,) for step in steps] if per_call else [steps]:
@@ -316,8 +324,9 @@ def test_one_step_per_call_equals_one_batch(s):
     assert one == run(full.steps, False)
     assert (one[0], one[2]) == (None, 2 * G.n - 1)
     i = len(full.steps) // 2
-    _, x, _, z = full.steps[i]
-    bad = full.steps[:i] + [("k", x, x, z)] + full.steps[i + 1:]
+    x, _ = full.steps[i]
+    z = G.n + i
+    bad = full.steps[:i] + [(x, x)] + full.steps[i + 1:]
     one = run(bad, True)
     assert one == run(bad, False)
     assert (one[0], one[2]) == (
@@ -329,18 +338,19 @@ def test_claim_new_red_edges_stay_within_one_layer():
     for _ in range(10):
         g = tp.gen_triangulation(rng.randrange(6, 30), rng.randrange(10 ** 6))
         t = ly.left_aligned_bfs_tree(g, g.tail[g.outer_dart])
-        sim = tg.Trigraph(g.n, g.edges, levels=list(t.depth))
+        sim = tg.Trigraph(g.n, g.edges)
+        level = list(t.depth)
         # contract two same-level vertices and inspect the new red edges
         by_level = {}
         for v in range(g.n):
             by_level.setdefault(t.depth[v], []).append(v)
         pair = next(vs for vs in by_level.values() if len(vs) >= 2)
         x, y = pair[:2]
-        lev = sim.level[x]
+        lev = level[x]
         z = sim.next_id
-        sim.replay([("k", x, y, z)], [])
+        replay_with_levels(sim, level, [(x, y)])
         for w in sim.red[z]:
-            assert sim.level[w] in (lev - 1, lev, lev + 1)
+            assert level[w] in (lev - 1, lev, lev + 1)
 
 
 # -- restriction ---------------------------------------------------------------
@@ -420,9 +430,9 @@ def test_parse_seq_rejects_a_bad_header(text, msg):
 
 def test_classify_modes():
     # one level apart passes in planar runs only
-    t = tg.Trigraph(3, [(0, 1), (1, 2)], levels=[4, 5, 4])
-    assert _step_ok(t, 0, 1, respecting=True)
-    assert not _step_ok(t, 0, 1, respecting=False)
+    t = tg.Trigraph(3, [(0, 1), (1, 2)])
+    assert _step_ok(t, [4, 5, 4], 0, 1, respecting=True)
+    assert not _step_ok(t, [4, 5, 4], 0, 1, respecting=False)
 
 
 @pytest.mark.parametrize("mode, x, y, rule", [
@@ -460,7 +470,7 @@ def test_checker_accepts_a_level_respecting_step():
     chk = tp.InvariantChecker("planar")
     chk.bind(g, ly.left_aligned_bfs_tree(g, 0))
     chk.on_contract(1, 2, 3)  # every neighbour of 2 sits on level 1
-    assert chk.sim.level[3] == 1
+    assert chk.level[3] == 1
 
 
 # -- region checks of the checker -----------------------------------------------
