@@ -44,7 +44,7 @@ from .layering import BfsTree
 from .plane_graph import PlaneGraph
 from .seq_bipartite import WIDTH_BOUND as BIPARTITE_BOUND
 from .seq_planar import WIDTH_BOUND as PLANAR_BOUND
-from .trigraph import Trigraph
+from .trigraph import Trigraph, is_vertex_id
 
 # where a vertex sits relative to a region's boundary (``boundary_class``)
 OFF, ON, ON_RIGHT = 0, 1, 2
@@ -221,9 +221,13 @@ class InvariantChecker:
         self.steps_checked += 1
         # before the step rule, which reads the levels of live ids only
         black, nid = sim.black, sim.next_id
-        if (not (0 <= x < nid and 0 <= y < nid) or black[x] is None
-                or black[y] is None):
-            bad = y if 0 <= x < nid and black[x] is not None else x
+        try:
+            live = (0 <= x < nid and 0 <= y < nid and black[x] is not None
+                    and black[y] is not None)
+        except TypeError:  # an id that is no int
+            live = False
+        if not live:
+            bad = y if is_vertex_id(x, nid) and black[x] is not None else x
             raise InvariantViolation(
                 f"contraction ({x}, {y}) names {bad}, which is not live")
         final, level = self.final_phase, self.level

@@ -132,24 +132,28 @@ def check_left_aligned(g: PlaneGraph, t: BfsTree) -> tuple[int, int] | None:
     (the parental edge, or the outer-face gap at the root).  In a preorder
     that visits each vertex's children in that order, u is left of v iff u
     comes first, so one preorder plus one pass over the edges decides
-    every edge: O(n + m).  The preorder is derived from ``parent_dart`` and
-    the rotations, not from ``t.tin``, so the check does not trust the
-    numbering of the tree it checks.  Parallel copies of tree edges are
-    skipped: with the upper endpoint equal to the lower one's parent the
-    left-of triple degenerates.
+    every edge: O(n + m) up to sorting each vertex's children.  The
+    preorder is derived from ``parent_dart``, which gives each child its
+    rotation position at the parent, not from ``t.tin``, so the check does
+    not trust the numbering of the tree it checks.  Parallel copies of tree
+    edges are skipped: with the upper endpoint equal to the lower one's
+    parent the left-of triple degenerates.
     """
     if t.g is not g:
         raise LayeringError("tree belongs to a different graph")
     n, r = g.n, t.root
     dep, parent, pdart = t.depth, t.parent, t.parent_dart
     tail, head, rot, pos = g.tail, g.head, g.rot, g.pos
+    kids: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         if v == r:
             continue
         d = pdart[v]
-        if (dep[parent[v]] != dep[v] - 1 or d < 0 or tail[d] != v
-                or head[d] != parent[v]):
+        p = parent[v]
+        if (dep[p] != dep[v] - 1 or d < 0 or tail[d] != v
+                or head[d] != p):
             raise LayeringError("not a BFS tree")
+        kids[p].append(v)
     rank = [-1] * n
     clock = 0
     stack = [r]
@@ -157,14 +161,14 @@ def check_left_aligned(g: PlaneGraph, t: BfsTree) -> tuple[int, int] | None:
         v = stack.pop()
         rank[v] = clock
         clock += 1
-        rv = rot[v]
-        if not rv:
-            continue
-        s = pos[_root_anchor(g, r)] if v == r else pos[pdart[v]] + 1
-        # the children of v in ccw order from the anchor, first on top
-        kids = [head[d] for d in rv[s:] + rv[:s] if pdart[head[d]] == d ^ 1]
-        kids.reverse()
-        stack += kids
+        kv = kids[v]
+        if len(kv) > 1:
+            # in ccw order from the anchor by the offset of the dart v -> w,
+            # the first child on top
+            s = pos[_root_anchor(g, r)] if v == r else pos[pdart[v]] + 1
+            deg = len(rot[v])
+            kv.sort(key=lambda w: (pos[pdart[w] ^ 1] - s) % deg, reverse=True)
+        stack += kv
     if clock != n:
         raise LayeringError("not a BFS tree")
     for a, b in g.edges:

@@ -18,7 +18,7 @@ from operator import index
 from typing import Iterable
 
 from .trigraph import (ContractionSequence, SequenceError, WidthReport,
-                       verify_sequence)
+                       is_vertex_id, verify_sequence)
 
 
 class OracleError(ValueError):
@@ -170,7 +170,7 @@ def exact_twinwidth(n: int, edges: Iterable[tuple[int, int]],
     edges = [(u, v) for u, v in edges]
     black = {v: 0 for v in range(n)}
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
+        if not (is_vertex_id(u, n) and is_vertex_id(v, n)):
             raise OracleError(f"edge ({u}, {v}) has an endpoint outside "
                               f"0..{n - 1}")
         if u != v:
@@ -224,6 +224,9 @@ def reference_verify(n: int, edges: Iterable[tuple[int, int]],
     for v in range(n):
         live[v] = True
     for u, v in edges:
+        for w in (u, v):  # a list would wrap a negative id
+            if not is_vertex_id(w, n):
+                raise SequenceError(f"edge endpoint {w} outside 0..{n - 1}")
         M[u][v] = M[v][u] = 1
     per_step: list[int] = []
     width = 0

@@ -159,6 +159,9 @@ def _trace_faces(g: PlaneGraph, nxt: list[int]) -> None:
             face_of[d] = f
             walk.append(d)
             d = nxt[d]
+        # d0 as the face_next entry that closed the orbit, not enumerate's
+        # copy: the walks hold no int object of their own
+        walk[0] = d
         walks.append(walk)
     g.faces = walks or [[]]
     g.outer_face = face_of[g.outer_dart] if walks else 0
@@ -651,10 +654,17 @@ def read_header(parts: list[str], kind: str, seen: bool) -> tuple[int, int]:
 @pause_gc()
 def parse_plane(text: str) -> PlaneGraph:
     """Read ``write_plane``'s format, checking each record as it is read;
-    ``build`` checks the rotation system (its PlaneError -> FormatError)."""
+    ``build`` checks the rotation system (its PlaneError -> FormatError).
+
+    Vertex ids are interned: every in-range endpoint of an ``e`` record is
+    the one int object first read for that id, so ``edges``, ``tail`` and
+    ``head``, and what is built from them (a BFS tree, a trigraph's sets),
+    hold one object per vertex, not one per dart.
+    """
     n = m = -1
     edges: list[tuple[int, int] | None] = []
     rot_eids: list[list[int] | None] = []  # None: no record yet
+    ids: list[int | None] = []  # vertex id -> its interned int object
     outer_spec: tuple[int, int] | None = None
     try:
         for ln, raw, parts in records(text):
@@ -668,6 +678,15 @@ def parse_plane(text: str) -> PlaneGraph:
                         else "edge before the 'p plane' header")
                 if edges[e] is not None:
                     raise FormatError(f"second record for edge {e}")
+                # the first object read for an id stands for it (0 is
+                # falsy, but a cached small int); ``build`` refuses an
+                # endpoint out of range
+                if 0 <= u < n:
+                    u = ids[u] or u
+                    ids[u] = u
+                if 0 <= v < n:
+                    v = ids[v] or v
+                    ids[v] = v
                 edges[e] = (u, v)
             elif tag == "r":
                 v, *eids = map(int, parts[1:])
@@ -685,6 +704,7 @@ def parse_plane(text: str) -> PlaneGraph:
                 n, m = read_header(parts, "plane", n >= 0)
                 edges = [None] * m
                 rot_eids = [None] * n
+                ids = [None] * n
             elif tag == "outer":
                 if outer_spec is not None:
                     raise FormatError("second 'outer' record")

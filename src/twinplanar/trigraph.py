@@ -13,10 +13,11 @@ the verifier reads the running maximum after every step in O(1).
 
 A trigraph stores its adjacency in lists indexed by the dense ids of the
 sequence, 0..2n-2: ``black[v]`` and ``red[v]`` are sets, and both are
-``None`` once v is contracted.  ``Trigraph.replay`` holds the one
-definition of a step: the verifier replays a whole sequence through it,
-and the per-step checker of ``instrument`` replays one step per call,
-which resumes where the last call stopped.  A trigraph carries no levels:
+``None`` once v is contracted; the vertices without a red edge share one
+empty ``frozenset``.  ``Trigraph.replay`` holds the one definition of a
+step: the verifier replays a whole sequence through it, and the per-step
+checker of ``instrument`` replays one step per call, which resumes where
+the last call stopped.  A trigraph carries no levels:
 the checker keeps its own, next to its step rule (level-preserving,
 level-respecting).
 """
@@ -24,16 +25,28 @@ level-respecting).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable
 
 from .plane_graph import FormatError, pause_gc, read_header, records
 
 Step = tuple[int, int]  # (x, y): step i contracts x and y into n + i
 
+_NO_RED: frozenset[int] = frozenset()  # the red set of every fresh trigraph
+
 
 class SequenceError(ValueError):
     """Invalid contraction sequence (a step that is no pair of ids, or
     that names a dead, negative or not yet created id)."""
+
+
+def is_vertex_id(v, n: int) -> bool:
+    """Whether v is one of the ids 0..n-1: an int (or an object a list
+    takes as an index) in range, not a float or None."""
+    try:
+        return 0 <= index(v) < n
+    except TypeError:
+        return False
 
 
 @dataclass
@@ -66,11 +79,18 @@ class Trigraph:
     indexed by id (length ``next_id``).  ``black[v]`` and ``red[v]`` are
     sets of live ids, and both are ``None`` once v is contracted.
 
+    Shared objects: ``red[v]`` is one empty ``frozenset`` (``_NO_RED``),
+    shared by every vertex, until v has a red edge; ``replay`` then gives v
+    a set of its own.  The black sets hold the int objects of the edges
+    and of the fresh ids, so the ids that ``parse_plane`` interns stay one
+    object each.
+
     Single-writer.  ``_red_hist[d]`` counts the live vertices of red degree
     d and ``_max_red`` is the largest d with a nonzero count; ``replay``
     keeps both current, so it reads the maximum after each step in O(1).
     ``steps_done`` counts the steps replayed.  Writing to ``black``/``red``
-    directly bypasses that bookkeeping.
+    directly bypasses that bookkeeping, and a red set may be the shared
+    frozenset: assign a new set rather than add to it.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -83,12 +103,12 @@ class Trigraph:
                     raise IndexError  # a list would wrap a negative id
                 black[u].add(v)
                 black[v].add(u)
-        except IndexError:
-            bad = v if 0 <= u < n else u
+        except (IndexError, TypeError):  # an id out of range, or no int
+            bad = v if is_vertex_id(u, n) else u
             raise SequenceError(
                 f"edge endpoint {bad} outside 0..{n - 1}") from None
         self.black = black
-        self.red: list[set[int] | None] = [set() for _ in range(n)]
+        self.red: list[set[int] | frozenset[int] | None] = [_NO_RED] * n
         self._red_hist = [n] + [0] * n  # all n vertices start at red degree 0
         self._max_red = 0
         self.next_id = n
@@ -127,8 +147,8 @@ class Trigraph:
                 black[x] = black[y] = red[x] = red[y] = None
                 hist[len(rx)] -= 1
                 hist[len(ry)] -= 1
-                # z takes over the sets of x: bx becomes its black and rx its
-                # red neighbourhood
+                # z takes over the sets of x: bx becomes its black and rx
+                # (once, if x had no red edge) its red neighbourhood
                 xy = {x, y}
                 once = bx ^ by
                 once -= xy
@@ -143,11 +163,16 @@ class Trigraph:
                 for w in once:
                     bw = black[w]
                     bw -= xy
+                if rx is _NO_RED:
+                    rx = once
+                else:
+                    rx |= once
                 rx |= ry
-                rx |= once
                 rx -= xy
                 for w in rx:
                     rw = red[w]
+                    if rw is _NO_RED:
+                        rw = red[w] = set()
                     d = len(rw)
                     rw -= xy
                     rw.add(z)
@@ -156,7 +181,7 @@ class Trigraph:
                         hist[d] -= 1
                         hist[e] += 1
                 black.append(bx)
-                red.append(rx)
+                red.append(rx or _NO_RED)
                 d = len(rx)
                 hist[d] += 1
                 # any red degree but z's grew by at most one

@@ -81,8 +81,10 @@ def test_limit_enforced():
     tp.exact_twinwidth(11, [(0, 1)], limit=11)
 
 
-@pytest.mark.parametrize("edge", [(0, 5), (-1, 2), (3, 0)],
-                         ids=["past-n", "negative", "at-n"])
+@pytest.mark.parametrize("edge", [(0, 5), (-1, 2), (3, 0), (0, 1.5),
+                                  (None, 1)],
+                         ids=["past-n", "negative", "at-n", "float",
+                              "none"])
 def test_exact_refuses_an_edge_endpoint_outside_the_graph(edge):
     with pytest.raises(orc.OracleError, match=re.escape(
             f"edge {edge} has an endpoint outside 0..2")):

@@ -13,10 +13,11 @@ from twinplanar import plane_graph as pg
 from twinplanar.generators import (gen_grid, gen_stacked_quadrangulation,
                                    gen_triangulation)
 from twinplanar.instrument import InvariantChecker
+from twinplanar.layering import left_aligned_bfs_tree
 from twinplanar.oracle import reference_verify
 from twinplanar.seq_bipartite import bipartite_sequence
 from twinplanar.seq_planar import planar_sequence, planar_sequence_full
-from twinplanar.trigraph import parse_seq
+from twinplanar.trigraph import Trigraph, parse_seq
 
 
 def triangle():
@@ -654,6 +655,22 @@ def test_plane_format_roundtrip():
     assert g2.rot == g.rot
     assert g2.outer_dart == g.outer_dart
     assert pg.write_plane(g2, comments=["hello"]) == text
+
+
+def test_a_parsed_graph_holds_one_int_object_per_vertex_id():
+    # guards the memory of a parsed graph by object identity: the edges,
+    # the per-dart ends, a BFS tree and a trigraph share one object per id,
+    # and the face walks hold face_next's dart objects
+    g = pg.parse_plane(pg.write_plane(gen_triangulation(10000, 0)))
+    ends = {id(w) for e in g.edges for w in e}
+    assert len(ends) == g.n
+    assert {id(w) for w in g.tail} == ends == {id(w) for w in g.head}
+    t = left_aligned_bfs_tree(g, g.tail[g.outer_dart])
+    assert {id(p) for p in t.parent if p != -1} <= ends
+    sim = Trigraph(g.n, g.edges)
+    assert {id(w) for b in sim.black for w in b} == ends
+    assert ({id(d) for walk in g.faces for d in walk}
+            == {id(d) for d in g.face_next})
 
 
 def test_parse_plane_errors():

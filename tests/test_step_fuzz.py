@@ -5,10 +5,11 @@ and the sequence handed to ``verify_sequence``, ``reference_verify`` and
 ``restrict_sequence``, and the mutated step, after the valid prefix, to a
 bound checker's ``on_contract``.  Each must answer with ``SequenceError``
 or ``InvariantViolation`` and nothing else.  A step that names a dead,
-negative or not yet created id or the same id twice is refused by all of
-them, and so is one that is no pair of ids (the sequence consumers only:
-the checker is called with ids); a pair two levels apart is still a
-contraction, so only the checker's step rule refuses it.
+negative or not yet created id, the same id twice, or something that is
+no id (None, a float) is refused by all of them, and so is one that is
+no pair (the sequence consumers only: the checker is called with two
+ids); a pair two levels apart is still a contraction, so only the
+checker's step rule refuses it.
 """
 
 import random
@@ -18,7 +19,8 @@ import pytest
 import twinplanar as tp
 
 TYPED = (tp.SequenceError, tp.InvariantViolation)
-ID_KINDS = ("dead", "negative", "past-fresh", "equal", "not-a-pair")
+ID_KINDS = ("dead", "negative", "past-fresh", "equal", "not-an-id",
+            "not-a-pair")
 
 
 class _FinalPhaseMark(tp.InvariantChecker):
@@ -65,9 +67,10 @@ def _mutate(kind, step, prefix, chk, rng):
         return z + rng.randrange(1, 4), y
     if kind == "equal":
         return x, x
+    if kind == "not-an-id":
+        return rng.choice([(x, None), (None, y), (x, float(y)), ("d", x)])
     if kind == "not-a-pair":
-        return rng.choice([(x,), (x, y, z), ("k", x, y, z), ("k", x, y),
-                           ("d", x), (x, None), (x, float(y))])
+        return rng.choice([(x,), (x, y, z), ("k", x, y, z), ("k", x, y)])
     # two levels apart: any live pair will do
     level = chk.level
     live = [v for v in range(z) if chk.sim.black[v] is not None]

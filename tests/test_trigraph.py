@@ -43,10 +43,22 @@ def test_contract_red_inherited():
     t = tg.Trigraph(3, [(0, 2), (1, 2)])
     t.black[0].discard(2)
     t.black[2].discard(0)
-    t.red[0].add(2)
-    t.red[2].add(0)
+    t.red[0] = {2}  # a fresh trigraph's red sets are one shared frozenset
+    t.red[2] = {0}
     t.replay([(0, 1)], [])
     assert t.red[3] == {2}
+
+
+def test_red_sets_are_one_shared_empty_set_until_a_red_edge():
+    # K_{2,2} on {0, 1} x {2, 3} plus the edge 3-4: the twins 0 and 1
+    # contract without a red edge, 2 and 3 into 6 with one to 4
+    t = tg.Trigraph(5, [(0, 2), (0, 3), (1, 2), (1, 3), (3, 4)])
+    empty = t.red[0]
+    assert empty == frozenset() and all(r is empty for r in t.red)
+    t.replay([(0, 1)], [])
+    assert all(r is empty for r in t.red if r is not None)
+    t.replay([(2, 3)], [])
+    assert t.red[4] == {6} and t.red[6] == {4} and t.red[5] is empty
 
 
 def test_contract_errors():
@@ -217,11 +229,15 @@ def test_red_histogram_matches_reference(n, p, rng):
     assert rep.per_step_max == tp.reference_verify(n, edges, seq).per_step_max
 
 
-@pytest.mark.parametrize("edge", [(0, 5), (0, -1)], ids=["past-n", "negative"])
+@pytest.mark.parametrize("edge", [(0, 5), (0, -1), (0, 1.0)],
+                         ids=["past-n", "negative", "not-an-int"])
 def test_verify_rejects_edge_endpoint_out_of_range(edge):
+    # a list would wrap -1 onto a live id and refuse 1.0 with a TypeError
     seq = tg.ContractionSequence(3, [(0, 1), (2, 3)])
-    with pytest.raises(tg.SequenceError, match=r"outside 0\.\.2"):
-        tg.verify_sequence(3, [edge], seq)
+    for verify in tg.verify_sequence, tp.reference_verify:
+        with pytest.raises(tg.SequenceError, match=re.escape(
+                f"edge endpoint {edge[1]} outside 0..2")):
+            verify(3, [edge], seq)
 
 
 # -- classification and levels ------------------------------------------------
@@ -265,8 +281,8 @@ def test_classify_violation():
     assert not _step_ok(t, [4, 5, 4, 6], 0, 1, respecting=True)
     # a red neighbour counts as much as a black one
     t = tg.Trigraph(4, [(0, 1), (1, 2)])
-    t.red[1].add(3)
-    t.red[3].add(1)
+    t.red[1] = {3}
+    t.red[3] = {1}
     assert not _step_ok(t, [4, 5, 4, 6], 0, 1, respecting=True)
     # two levels apart, though the deeper vertex has no neighbour at all
     t = tg.Trigraph(3, [(0, 1)])
@@ -452,7 +468,9 @@ def test_checker_rejects_steps_off_the_level_rule(mode, x, y, rule):
 @pytest.mark.parametrize("mode", ["planar", "bipartite"])
 @pytest.mark.parametrize("x, y, bad", [
     (0, 2, 0), (2, 0, 0), (-1, 2, -1), (2, 9, 9), (5, 2, 5),
-], ids=["dead-x", "dead-y", "negative", "past-fresh", "fresh"])
+    (2, None, None), (1.0, 2, 1.0),
+], ids=["dead-x", "dead-y", "negative", "past-fresh", "fresh", "none-id",
+        "float-id"])
 def test_checker_rejects_a_step_on_an_id_that_is_not_live(mode, x, y, bad):
     # the 4-cycle 0-1-3-2 rooted at 1: 0 and 3 share level 1 and merge
     # into 4, which leaves 1, 2 and 4 live and 5 the next fresh id
