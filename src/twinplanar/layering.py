@@ -144,14 +144,16 @@ def check_left_aligned(g: PlaneGraph, t: BfsTree) -> tuple[int, int] | None:
     n, r = g.n, t.root
     dep, parent, pdart = t.depth, t.parent, t.parent_dart
     tail, head, rot, pos = g.tail, g.head, g.rot, g.pos
+    nd = len(tail)
     kids: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         if v == r:
             continue
         d = pdart[v]
         p = parent[v]
-        if (dep[p] != dep[v] - 1 or d < 0 or tail[d] != v
-                or head[d] != p):
+        # a dart in range that leads v -> p makes p a vertex of g
+        if (not 0 <= d < nd or tail[d] != v or head[d] != p
+                or dep[p] != dep[v] - 1):
             raise LayeringError("not a BFS tree")
         kids[p].append(v)
     rank = [-1] * n

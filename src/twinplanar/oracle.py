@@ -162,17 +162,24 @@ def exact_twinwidth(n: int, edges: Iterable[tuple[int, int]],
     """Minimum width over all contraction sequences, with a replayable
     witness.  n above ``limit`` is rejected: the search space explodes
     combinatorially (the default 10 keeps runtimes in seconds).  So is an
-    edge with an endpoint outside 0..n-1, before the search starts."""
+    edge that is no pair or has an endpoint outside 0..n-1, before the
+    search starts."""
     if n > limit:
         raise OracleError(f"n={n} exceeds the exact-search limit {limit}")
     if n == 0:
         raise OracleError("empty graph")
-    edges = [(u, v) for u, v in edges]
+    pairs = []
     black = {v: 0 for v in range(n)}
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise OracleError(
+                f"edge {edge!r} is not a pair of vertex ids") from None
         if not (is_vertex_id(u, n) and is_vertex_id(v, n)):
             raise OracleError(f"edge ({u}, {v}) has an endpoint outside "
                               f"0..{n - 1}")
+        pairs.append((u, v))
         if u != v:
             black[u] |= 1 << v
             black[v] |= 1 << u
@@ -206,7 +213,7 @@ def exact_twinwidth(n: int, edges: Iterable[tuple[int, int]],
     for fresh, (x, y) in enumerate(merges, n):
         seq.steps.append((alias[x], alias[y]))
         alias[x] = fresh
-    check = verify_sequence(n, edges, seq)
+    check = verify_sequence(n, pairs, seq)
     if check.width != width:
         raise OracleError(f"witness width {check.width} != computed {width}")
     return ExactResult(width, seq)
@@ -223,7 +230,12 @@ def reference_verify(n: int, edges: Iterable[tuple[int, int]],
     live = [False] * size
     for v in range(n):
         live[v] = True
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise SequenceError(
+                f"edge {edge!r} is not a pair of vertex ids") from None
         for w in (u, v):  # a list would wrap a negative id
             if not is_vertex_id(w, n):
                 raise SequenceError(f"edge endpoint {w} outside 0..{n - 1}")

@@ -210,6 +210,10 @@ class _Splicer:
     ccw order, i.e. inside the face on the left of ``d`` at that boundary
     visit.  Keyed by dart, so walks repeating a vertex get one wedge per
     visit.
+
+    ``finalize`` consumes the splicer: it drops the maps of new darts and
+    rotations before the one ``build``, so they are not held alongside
+    the graph it builds.
     """
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]],
@@ -246,16 +250,18 @@ class _Splicer:
         self.new_rot[v] = darts
 
     def finalize(self, outer: int) -> PlaneGraph:
+        after, new_rot, tail_extra = self.after, self.new_rot, self.tail_extra
+        self.after = self.new_rot = self.tail_extra = None
         rotations: list[list[int]] = []
         for v in range(self.n0):
             r: list[int] = []
             for d in self.rot[v]:
                 r.append(d)
-                r.extend(self.after.get(d, ()))
-            r.extend(self.tail_extra.get(v, ()))
+                r.extend(after.get(d, ()))
+            r.extend(tail_extra.get(v, ()))
             rotations.append(r)
-        for v in range(self.n0, self.n):
-            rotations.append(self.new_rot[v])
+        rotations.extend(new_rot[v] for v in range(self.n0, self.n))
+        del after, new_rot, tail_extra  # not held while build runs
         return build(self.n, self.edges, rotations, outer)
 
 
@@ -814,8 +820,10 @@ def embed_abstract(n: int, edges: Sequence[tuple[int, int]]) -> PlaneGraph:
             nbrs = []
         # networkx hands out clockwise order; our convention is ccw
         rotations.append([eidx[(v, w)] for w in reversed(nbrs)])
+    # the face walks do not depend on the outer dart, so the marker moves
+    # onto the longest face without a second build
     g = build(n, elist, rotations, 0)
     best = max(range(len(g.faces)), key=lambda f: len(g.faces[f]))
     if g.faces[best]:
-        g = build(n, elist, rotations, g.faces[best][0])
+        g.outer_dart, g.outer_face = g.faces[best][0], best
     return g

@@ -15,7 +15,7 @@ from .buildctx import (BuildCtx, BuilderError, check_mode, climb,
                        fold_contract, merge_survivors, run_trampoline)
 from .layering import BfsTree
 from .plane_graph import PlaneGraph, pause_gc, quadrangulate
-from .seq_planar import run_pipeline
+from .seq_planar import run_pipeline, verified
 from .trigraph import ContractionSequence, WidthReport
 
 WIDTH_BOUND = 6  # the verified width every bipartite_sequence result must meet
@@ -200,12 +200,17 @@ def bipartite_sequence(g0: PlaneGraph, checker=None,
     vertices, then restriction back to V(g0).  An empty, non-simple or
     non-bipartite graph raises ``PlaneError``, a verified width above
     ``WIDTH_BOUND`` ``BuilderError``."""
-    seq0, report, _ = bipartite_sequence_full(g0, checker)
-    return seq0, report
+    check_mode(checker, "bipartite")
+    seq0 = run_pipeline(g0, checker, quadrangulate, _run_core, _final_phase)[0]
+    return seq0, verified(g0, seq0, WIDTH_BOUND)
 
 
 @pause_gc()
 def bipartite_sequence_full(g0: PlaneGraph, checker=None, verify: bool = True):
+    """``(seq0, report, (seq, g, t))``: ``bipartite_sequence``'s result plus
+    the completed graph's sequence, graph and tree; ``report`` is None
+    when ``verify`` is off."""
     check_mode(checker, "bipartite")
-    return run_pipeline(g0, checker, verify, quadrangulate, _run_core,
-                        _final_phase, WIDTH_BOUND)
+    seq0, full = run_pipeline(g0, checker, quadrangulate, _run_core,
+                              _final_phase)
+    return seq0, verified(g0, seq0, WIDTH_BOUND) if verify else None, full

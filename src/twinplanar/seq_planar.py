@@ -10,7 +10,8 @@ sub-calls plus a level-by-level merge, and finishes with the two-pass
 second stage that leaves at most one interior vertex per level (maximally
 1-reduced).
 
-``run_pipeline`` is the driver that this builder and the bipartite one in
+``run_pipeline`` (the build) and ``verified`` (the replay held to the
+width bound) are the driver that this builder and the bipartite one in
 ``seq_bipartite`` share.
 """
 
@@ -339,9 +340,8 @@ def _final_phase(ctx: BuildCtx, surv: dict[int, int], lid_dart: int) -> None:
     fold_contract(ctx, leftovers)
 
 
-def run_pipeline(g0: PlaneGraph, checker, verify: bool,
-                 complete, run_core, final_phase, width_bound: int):
-    """The pipeline both builders share; each mode supplies the steps that
+def run_pipeline(g0: PlaneGraph, checker, complete, run_core, final_phase):
+    """The build both builders share; each mode supplies the steps that
     differ.
 
     ``complete(gc)`` turns ``gc``, g0 made connected, into a triangulation
@@ -353,13 +353,17 @@ def run_pipeline(g0: PlaneGraph, checker, verify: bool,
     contracts what is left into one vertex.  Input rules are refused by the
     layer that owns them, with ``PlaneError``: ``connect_components`` an
     empty graph, the completion a non-simple or (``quadrangulate``) a
-    non-bipartite one.  The sequence is restricted back to V(g0) and
-    replayed by the independent verifier; returns ``(seq0, report, (seq,
-    g, t))`` with the completed graph's sequence, graph and tree, which the
-    plain entry points drop under their GC pause.
+    non-bipartite one.  Returns ``(seq0, (seq, g, t))``: the sequence
+    restricted back to V(g0), and the completed graph's sequence, graph and
+    tree.  It does not verify; ``verified`` does.
+
+    One plane graph is held at a time: the connected graph is dropped once
+    the completion is built from it (``_Splicer.finalize`` consumes its
+    splicer before its ``build``), and the plain entry points keep only
+    ``seq0``, so the completion, its tree, the ``BuildCtx`` and the full
+    sequence are freed before the verifier builds its trigraph.
     """
-    gc, _ = connect_components(g0)
-    g, _ = complete(gc)
+    g = complete(connect_components(g0)[0])[0]
     r = g.tail[g.outer_dart]
     t = left_aligned_bfs_tree(g, r)
     if checker is not None:
@@ -373,14 +377,26 @@ def run_pipeline(g0: PlaneGraph, checker, verify: bool,
         checker.enter_final_phase()
     final_phase(ctx, surv, lid_dart)
     seq = ctx.sequence()
+    del ctx
     if not seq.is_full():
         raise BuilderError("sequence does not contract to a single vertex")
     seq0 = seq if g.n == g0.n else restrict_sequence(seq, range(g0.n))
-    report = verify_sequence(g0.n, g0.edges, seq0) if verify else None
-    if report is not None and report.width > width_bound:
+    return seq0, (seq, g, t)
+
+
+def verified(g0: PlaneGraph, seq0: ContractionSequence,
+             width_bound: int) -> WidthReport:
+    """Replay ``seq0`` on g0 with the independent verifier and hold it to
+    ``width_bound``, raising ``BuilderError`` above it.  The verifier is
+    read from this module's globals, so a wrapper put on ``verify_sequence``
+    sees every verified build of both modes.  Call it once ``run_pipeline``'s
+    working set is dropped: its trigraph is the largest structure of a
+    verified build."""
+    report = verify_sequence(g0.n, g0.edges, seq0)
+    if report.width > width_bound:
         raise BuilderError(
             f"verified width {report.width} exceeds the bound {width_bound}")
-    return seq0, report, (seq, g, t)
+    return report
 
 
 @pause_gc()
@@ -396,12 +412,17 @@ def planar_sequence(g0: PlaneGraph, checker=None,
     raises ``PlaneError``, a verified width above ``WIDTH_BOUND``
     ``BuilderError``.
     """
-    seq0, report, _ = planar_sequence_full(g0, checker)
-    return seq0, report
+    check_mode(checker, "planar")
+    seq0 = run_pipeline(g0, checker, triangulate, _run_core, _final_phase)[0]
+    return seq0, verified(g0, seq0, WIDTH_BOUND)
 
 
 @pause_gc()
 def planar_sequence_full(g0: PlaneGraph, checker=None, verify: bool = True):
+    """``(seq0, report, (seq, g, t))``: ``planar_sequence``'s result plus
+    the completed graph's sequence, graph and tree; ``report`` is None
+    when ``verify`` is off."""
     check_mode(checker, "planar")
-    return run_pipeline(g0, checker, verify, triangulate, _run_core,
-                        _final_phase, WIDTH_BOUND)
+    seq0, full = run_pipeline(g0, checker, triangulate, _run_core,
+                              _final_phase)
+    return seq0, verified(g0, seq0, WIDTH_BOUND) if verify else None, full

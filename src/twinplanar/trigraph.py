@@ -49,6 +49,16 @@ def is_vertex_id(v, n: int) -> bool:
         return False
 
 
+def _edge_refusal(edge, n: int) -> str:
+    """Why ``edge`` is no edge on the ids 0..n-1."""
+    try:
+        u, v = edge
+    except (TypeError, ValueError):
+        return f"edge {edge!r} is not a pair of vertex ids"
+    bad = v if is_vertex_id(u, n) else u
+    return f"edge endpoint {bad} outside 0..{n - 1}"
+
+
 @dataclass
 class ContractionSequence:
     """Ordered contraction steps over a graph on vertices 0..n-1.
@@ -95,18 +105,17 @@ class Trigraph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         black: list[set[int] | None] = [set() for _ in range(n)]
-        try:
-            for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
                 if u == v:
                     raise SequenceError(f"loop edge at {u}")
                 if u < 0 or v < 0:
                     raise IndexError  # a list would wrap a negative id
                 black[u].add(v)
                 black[v].add(u)
-        except (IndexError, TypeError):  # an id out of range, or no int
-            bad = v if is_vertex_id(u, n) else u
-            raise SequenceError(
-                f"edge endpoint {bad} outside 0..{n - 1}") from None
+            except (IndexError, TypeError, ValueError):  # no pair, or a bad id
+                raise SequenceError(_edge_refusal(edge, n)) from None
         self.black = black
         self.red: list[set[int] | frozenset[int] | None] = [_NO_RED] * n
         self._red_hist = [n] + [0] * n  # all n vertices start at red degree 0

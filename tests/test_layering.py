@@ -284,10 +284,12 @@ def test_check_left_aligned_rejects_a_tree_that_is_not_one():
     v = next(v for v in range(g.n) if t.depth[v] == 2)
     # the parental dart no longer leads to the parent
     d = next(d for d in g.rot[v] if g.head[d] != t.parent[v])
-    bad = ly.BfsTree(g, t.root, t.parent, [*t.parent_dart], t.depth)
-    bad.parent_dart[v] = d
-    with pytest.raises(ly.LayeringError, match="not a BFS tree"):
-        ly.check_left_aligned(g, bad)
+    # or names no dart: negative, one past the last, far past it
+    for d in d, -1, 2 * g.m, 10 ** 6:
+        bad = ly.BfsTree(g, t.root, t.parent, [*t.parent_dart], t.depth)
+        bad.parent_dart[v] = d
+        with pytest.raises(ly.LayeringError, match="not a BFS tree"):
+            ly.check_left_aligned(g, bad)
 
 
 def test_random_triangulation_corpus_left_aligned():

@@ -82,12 +82,14 @@ def test_limit_enforced():
 
 
 @pytest.mark.parametrize("edge", [(0, 5), (-1, 2), (3, 0), (0, 1.5),
-                                  (None, 1)],
+                                  (None, 1), (0, 1, 2), (0,), 5],
                          ids=["past-n", "negative", "at-n", "float",
-                              "none"])
+                              "none", "triple", "single", "bare-int"])
 def test_exact_refuses_an_edge_endpoint_outside_the_graph(edge):
-    with pytest.raises(orc.OracleError, match=re.escape(
-            f"edge {edge} has an endpoint outside 0..2")):
+    msg = (f"edge {edge} has an endpoint outside 0..2"
+           if isinstance(edge, tuple) and len(edge) == 2
+           else f"edge {edge!r} is not a pair of vertex ids")
+    with pytest.raises(orc.OracleError, match=f"^{re.escape(msg)}$"):
         tp.exact_twinwidth(3, [(0, 1), edge])
 
 

@@ -733,6 +733,46 @@ def test_embed_abstract_k4():
     assert len(g.faces) == 4
 
 
+def _embed_inputs():
+    """The platonic solids and the edge lists the CLI's ``--embed`` tests
+    read, plus an edgeless and a disconnected graph."""
+    out = {}
+    for make in (nx.tetrahedral_graph, nx.cubical_graph, nx.octahedral_graph,
+                 nx.dodecahedral_graph, nx.icosahedral_graph):
+        G = make()
+        out[make.__name__] = (G.number_of_nodes(),
+                              sorted(tuple(sorted(e)) for e in G.edges()))
+    fuzz = gen_stacked_quadrangulation(6, 0)
+    out.update({"fuzz-quad": (fuzz.n, fuzz.edges),
+                "path": (3, [(0, 1), (1, 2)]),
+                "c5": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+                "edgeless": (3, []),
+                "two-parts": (7, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)])})
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_embed_inputs()))
+def test_embed_abstract_builds_once_with_the_longest_face_outer(
+        monkeypatch, name):
+    n, edges = _embed_inputs()[name]
+    calls = []
+    real_build = pg.build
+
+    def counting_build(*args):
+        calls.append(args[0])
+        return real_build(*args)
+
+    monkeypatch.setattr(pg, "build", counting_build)
+    g = pg.embed_abstract(n, edges)
+    monkeypatch.undo()
+    assert calls == [n]
+    # the text a second build from the longest face's first dart gives
+    again = pg.build(n, g.edges, g.rot, g.outer_dart)
+    assert (g.faces, g.outer_face) == (again.faces, again.outer_face)
+    assert pg.write_plane(g) == pg.write_plane(again)
+    assert len(g.faces[g.outer_face]) == max(map(len, g.faces))
+
+
 def test_embed_abstract_rejects_k5():
     k5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     with pytest.raises(pg.PlaneError, match="not planar"):

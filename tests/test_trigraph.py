@@ -229,15 +229,21 @@ def test_red_histogram_matches_reference(n, p, rng):
     assert rep.per_step_max == tp.reference_verify(n, edges, seq).per_step_max
 
 
-@pytest.mark.parametrize("edge", [(0, 5), (0, -1), (0, 1.0)],
-                         ids=["past-n", "negative", "not-an-int"])
-def test_verify_rejects_edge_endpoint_out_of_range(edge):
-    # a list would wrap -1 onto a live id and refuse 1.0 with a TypeError
+@pytest.mark.parametrize("edge, msg", [
+    ((0, 5), "edge endpoint 5 outside 0..2"),
+    ((0, -1), "edge endpoint -1 outside 0..2"),
+    ((0, 1.0), "edge endpoint 1.0 outside 0..2"),
+    ((0, 1, 2), "edge (0, 1, 2) is not a pair of vertex ids"),
+    ((0,), "edge (0,) is not a pair of vertex ids"),
+    (5, "edge 5 is not a pair of vertex ids"),
+], ids=["past-n", "negative", "not-an-int", "triple", "single", "bare-int"])
+def test_verify_rejects_edge_endpoint_out_of_range(edge, msg):
+    # a list would wrap -1 onto a live id and refuse 1.0 with a TypeError;
+    # unpacking an edge that is no pair raises ValueError or TypeError
     seq = tg.ContractionSequence(3, [(0, 1), (2, 3)])
     for verify in tg.verify_sequence, tp.reference_verify:
-        with pytest.raises(tg.SequenceError, match=re.escape(
-                f"edge endpoint {edge[1]} outside 0..2")):
-            verify(3, [edge], seq)
+        with pytest.raises(tg.SequenceError, match=f"^{re.escape(msg)}$"):
+            verify(3, [(1, 2), edge], seq)
 
 
 # -- classification and levels ------------------------------------------------
