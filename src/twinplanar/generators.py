@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from itertools import chain
 
-from .plane_graph import (PlaneGraph, _fill_faces, _is_quad, _quad_ring, build,
+from .plane_graph import (PlaneGraph, _fill_faces, _quad_ring, build,
                           pause_gc)
 
 
@@ -173,7 +173,7 @@ def gen_grid(rows: int, cols: int) -> PlaneGraph:
             rotations.append(r)
     # the outer face is on the left of dart 1, westbound from (0, 1) along
     # the bottom row; dart 0 has the bottom-left square on its left, so the
-    # walk starts at its smallest dart, as build's face list starts it.  The
+    # walk starts at its smallest dart, as ``_fill_faces`` asks.  The
     # face's next dart after d is the rotation predecessor of d ^ 1.
     tail = list(chain.from_iterable(edges))
     walk = [1]
@@ -184,8 +184,9 @@ def gen_grid(rows: int, cols: int) -> PlaneGraph:
         if d == 1:
             break
         walk.append(d)
-    return _fill_faces(rows * cols, edges, rotations, tail, [walk], 0, 1,
-                       "quadrangulate", _is_quad, _quad_ring)
+    walks = [walk] if len(walk) > 4 else []  # 2 x 2: already a 4-cycle
+    return _fill_faces(rows * cols, edges, rotations, tail, walks, 1,
+                       "quadrangulate", 4, _quad_ring)
 
 
 def gen_quadrangulation(n: int, seed: int, grid: tuple[int, int] | None = None

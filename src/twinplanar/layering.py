@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .plane_graph import PlaneGraph
+from .trigraph import is_vertex_id
 
 
 class LayeringError(ValueError):
@@ -56,7 +57,7 @@ def _root_anchor(g: PlaneGraph, r: int) -> int:
     outer-walk dart leaving r (the 'dummy edge pointing up' sits in the
     outer-face gap just before it)."""
     d_out = -1
-    for d in g.faces[g.outer_face]:
+    for d in g.outer_walk():
         if g.tail[d] == r:
             d_out = d
             break
@@ -74,8 +75,8 @@ def left_aligned_bfs_tree(g: PlaneGraph, r: int) -> BfsTree:
     n = g.n
     if n == 0:
         raise LayeringError("empty graph")
-    if not 0 <= r < n:
-        raise LayeringError(f"root {r} out of range")
+    if not is_vertex_id(r, n):
+        raise LayeringError(f"root {r!r} out of range")
     if g.ncomp != 1:
         raise LayeringError("graph is disconnected")
     parent = [-1] * n
@@ -145,6 +146,8 @@ def check_left_aligned(g: PlaneGraph, t: BfsTree) -> tuple[int, int] | None:
     dep, parent, pdart = t.depth, t.parent, t.parent_dart
     tail, head, rot, pos = g.tail, g.head, g.rot, g.pos
     nd = len(tail)
+    if not len(parent) == len(pdart) == len(dep) == n:
+        raise LayeringError("not a BFS tree")
     kids: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         if v == r:

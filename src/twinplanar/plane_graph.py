@@ -15,7 +15,8 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
+from operator import ne
 from typing import Iterable, Iterator, Sequence
 
 
@@ -57,10 +58,14 @@ class PlaneGraph:
 
     ``build`` is the only constructor and derives the rest: per-dart
     ``tail``, ``head``, ``pos`` (index in the tail's rotation) and
-    ``face_next`` (the next dart of the face on the dart's left); the face
-    walks ``faces`` in order of their smallest dart, each starting there;
-    ``outer_face``; and ``comp``, the component id of every vertex
-    (components numbered by smallest vertex), with ``ncomp`` components.
+    ``face_next`` (the next dart of the face on the dart's left); per face,
+    faces numbered in order of their smallest dart, ``face_len``, the
+    length of its walk; ``outer_face``, the outer face's number; and
+    ``comp``, the component id of every vertex (components numbered by
+    smallest vertex), with ``ncomp`` components.
+
+    The faces themselves are the orbits of ``face_next`` and are not
+    stored: ``faces`` and ``outer_walk`` trace walks on demand.
     """
 
     n: int
@@ -73,7 +78,7 @@ class PlaneGraph:
     head: list[int] = field(default_factory=list, repr=False)
     pos: list[int] = field(default_factory=list, repr=False)
     face_next: list[int] = field(default_factory=list, repr=False)
-    faces: list[list[int]] = field(default_factory=list, repr=False)
+    face_len: list[int] = field(default_factory=list, repr=False)
     outer_face: int = -1
     comp: list[int] = field(default_factory=list, repr=False)
     ncomp: int = 0
@@ -81,6 +86,22 @@ class PlaneGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @property
+    def faces(self) -> list[list[int]]:
+        """Every face walk, traced from ``face_next``: in order of the
+        faces' smallest darts, each starting there and holding
+        ``face_next``'s int objects (``[[]]`` without edges).  Costs a pass
+        over all darts on every access; the pipeline never reads it."""
+        return list(_walks(self.face_next, range(len(self.face_next)))) or [[]]
+
+    def outer_walk(self) -> list[int]:
+        """``faces[outer_face]``, tracing the outer face alone."""
+        if not self.face_next:
+            return []
+        walk = _walk(self.face_next, self.outer_dart)
+        i = walk.index(min(walk))
+        return walk[i:] + walk[:i]
 
     def rot_next(self, d: int) -> int:
         """CCW successor of dart d around its tail."""
@@ -143,28 +164,52 @@ def build(n: int, edges: Sequence[tuple[int, int]], rotations: Sequence[Sequence
     return g
 
 
+def _walk(nxt: list[int], d0: int) -> list[int]:
+    """The orbit of dart d0 under ``nxt``, starting at d0.  It holds
+    ``nxt``'s own int objects: d0 is the entry that closes the orbit."""
+    walk = []
+    d = nxt[d0]
+    while d != d0:
+        walk.append(d)
+        d = nxt[d]
+    walk.insert(0, d)
+    return walk
+
+
+def _walks(nxt: list[int], darts: Iterable[int]) -> Iterator[list[int]]:
+    """The walks of the faces through ``darts``, an ascending run of darts,
+    each from the first of them it holds (``_walk``) and traced once."""
+    seen = bytearray(len(nxt))
+    for d0 in darts:
+        if not seen[d0]:
+            walk = _walk(nxt, d0)
+            for d in walk:
+                seen[d] = 1
+            yield walk
+
+
 def _trace_faces(g: PlaneGraph, nxt: list[int]) -> None:
     # every dart sits once in the rotations, so nxt is a permutation and
-    # each orbit closes on its first dart
-    face_of = [-1] * len(nxt)
-    walks: list[list[int]] = []
-    for d0, traced in enumerate(face_of):
-        if traced != -1:
+    # each orbit closes on its first dart; faces are numbered as their
+    # smallest darts come up, the outer one when its smallest dart does
+    seen = bytearray(len(nxt))
+    lens: list[int] = []
+    outer_first = min(_walk(nxt, g.outer_dart)) if nxt else 0
+    g.outer_face = 0
+    for d0 in range(len(nxt)):
+        if seen[d0]:
             continue
-        f = len(walks)
-        walk = [d0]
-        face_of[d0] = f
+        if d0 == outer_first:
+            g.outer_face = len(lens)
+        k = 1
+        seen[d0] = 1
         d = nxt[d0]
         while d != d0:
-            face_of[d] = f
-            walk.append(d)
+            seen[d] = 1
+            k += 1
             d = nxt[d]
-        # d0 as the face_next entry that closed the orbit, not enumerate's
-        # copy: the walks hold no int object of their own
-        walk[0] = d
-        walks.append(walk)
-    g.faces = walks or [[]]
-    g.outer_face = face_of[g.outer_dart] if walks else 0
+        lens.append(k)
+    g.face_len = lens or [0]
 
 
 def _check_euler(g: PlaneGraph) -> None:
@@ -189,7 +234,7 @@ def _check_euler(g: PlaneGraph) -> None:
         ncomp += 1
     g.comp, g.ncomp = comp, ncomp
     isolated = rot.count([])
-    chi = g.n - isolated - g.m + len(g.faces)
+    chi = g.n - isolated - g.m + len(g.face_len)
     if g.m and chi != 2 * (ncomp - isolated):
         raise PlaneError(
             f"Euler violation: V - E + F = {chi} over {ncomp - isolated} "
@@ -325,7 +370,7 @@ def find_odd_cycle(g: PlaneGraph) -> list[int] | None:
     """An odd cycle as a vertex list, or None if bipartite.  Face walks
     span the cycle space mod 2, so only a graph with an odd face is
     searched."""
-    if not any(len(walk) & 1 for walk in g.faces):
+    if not any(k & 1 for k in g.face_len):
         return None
     return _search_odd_cycle(g)
 
@@ -366,59 +411,77 @@ def _search_odd_cycle(g: PlaneGraph) -> list[int] | None:
 # ---------------------------------------------------------------------------
 
 
-def _is_triangle(tail: list[int], walk: list[int]) -> bool:
-    """Whether a face walk of a simple plane graph bounds a triangle."""
-    return len(walk) == 3  # see _is_quad
+def _is_complete(g: PlaneGraph, k: int) -> bool:
+    """Whether every face of a connected simple plane graph bounds a
+    k-cycle, for k = 3 (a triangulation) or 4 (a quadrangulation).
+
+    This is the completion rule, and ``_open_walks`` applies it face by
+    face: once m > 2, a face bounds a k-cycle exactly when its walk has
+    length k.  Consecutive corners of a walk differ (no loops), so a 3-walk
+    bounds a triangle, and only opposite corners of a 4-walk d0 d1 d2 d3
+    can coincide.  Say tail(d0) = tail(d2) = v.  Then d1 runs back along
+    d0's edge, so d1 = d0 ^ 1 (the graph is simple) and head(d0) is a leaf;
+    so is head(d2), as d3 = d2 ^ 1; and as face_next(d3) = d0, v's rotation
+    is d0, d2 alone.  The graph is then P3, with m = 2.
+    """
+    return g.m > 2 and set(g.face_len) == {k}
 
 
-def _is_quad(tail: list[int], walk: list[int]) -> bool:
-    """Whether a face walk of a simple plane graph bounds a 4-cycle.
-    Consecutive corners differ (no loops), so only opposite ones can
-    coincide; for the same reason every 3-walk bounds a triangle."""
-    return (len(walk) == 4 and tail[walk[0]] != tail[walk[2]]
-            and tail[walk[1]] != tail[walk[3]])
+def _open_walks(g: PlaneGraph, k: int) -> Iterator[list[int]]:
+    """The walks of the faces that fail ``_is_complete(g, k)``'s rule, in
+    order of their smallest darts, each starting there; only they are
+    traced.  A dart whose face has length k is one that ``face_next`` to
+    the power k fixes (no face has length 1, and with m > 2 in a connected
+    graph none has length 2), and with m <= 2 every face is open."""
+    nxt = g.face_next
+    darts = range(len(nxt))
+    if g.m > 2:
+        power = nxt
+        for _ in range(k - 1):
+            power = list(map(nxt.__getitem__, power))
+        darts = compress(darts, map(ne, power, darts))
+    return _walks(nxt, darts)
 
 
-def _complete_faces(g0: PlaneGraph, what: str, is_done, fill) -> tuple[PlaneGraph, range]:
-    """Complete a simple connected plane graph by filling every face that
-    fails ``is_done(tail, walk)`` (``_fill_faces``).  ``g0``'s vertex and
-    edge ids are kept and the new ones appended; returns the completion and
-    the appended vertex ids, ``g0`` itself when it is already complete.
-    A non-simple ``g0`` raises ``PlaneError``; the builders refuse
-    multigraphs here and nowhere else.  ``_split_order2_faces`` adds only
-    edges with a new end, so ``g0`` stays induced when the graph handed to
-    the driver does.
+def _complete_faces(g0: PlaneGraph, what: str, k: int, fill) -> tuple[PlaneGraph, range]:
+    """Complete a simple connected plane graph to one whose faces all bound
+    k-cycles, filling every face that does not (``_open_walks``,
+    ``_fill_faces``).  ``g0``'s vertex and edge ids are kept and the new
+    ones appended; returns the completion and the appended vertex ids,
+    ``g0`` itself when it is already complete.  A non-simple ``g0`` raises
+    ``PlaneError``; the builders refuse multigraphs here and nowhere else.
+    ``_split_order2_faces`` adds only edges with a new end, so ``g0`` stays
+    induced when the graph handed to the driver does.
     """
     if not g0.is_simple():
         raise PlaneError(f"{what} requires a simple graph")
     if g0.ncomp != 1:
         raise PlaneError(f"{what} requires a connected graph (use connect_components)")
     g1 = _split_order2_faces(g0)
-    tail = g1.tail
-    if g1 is g0 and all(is_done(tail, w) for w in g1.faces):
+    if g1 is g0 and _is_complete(g0, k):
         return g0, range(g0.n, g0.n)  # already complete
-    g = _fill_faces(g1.n, g1.edges, g1.rot, tail, g1.faces, g1.outer_face,
-                    g1.outer_dart, what, is_done, fill)
+    g = _fill_faces(g1.n, g1.edges, g1.rot, g1.tail, _open_walks(g1, k),
+                    g1.outer_dart, what, k, fill)
     return g, range(g0.n, g.n)
 
 
 def _fill_faces(n0: int, edges: list[tuple[int, int]], rot: Sequence[Sequence[int]],
-                tail: list[int], walks: list[list[int]], outer_face: int,
-                outer: int, what: str, is_done, fill) -> PlaneGraph:
+                tail: list[int], walks: Iterable[list[int]], outer: int,
+                what: str, k: int, fill) -> PlaneGraph:
     """Build the completion of a simple connected plane graph given as raw
     data: ``n0`` vertices, ``edges``, rotations ``rot``, per-dart ``tail``
-    and ``outer`` dart.  ``walks`` holds its face walks that may need a fill,
-    each starting at its smallest dart, the outer face's at index
-    ``outer_face``; faces left out must pass ``is_done``.
+    and ``outer`` dart.  ``walks`` yields the walks of the faces that do
+    not bound k-cycles, each starting at its smallest dart, in order of
+    those darts; every face left out must bound one.
 
-    Each walk that fails ``is_done(tail, walk)`` gets ``fill(sp, walk,
-    tail)``.  A fill adds new vertices inside the face only and returns one
-    whose first rotation dart has a new face on its left; the outer marker
-    moves there.  Triangles come from the arc fill, one apex per simple arc
-    of the walk (``_fill_triangles``); quadrangles from a ring per corner and
-    a hub (``_quad_ring``).  Each new edge has a new end, and its dart at an
-    old vertex is keyed by the boundary dart it follows, so a walk that
-    visits a vertex twice gets its spokes in the right wedge.
+    Each walk gets ``fill(sp, walk, tail)``.  A fill adds new vertices
+    inside the face only and returns one whose first rotation dart has a
+    new face on its left; when the walk is the outer face's, the outer
+    marker moves there.  Triangles come from the arc fill, one apex per
+    simple arc of the walk (``_fill_triangles``); quadrangles from a ring
+    per corner and a hub (``_quad_ring``).  Each new edge has a new end,
+    and its dart at an old vertex is keyed by the boundary dart it follows,
+    so a walk that visits a vertex twice gets its spokes in the right wedge.
 
     The one ``build`` keeps the input's vertex and edge ids and appends the
     new ones; each postcondition is decided once:
@@ -427,14 +490,12 @@ def _fill_faces(n0: int, edges: list[tuple[int, int]], rot: Sequence[Sequence[in
       new end;
     * simple: the input is, and an edge with a new end repeats no old edge,
       so only the appended edges are compared with each other;
-    * complete: the result is connected and every face passes ``is_done``.
+    * complete: the result is connected and passes ``_is_complete``.
     """
     sp = _Splicer(n0, edges, rot)
-    for f, walk in enumerate(walks):
-        if is_done(tail, walk):
-            continue
+    for walk in walks:
         x = fill(sp, walk, tail)
-        if f == outer_face:
+        if outer in walk:  # once moved, the marker is in no old walk
             outer = sp.new_rot[x][0]
     g = sp.finalize(outer)
     n, m0 = g.n, len(edges)
@@ -444,7 +505,7 @@ def _fill_faces(n0: int, edges: list[tuple[int, int]], rot: Sequence[Sequence[in
     keys = {u * n + v if u < v else v * n + u for u, v in appended}
     if len(keys) != len(appended):
         raise PlaneError(f"{what} result is not simple")
-    if g.ncomp != 1 or not all(is_done(g.tail, w) for w in g.faces):
+    if g.ncomp != 1 or not _is_complete(g, k):
         raise PlaneError(f"incomplete face after {what}")
     return g
 
@@ -462,7 +523,7 @@ def triangulate(g0: PlaneGraph) -> tuple[PlaneGraph, range]:
     its vertices.  The outer face is completed like any other and the
     marker moves onto one of its new triangles.
     """
-    return _complete_faces(g0, "triangulate", _is_triangle, _fill_triangles)
+    return _complete_faces(g0, "triangulate", 3, _fill_triangles)
 
 
 def quadrangulate(g0: PlaneGraph) -> tuple[PlaneGraph, range]:
@@ -484,7 +545,7 @@ def quadrangulate(g0: PlaneGraph) -> tuple[PlaneGraph, range]:
     odd = find_odd_cycle(g0)
     if odd is not None:
         raise PlaneError(f"not bipartite: odd cycle {odd}")
-    return _complete_faces(g0, "quadrangulate", _is_quad, _quad_ring)
+    return _complete_faces(g0, "quadrangulate", 4, _quad_ring)
 
 
 def _split_order2_faces(g: PlaneGraph) -> PlaneGraph:
@@ -823,7 +884,7 @@ def embed_abstract(n: int, edges: Sequence[tuple[int, int]]) -> PlaneGraph:
     # the face walks do not depend on the outer dart, so the marker moves
     # onto the longest face without a second build
     g = build(n, elist, rotations, 0)
-    best = max(range(len(g.faces)), key=lambda f: len(g.faces[f]))
-    if g.faces[best]:
+    best = max(range(len(g.face_len)), key=g.face_len.__getitem__)
+    if g.m:
         g.outer_dart, g.outer_face = g.faces[best][0], best
     return g

@@ -159,7 +159,7 @@ def _bisplit(ctx: BuildCtx, sink: int, v1: int, v2: int, p3_from: int,
 
 
 def _outer_quad_call(g: PlaneGraph, t: BfsTree) -> tuple[int, int]:
-    walk = g.faces[g.outer_face]
+    walk = g.outer_walk()
     if len(walk) != 4:
         raise BuilderError("outer face is not a quadrangle")
     lids = [d for d in walk if not t.is_tree_edge(d >> 1)]
@@ -182,7 +182,7 @@ def _final_phase(ctx: BuildCtx, surv: dict[int, int], lid_dart: int) -> None:
     quadrangle's opposite vertices (twins when nothing else is left)."""
     g, r = ctx.g, ctx.t.root
     v1, v2 = g.tail[lid_dart], g.head[lid_dart]
-    others = [g.tail[d] for d in g.faces[g.outer_face]]
+    others = [g.tail[d] for d in g.outer_walk()]
     w4 = next(v for v in others if v not in (r, v1, v2))
     rem = fold_contract(ctx, list(surv.items()))
     zh = ctx.contract(rem, v1) if rem is not None else v1

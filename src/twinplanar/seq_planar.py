@@ -309,7 +309,7 @@ def _second_stage(ctx: BuildCtx, base: dict[int, int], adds,
 
 def _outer_triangle_call(g: PlaneGraph, t: BfsTree) -> tuple[int, int]:
     """Lid dart (disk on the left) and sink of the outer triangle."""
-    walk = g.faces[g.outer_face]
+    walk = g.outer_walk()
     if len(walk) != 3:
         raise BuilderError("outer face is not a triangle")
     r = t.root
@@ -336,7 +336,7 @@ def _final_phase(ctx: BuildCtx, surv: dict[int, int], lid_dart: int) -> None:
     vertices) into one."""
     g, dep = ctx.g, ctx.t.depth
     leftovers = list(surv.items())
-    leftovers += [(dep[g.tail[d]], g.tail[d]) for d in g.faces[g.outer_face]]
+    leftovers += [(dep[g.tail[d]], g.tail[d]) for d in g.outer_walk()]
     fold_contract(ctx, leftovers)
 
 

@@ -290,6 +290,23 @@ def test_check_left_aligned_rejects_a_tree_that_is_not_one():
         bad.parent_dart[v] = d
         with pytest.raises(ly.LayeringError, match="not a BFS tree"):
             ly.check_left_aligned(g, bad)
+    # or one of its lists is shorter than the graph has vertices
+    for short in "parent_dart", "depth", "parent":
+        for cut in slice(-1), slice(5), slice(3):
+            bad = ly.BfsTree(g, t.root, t.parent, t.parent_dart, t.depth)
+            setattr(bad, short, getattr(t, short)[cut])
+            with pytest.raises(ly.LayeringError, match="not a BFS tree"):
+                ly.check_left_aligned(g, bad)
+
+
+@pytest.mark.parametrize("root", [-1, "n", None, 1.5, "3"],
+                         ids=["-1", "n", "None", "1.5", "str"])
+def test_left_aligned_bfs_tree_refuses_a_root_that_is_no_vertex(root):
+    g = tp.gen_triangulation(30, 2)
+    if root == "n":
+        root = g.n
+    with pytest.raises(ly.LayeringError, match=" out of range$"):
+        ly.left_aligned_bfs_tree(g, root)
 
 
 def test_random_triangulation_corpus_left_aligned():

@@ -1,12 +1,13 @@
 import random
 import re
+import tracemalloc
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_atlas import planar_atlas
+from test_atlas import every_outer_face, planar_atlas
 from test_generators import _plain_grid
 from test_golden import _thinned
 from twinplanar import plane_graph as pg
@@ -250,6 +251,19 @@ def test_quadrangulate_two_connected():
     assert nx.is_biconnected(nx_graph(g2))
 
 
+def is_triangle(tail, walk):
+    """Whether a face walk of a simple plane graph bounds a triangle:
+    the per-walk reference for the completion rule."""
+    return len(walk) == 3
+
+
+def is_quad(tail, walk):
+    """Whether a face walk of a simple plane graph bounds a 4-cycle: four
+    darts whose opposite corners differ (consecutive ones always do)."""
+    return (len(walk) == 4 and tail[walk[0]] != tail[walk[2]]
+            and tail[walk[1]] != tail[walk[3]])
+
+
 def nx_graph(g):
     """g as a networkx graph: an oracle that shares no code with ours."""
     G = nx.Graph()
@@ -304,11 +318,11 @@ def _ring_and_square_fill(sp, walk, tail):
     return x
 
 
-def _fill_outer_walk(g0, what, is_done, fill):
+def _fill_outer_walk(g0, what, k, fill):
     # the raw driver, handed the fields of a plain grid and its outer walk
     # alone, as gen_grid hands it its arrays
-    return pg._fill_faces(g0.n, g0.edges, g0.rot, g0.tail, [g0.faces[g0.outer_face]],
-                          0, g0.outer_dart, what, is_done, fill)
+    return pg._fill_faces(g0.n, g0.edges, g0.rot, g0.tail, [g0.outer_walk()],
+                          g0.outer_dart, what, k, fill)
 
 
 @pytest.mark.parametrize("complete, g0, what, fill, msg", [
@@ -325,9 +339,9 @@ def _fill_outer_walk(g0, what, is_done, fill):
 ], ids=["duplicate-edge", "old-old-edge", "coinciding-corners", "two-components",
         "raw-grid-two-components"])
 def test_complete_faces_refuses_a_broken_fill(complete, g0, what, fill, msg):
-    is_done = pg._is_triangle if what == "triangulate" else pg._is_quad
+    k = 3 if what == "triangulate" else 4
     with pytest.raises(pg.PlaneError, match=f"^{re.escape(msg)}$"):
-        complete(g0, what, is_done, fill)
+        complete(g0, what, k, fill)
 
 
 def _quadrangulation_inputs():
@@ -349,7 +363,7 @@ def test_quadrangulate_agrees_with_networkx():
         G = nx_graph(g)
         assert G.number_of_edges() == g.m  # simple
         assert nx.is_bipartite(G) and nx.is_biconnected(G)
-        assert all(pg._is_quad(g.tail, w) for w in g.faces)
+        assert all(is_quad(g.tail, w) for w in g.faces)
         assert gc.edges[:g0.m] == g0.edges and g.edges[:gc.m] == gc.edges
         assert all(max(e) >= gc.n for e in g.edges[gc.m:])  # gc stays induced
         grown += bool(added)
@@ -445,16 +459,13 @@ def thinned_plane_graphs(draw):
     return thinned(g, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 999)))
 
 
-@settings(max_examples=80, deadline=None)
-@given(thinned_plane_graphs())
-def test_derived_facts_match_direct_computation(g):
-    # face_next: the rotation predecessor of the reversed dart, and faces:
-    # its orbits, walked from darts 0..2m-1 in order
+def reference_faces(g):
+    """The face walks straight from the rotations: the orbits of d -> the
+    rotation predecessor of d ^ 1, walked from darts 0..2m-1 in order."""
     succ = [-1] * (2 * g.m)
     for r in g.rot:
         for i, d in enumerate(r):
             succ[d ^ 1] = r[i - 1]
-    assert g.face_next == succ
     orbits, seen = [], set()
     for d0 in range(2 * g.m):
         if d0 in seen:
@@ -465,8 +476,31 @@ def test_derived_facts_match_direct_computation(g):
             walk.append(d)
             d = succ[d]
         orbits.append(walk)
-    assert g.faces == (orbits or [[]])
-    assert g.m == 0 or g.outer_dart in g.faces[g.outer_face]
+    return orbits or [[]]
+
+
+def check_faces(g):
+    """The traced walks, the face lengths and the outer walk against
+    ``reference_faces``; the walks hold ``face_next``'s int objects."""
+    faces = g.faces
+    assert faces == reference_faces(g)
+    assert g.face_len == list(map(len, faces))
+    assert g.outer_walk() == faces[g.outer_face]
+    assert g.m == 0 or g.outer_dart in faces[g.outer_face]
+    assert {id(d) for walk in faces for d in walk} == {id(d) for d in g.face_next}
+
+
+@settings(max_examples=80, deadline=None)
+@given(thinned_plane_graphs())
+def test_derived_facts_match_direct_computation(g):
+    # face_next: the rotation predecessor of the reversed dart, and faces:
+    # its orbits, walked from darts 0..2m-1 in order
+    succ = [-1] * (2 * g.m)
+    for r in g.rot:
+        for i, d in enumerate(r):
+            succ[d ^ 1] = r[i - 1]
+    assert g.face_next == succ
+    check_faces(g)
 
     comps, colour = components_and_colouring(g)
     got = pg.connected_components(g)
@@ -477,6 +511,88 @@ def test_derived_facts_match_direct_computation(g):
     simple = g.is_simple()
     assert simple is True and g.is_simple() is simple
     check_odd_cycle(g, colour)
+
+
+FACE_FAMILIES = {
+    "one-vertex": lambda: [pg.build(1, [], [[]], 0)],
+    "edgeless": lambda: [pg.build(3, [], [[], [], []], 0)],
+    "disconnected": lambda: [thinned(gen_triangulation(60, s), 0.3, s)
+                             for s in range(5)],
+    "atlas": lambda: [h for _, g in planar_atlas()
+                      for h in (every_outer_face(g) if g.m and g.ncomp == 1
+                                else [g])],
+    "generators": lambda: [gen_triangulation(500, 1), gen_grid(9, 13),
+                           gen_stacked_quadrangulation(300, 2),
+                           gen_triangulation(4, 0)],
+    "platonic": lambda: [pg.embed_abstract(n, edges)
+                         for n, edges in _embed_inputs().values()],
+}
+
+
+@pytest.mark.parametrize("family", sorted(FACE_FAMILIES))
+def test_faces_are_traced_from_face_next(family):
+    # build keeps face_next and face_len; faces and outer_walk trace the
+    # walks on demand, as build once stored them
+    for g in FACE_FAMILIES[family]():
+        check_faces(g)
+
+
+def _rule_inputs():
+    """Connected simple plane graphs with an edge, most with faces that
+    bound no triangle or no 4-cycle: P3, whose one 4-walk repeats its
+    middle vertex, small named graphs, the connected atlas graphs with
+    every face outer, and thinned triangulations and grids made connected."""
+    graphs = [path3(), square_cycle(), triangle(),
+              pg.build(2, [(0, 1)], [[0], [1]], 0)]
+    graphs += [h for _, g in planar_atlas() if g.m and g.ncomp == 1
+               for h in every_outer_face(g)]
+    graphs += [pg.connect_components(thinned(make(*args), keep, s))[0]
+               for make, args in ((gen_triangulation, (80, 3)), (gen_grid, (7, 9)))
+               for keep in (0.3, 0.6, 0.9) for s in range(3)]
+    return graphs
+
+
+def test_completion_rule_agrees_with_each_walk():
+    # _is_complete and _open_walks decide by face length and m > 2; the
+    # per-walk references look at the corners
+    p3 = path3()
+    assert len(p3.faces[0]) == 4 and not is_quad(p3.tail, p3.faces[0])
+    seen = {3: [0, 0], 4: [0, 0]}  # k -> [complete, incomplete] graphs
+    for g in _rule_inputs():
+        faces = g.faces
+        for k, done in ((3, is_triangle), (4, is_quad)):
+            complete = all(done(g.tail, w) for w in faces)
+            assert pg._is_complete(g, k) is complete
+            assert (list(pg._open_walks(g, k))
+                    == [w for w in faces if not done(g.tail, w)])
+            seen[k][not complete] += 1
+    assert min(seen[3] + seen[4]) >= 5, seen
+
+
+def test_no_pipeline_stage_traces_every_face(monkeypatch):
+    # the request path reads face_len and the outer walk only: plain and
+    # checked (``seq --assert``) builds of both modes on the benchmark's
+    # families, stacked triangulations and grids, whole and thinned
+    texts = [pg.write_plane(g) for g in (
+        gen_triangulation(300, 1), gen_grid(12, 15),
+        thinned(gen_triangulation(300, 2), 0.45, 2),
+        thinned(gen_grid(12, 15), 0.45, 3))]
+
+    def traced(self):
+        raise AssertionError("PlaneGraph.faces read on the request path")
+
+    monkeypatch.setattr(pg.PlaneGraph, "faces", property(traced))
+    runs = 0
+    for text in texts:
+        g = pg.parse_plane(text)
+        for mode, build in (("planar", planar_sequence),
+                            ("bipartite", bipartite_sequence)):
+            if mode == "bipartite" and pg.find_odd_cycle(g) is not None:
+                continue
+            for checker in None, InvariantChecker(mode):
+                build(g, checker=checker)
+                runs += 1
+    assert runs == 12
 
 
 @settings(max_examples=40, deadline=None)
@@ -671,6 +787,23 @@ def test_a_parsed_graph_holds_one_int_object_per_vertex_id():
     assert {id(w) for b in sim.black for w in b} == ends
     assert ({id(d) for walk in g.faces for d in walk}
             == {id(d) for d in g.face_next})
+
+
+def test_a_parsed_graph_holds_no_face_walks():
+    # the faces are face_next's orbits, traced on demand; rot is the one
+    # list of lists a graph keeps
+    text = pg.write_plane(gen_triangulation(10000, 0))
+    tracemalloc.start()
+    try:
+        g = pg.parse_plane(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [k for k, v in vars(g).items()
+            if isinstance(v, list) and v and isinstance(v[0], list)] == ["rot"]
+    # 748 B per vertex on CPython 3.11.7, 988 with every walk stored; the
+    # cap leaves 7% for other interpreter builds
+    assert held / g.n < 800
 
 
 def test_parse_plane_errors():
