@@ -2,15 +2,16 @@
 
 Subcommands: ``seq`` (build + verify a contraction sequence), ``verify``,
 ``exact``, ``prep`` (triangulate/quadrangulate), ``gen`` (seeded corpora)
-and ``bench`` (TSV timing table).  Exit codes: 0 success, 1 format errors
-and bad generator arguments, 2 invariant violations.
+and ``tree`` (left-aligned BFS parents).  ``verify`` and ``exact`` read
+any graph as n and its edges; ``seq``, ``prep`` and ``tree`` need a plane
+embedding.  Exit codes: 0 success, 1 format errors and bad generator
+arguments, 2 invariant violations.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 from . import plane_graph as pg
@@ -47,6 +48,16 @@ def _is_plane(text: str) -> bool:
     return False
 
 
+def _read_edges(path: str) -> tuple[int, list[tuple[int, int]]]:
+    """n and the edges of a graph file in either format; a plane file is
+    still validated in full."""
+    text = _read(path)
+    if _is_plane(text):
+        g = pg.parse_plane(text)
+        return g.n, g.edges
+    return pg.parse_edge_list(text)
+
+
 def _load_graph(path: str, embed: bool) -> pg.PlaneGraph:
     text = _read(path)
     if _is_plane(text):
@@ -59,6 +70,11 @@ def _load_graph(path: str, embed: bool) -> pg.PlaneGraph:
     return pg.embed_abstract(n, edges)
 
 
+def _print_width(width: int, out: str | None) -> None:
+    """Print ``width W``, to stderr when the sequence went to stdout."""
+    print(f"width {width}", file=sys.stderr if out == "-" else sys.stdout)
+
+
 def cmd_seq(args) -> int:
     g = _load_graph(args.graph, args.embed)
     checker = InvariantChecker(args.mode) if args.assert_mode else None
@@ -68,14 +84,14 @@ def cmd_seq(args) -> int:
         seq, report = bipartite_sequence(g, checker=checker)
     if args.out:
         _write(args.out, tg.write_seq(seq))
-    print(f"width {report.width}")
+    _print_width(report.width, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args.graph, args.embed)
+    n, edges = _read_edges(args.graph)
     seq = tg.parse_seq(_read(args.seq))
-    report = tg.verify_sequence(g.n, g.edges, seq, debug_recheck=args.recheck)
+    report = tg.verify_sequence(n, edges, seq, debug_recheck=args.recheck)
     print(f"width {report.width}")
     if not report.full:
         print("note: sequence is partial", file=sys.stderr)
@@ -83,16 +99,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    text = _read(args.graph)
-    if _is_plane(text):
-        g = pg.parse_plane(text)
-        n, edges = g.n, g.edges
-    else:
-        n, edges = pg.parse_edge_list(text)
-    res = exact_twinwidth(n, edges, limit=args.limit)
+    res = exact_twinwidth(*_read_edges(args.graph), limit=args.limit)
     if args.out:
         _write(args.out, tg.write_seq(res.witness))
-    print(f"width {res.width}")
+    _print_width(res.width, args.out)
     return 0
 
 
@@ -141,23 +151,6 @@ def cmd_tree(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """One TSV row (n, mode, verified width, build ms) per seeded graph."""
-    gen = gen_triangulation if args.mode == "planar" else gen_quadrangulation
-    build = planar_sequence if args.mode == "planar" else bipartite_sequence
-    if args.seeds < 1:
-        raise GeneratorError(f"--seeds must be at least 1, got {args.seeds}")
-    for n in args.sizes:
-        for seed in range(args.seeds):
-            g = gen(n, seed)
-            checker = InvariantChecker(args.mode) if args.assert_mode else None
-            t0 = time.perf_counter()
-            _, report = build(g, checker=checker)
-            ms = (time.perf_counter() - t0) * 1000.0
-            print(f"{n}\t{args.mode}\t{report.width}\t{ms:.1f}")
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="twinplanar",
@@ -180,7 +173,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--recheck", type=int, default=0, metavar="K",
                    help="recompute red degrees from scratch every K steps "
                         "(debug; 64 is the usual choice)")
-    p.add_argument("--embed", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("exact", help="exact twin-width by exhaustive search")
@@ -212,13 +204,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed", action="store_true")
     p.set_defaults(fn=cmd_tree)
 
-    p = sub.add_parser("bench", help="width/runtime TSV over seeded corpora")
-    p.add_argument("--mode", choices=("planar", "bipartite"), default="planar")
-    p.add_argument("--sizes", type=int, nargs="+", required=True)
-    p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--assert", dest="assert_mode", action="store_true",
-                   help="run the per-step invariant suites while building")
-    p.set_defaults(fn=cmd_bench)
     return ap
 
 

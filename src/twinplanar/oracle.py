@@ -162,8 +162,8 @@ def exact_twinwidth(n: int, edges: Iterable[tuple[int, int]],
     """Minimum width over all contraction sequences, with a replayable
     witness.  n above ``limit`` is rejected: the search space explodes
     combinatorially (the default 10 keeps runtimes in seconds).  So is an
-    edge that is no pair or has an endpoint outside 0..n-1, before the
-    search starts."""
+    edge that is no pair, has an endpoint outside 0..n-1 or is a loop,
+    before the search starts."""
     if n > limit:
         raise OracleError(f"n={n} exceeds the exact-search limit {limit}")
     if n == 0:
@@ -179,10 +179,11 @@ def exact_twinwidth(n: int, edges: Iterable[tuple[int, int]],
         if not (is_vertex_id(u, n) and is_vertex_id(v, n)):
             raise OracleError(f"edge ({u}, {v}) has an endpoint outside "
                               f"0..{n - 1}")
+        if u == v:
+            raise OracleError(f"loop edge at {u}")
         pairs.append((u, v))
-        if u != v:
-            black[u] |= 1 << v
-            black[v] |= 1 << u
+        black[u] |= 1 << v
+        black[v] |= 1 << u
     red = {v: 0 for v in range(n)}
 
     search = _Search(n)
@@ -239,6 +240,8 @@ def reference_verify(n: int, edges: Iterable[tuple[int, int]],
         for w in (u, v):  # a list would wrap a negative id
             if not is_vertex_id(w, n):
                 raise SequenceError(f"edge endpoint {w} outside 0..{n - 1}")
+        if u == v:
+            raise SequenceError(f"loop edge at {u}")
         M[u][v] = M[v][u] = 1
     per_step: list[int] = []
     width = 0

@@ -50,13 +50,15 @@ def is_vertex_id(v, n: int) -> bool:
 
 
 def _edge_refusal(edge, n: int) -> str:
-    """Why ``edge`` is no edge on the ids 0..n-1."""
+    """Why ``edge`` is no edge on the ids 0..n-1 of a simple graph."""
     try:
         u, v = edge
     except (TypeError, ValueError):
         return f"edge {edge!r} is not a pair of vertex ids"
-    bad = v if is_vertex_id(u, n) else u
-    return f"edge endpoint {bad} outside 0..{n - 1}"
+    for w in (u, v):
+        if not is_vertex_id(w, n):
+            return f"edge endpoint {w} outside 0..{n - 1}"
+    return f"loop edge at {u}"
 
 
 @dataclass
@@ -108,13 +110,11 @@ class Trigraph:
         for edge in edges:
             try:
                 u, v = edge
-                if u == v:
-                    raise SequenceError(f"loop edge at {u}")
-                if u < 0 or v < 0:
-                    raise IndexError  # a list would wrap a negative id
+                if u == v or u < 0 or v < 0:
+                    raise IndexError  # a loop; a list would wrap a negative id
                 black[u].add(v)
                 black[v].add(u)
-            except (IndexError, TypeError, ValueError):  # no pair, or a bad id
+            except (IndexError, TypeError, ValueError):  # no pair, a bad id
                 raise SequenceError(_edge_refusal(edge, n)) from None
         self.black = black
         self.red: list[set[int] | frozenset[int] | None] = [_NO_RED] * n
@@ -253,24 +253,29 @@ def restrict_sequence(seq: ContractionSequence, keep: Iterable[int]
 
     A contraction survives iff both sides still represent at least one kept
     original vertex; the kept originals are renumbered 0..k-1 in sorted
-    order and fresh ids follow deterministically.  A kept id outside
-    0..n-1 raises ``SequenceError``, and so does a step that the verifier
-    would refuse for its shape or its ids, as ``"step i: ..."``.
+    order and fresh ids follow deterministically.  A kept id that is no
+    int in 0..n-1 raises ``SequenceError``, and so does a step that the
+    verifier would refuse for its shape or its ids, as ``"step i: ..."``.
     """
-    keep_sorted = sorted(set(keep))
+    kept = set(keep)
     n = seq.n
-    k = len(keep_sorted)
-    if keep_sorted and not (0 <= keep_sorted[0] and keep_sorted[-1] < n):
-        bad = keep_sorted[0] if keep_sorted[0] < 0 else keep_sorted[-1]
-        raise SequenceError(f"kept vertex {bad} outside 0..{n - 1}")
+    k = len(kept)
     # per dense id: number of kept originals, -1 while not live (not yet
     # created or contracted); restricted id or -1
     size = n + len(seq.steps)
     cnt = [0] * n + [-1] * len(seq.steps)
     rid = [-1] * size
-    for i, v in enumerate(keep_sorted):
-        cnt[v] = 1
-        rid[v] = i
+    try:
+        keep_sorted = sorted(kept)
+        if keep_sorted and not (0 <= keep_sorted[0] and keep_sorted[-1] < n):
+            raise IndexError  # cnt reaches past n, and wraps a negative id
+        for i, v in enumerate(keep_sorted):
+            cnt[v] = 1
+            rid[v] = i
+    except (IndexError, TypeError):  # an id out of range, or no int
+        bad = next(v for v in kept if not is_vertex_id(v, n))
+        raise SequenceError(
+            f"kept vertex {bad!r} outside 0..{n - 1}") from None
     out = ContractionSequence(k)
     append = out.steps.append
     fresh = k

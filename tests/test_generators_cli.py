@@ -1,3 +1,4 @@
+import io
 import re
 import subprocess
 import sys
@@ -178,7 +179,7 @@ def test_cli_verify_calls_the_empty_sequence_of_an_empty_graph_full(
 ], ids=["edges-comment-names-plane", "plane-header-two-spaces"])
 @pytest.mark.parametrize("cmd", [
     ["seq", "{g}", "--mode", "planar", "--embed"], ["exact", "{g}"],
-    ["verify", "{g}", "{s}", "--embed"], ["tree", "{g}", "--embed"],
+    ["verify", "{g}", "{s}"], ["tree", "{g}", "--embed"],
     ["prep", "triangulate", "{g}", "--embed"],
 ], ids=["seq", "exact", "verify", "tree", "prep"])
 def test_cli_reads_the_format_its_first_p_record_names(tmp_path, capsys,
@@ -192,6 +193,77 @@ def test_cli_reads_the_format_its_first_p_record_names(tmp_path, capsys,
                              capsys)
     assert (code, err) == (0, "")
     assert out
+
+
+@pytest.mark.parametrize("mode", ["planar", "bipartite"])
+def test_cli_verify_reads_an_edge_list_without_embedding(tmp_path, capsys,
+                                                         mode):
+    if mode == "planar":
+        g = tp.gen_triangulation(60, 3)
+        seq, report = tp.planar_sequence(g)
+    else:
+        g = tp.gen_stacked_quadrangulation(60, 3)
+        seq, report = tp.bipartite_sequence(g)
+    plane, edges, spath = (tmp_path / f
+                           for f in ("g.plane", "g.edges", "g.seq"))
+    plane.write_text(pg.write_plane(g))
+    edges.write_text(pg.write_edge_list(g.n, g.edges))
+    spath.write_text(tp.write_seq(seq))
+    for graph in plane, edges:
+        assert run_cli(["verify", str(graph), str(spath)], capsys) == (
+            0, f"width {report.width}\n", "")
+
+
+def test_cli_verify_of_an_edge_list_leaves_networkx_unloaded(tmp_path):
+    g = tp.gen_triangulation(30, 1)
+    edges, spath = tmp_path / "g.edges", tmp_path / "g.seq"
+    edges.write_text(pg.write_edge_list(g.n, g.edges))
+    spath.write_text(tp.write_seq(tp.planar_sequence(g)[0]))
+    code = ("import sys; from twinplanar.cli import main; "
+            f"code = main(['verify', {str(edges)!r}, {str(spath)!r}]); "
+            "print(code, 'networkx' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("cmd", [["exact", "{g}"], ["verify", "{g}", "{s}"]],
+                         ids=["exact", "verify"])
+def test_cli_refuses_a_loop_in_an_edge_list(tmp_path, capsys, cmd):
+    gpath, spath = tmp_path / "loop.edges", tmp_path / "g.seq"
+    gpath.write_text("p edge 3 2\ne 0 0\ne 1 2\n")
+    spath.write_text(tp.write_seq(tp.ContractionSequence(3, [(0, 1), (2, 3)])))
+    code, out, err = run_cli([a.format(g=gpath, s=spath) for a in cmd],
+                             capsys)
+    assert (code, out, err) == (2, "", "invariant violation: loop edge at 0\n")
+
+
+@pytest.mark.parametrize("cmd", [
+    ["seq", "{g}", "--mode", "planar", "--out", "-"],
+    ["exact", "{g}", "--out", "-"],
+], ids=["seq", "exact"])
+def test_cli_out_dash_pipes_the_sequence_alone_into_verify(
+        tmp_path, capsys, monkeypatch, cmd):
+    gpath = tmp_path / "g.plane"
+    gpath.write_text(pg.write_plane(tp.gen_triangulation(8, 2)))
+    code, out, err = run_cli([a.format(g=gpath) for a in cmd], capsys)
+    assert code == 0 and re.fullmatch(r"width \d+\n", err)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    assert run_cli(["verify", str(gpath), "-"], capsys) == (0, err, "")
+
+
+@pytest.mark.parametrize("args", [
+    ["bench", "--sizes", "30"], ["verify", "{g}", "{g}", "--embed"],
+], ids=["bench", "verify-embed"])
+def test_cli_retired_commands_and_options_are_usage_errors(tmp_path, capsys,
+                                                           args):
+    gpath = tmp_path / "g.plane"
+    gpath.write_text(pg.write_plane(tp.gen_triangulation(8, 2)))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(g=gpath) for a in args])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_cli_prep_triangulate(tmp_path, capsys):
@@ -251,27 +323,6 @@ def test_cli_edgeless_graphs_exit_cleanly(tmp_path, capsys, cmd, n):
         assert (code, err) == (2, "invariant violation: empty graph\n")
 
 
-@pytest.mark.parametrize("extra", [[], ["--assert"]], ids=["plain", "assert"])
-def test_cli_bench(tmp_path, capsys, monkeypatch, extra):
-    bound = []  # graphs an InvariantChecker was bound to
-    real_bind = tp.InvariantChecker.bind
-
-    def bind(self, g, t):
-        bound.append(g.n)
-        real_bind(self, g, t)
-
-    monkeypatch.setattr(tp.InvariantChecker, "bind", bind)
-    code, out, _ = run_cli(["bench", "--mode", "planar", "--sizes", "30",
-                            "--seeds", "2", *extra], capsys)
-    assert code == 0
-    rows = [l.split("\t") for l in out.strip().splitlines()]
-    assert len(rows) == 2
-    for n, mode, width, ms in rows:
-        assert n == "30" and mode == "planar" and int(width) <= 8
-        float(ms)
-    assert bound == ([30, 30] if extra else [])
-
-
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.plane"
     bad.write_text("p plane x\n")
@@ -291,13 +342,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     (["gen", "quad", "--n", "10", "--grid", "3"], "--grid expects RxC"),
     (["gen", "quad", "--n", "10", "--grid", "axb"], "--grid expects RxC"),
     (["gen", "quad", "--n", "10", "--grid", "1x5"], "at least 2x2"),
-    (["bench", "--sizes", "3"], "needs n >= 4"),
     (["gen", "tri", "--n", "10", "--grid", "3x5"], "--grid makes a quadrangulation"),
     (["gen", "quad"], "--n is required without --grid"),
-    (["bench", "--sizes", "30", "--seeds", "0"], "--seeds must be at least 1"),
-    (["bench", "--sizes", "30", "--seeds", "-2"], "--seeds must be at least 1"),
-], ids=["tri-n3", "grid-no-x", "grid-not-numbers", "grid-1x5", "bench-n3",
-        "tri-grid", "quad-no-n", "bench-seeds-0", "bench-seeds-negative"])
+], ids=["tri-n3", "grid-no-x", "grid-not-numbers", "grid-1x5", "tri-grid",
+        "quad-no-n"])
 def test_cli_bad_generator_argument_is_an_error(capsys, args, msg):
     code, out, err = run_cli(args, capsys)
     assert code == 1

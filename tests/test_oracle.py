@@ -93,6 +93,21 @@ def test_exact_refuses_an_edge_endpoint_outside_the_graph(edge):
         tp.exact_twinwidth(3, [(0, 1), edge])
 
 
+def _replay_empty(verify):
+    return lambda n, edges: verify(n, edges, tg.ContractionSequence(n, []))
+
+
+@pytest.mark.parametrize("refuse, error", [
+    (_replay_empty(tg.verify_sequence), tg.SequenceError),
+    (_replay_empty(orc.reference_verify), tg.SequenceError),
+    (tp.exact_twinwidth, orc.OracleError),
+], ids=["verify_sequence", "reference_verify", "exact_twinwidth"])
+def test_a_loop_is_refused_by_name(monkeypatch, refuse, error):
+    monkeypatch.setattr(orc, "_Search", None)  # exact refuses before searching
+    with pytest.raises(error, match="^loop edge at 1$"):
+        refuse(3, [(0, 2), (1, 1)])
+
+
 def cograph(rng, size):
     """Random cograph by union/join composition; returns (n, edges)."""
     if size == 1:

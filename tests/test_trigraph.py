@@ -396,11 +396,15 @@ def test_restrict_singleton_empty():
 
 
 @pytest.mark.parametrize("keep, bad", [([0, 1, 99], 99), ([-1, 0, 1], -1),
-                                       ([0, 10], 10)])
+                                       ([0, 10], 10), ([0, 0.5], 0.5),
+                                       ([None], None), (["1"], "1"),
+                                       ([0, 1, "1"], "1")])
 def test_restrict_rejects_a_kept_id_outside_the_sequence(keep, bad):
+    # an id that is no int is refused the same way, not with a TypeError
     g = tp.gen_triangulation(10, 0)
     seq, _ = tp.planar_sequence(g)
-    with pytest.raises(tg.SequenceError, match=f"kept vertex {bad} outside 0..9"):
+    msg = f"kept vertex {bad!r} outside 0..9"
+    with pytest.raises(tg.SequenceError, match=f"^{re.escape(msg)}$"):
         tg.restrict_sequence(seq, keep)
 
 
