@@ -259,6 +259,10 @@ class _Splicer:
     ``finalize`` consumes the splicer: it drops the maps of new darts and
     rotations before the one ``build``, so they are not held alongside
     the graph it builds.
+
+    ``free`` is None unless a completion has isolated vertices to place
+    (``_stack_isolated``).  Then it is a list, and the fills append to it
+    the faces they make whose corners are all new, each as its darts.
     """
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]],
@@ -269,6 +273,7 @@ class _Splicer:
         self.after: dict[int, list[int]] = {}
         self.new_rot: dict[int, list[int]] = {}
         self.tail_extra: dict[int, list[int]] = {}
+        self.free: list[tuple[int, ...]] | None = None
 
     def add_vertex(self) -> int:
         v = self.n
@@ -325,19 +330,24 @@ def connected_components(g: PlaneGraph) -> list[list[int]]:
 
 
 def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, range]:
-    """Join all components with fresh degree-2 vertices (one per merge).
+    """Join the components that have an edge with fresh degree-2 vertices
+    (one per merge), and leave isolated vertices alone: the completions
+    stack each of them into a face of their own new vertices, which costs
+    no vertex where a connector costs one or more.  A graph without edges
+    has nothing to stack into, so all its vertices are joined.
 
     Each merge re-embeds the next component inside a face of the anchor
     drawing; the new vertices add no cycle and no repeated pair, so the
     result is simple (bipartite) exactly when ``g`` is, and the completions
     decide both on it.  Like the completions below, it keeps ``g``'s vertex
-    and edge ids and returns the ids it appended; a connected ``g`` comes
-    back as it is.  A graph without vertices raises ``PlaneError``: this is
-    the builders' one refusal of empty input.
+    and edge ids and returns the ids it appended; a ``g`` with at most one
+    component that has an edge comes back as it is.  A graph without
+    vertices raises ``PlaneError``: this is the builders' one refusal of
+    empty input.
     """
     if g.n == 0:
         raise PlaneError("empty graph: nothing to connect")
-    if g.ncomp == 1:
+    if g.ncomp == 1 or (g.m and g.ncomp - g.rot.count([]) == 1):
         return g, range(g.n, g.n)
     comps = connected_components(g)
     anchor_idx = g.comp[g.tail[g.outer_dart]] if g.m else 0
@@ -346,7 +356,7 @@ def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, range]:
     sp = _Splicer(g.n, g.edges, g.rot)
     outer = g.outer_dart if g.m else None
     for ci, comp_vs in enumerate(comps):
-        if ci == anchor_idx:
+        if ci == anchor_idx or (g.m and len(comp_vs) == 1):
             continue
         b = min(comp_vs)
         w = sp.add_vertex()
@@ -444,9 +454,12 @@ def _open_walks(g: PlaneGraph, k: int) -> Iterator[list[int]]:
 
 
 def _complete_faces(g0: PlaneGraph, what: str, k: int, fill) -> tuple[PlaneGraph, range]:
-    """Complete a simple connected plane graph to one whose faces all bound
-    k-cycles, filling every face that does not (``_open_walks``,
-    ``_fill_faces``).  ``g0``'s vertex and edge ids are kept and the new
+    """Complete a simple plane graph, connected apart from isolated
+    vertices, to one whose faces all bound k-cycles, filling every face
+    that does not (``_open_walks``, ``_fill_faces``) and stacking each
+    isolated vertex into a face of new vertices.  A complete ``g0`` with
+    isolated vertices hands its outer face to the driver, whose fill nests
+    new vertices there.  ``g0``'s vertex and edge ids are kept and the new
     ones appended; returns the completion and the appended vertex ids,
     ``g0`` itself when it is already complete.  A non-simple ``g0`` raises
     ``PlaneError``; the builders refuse multigraphs here and nowhere else.
@@ -455,24 +468,34 @@ def _complete_faces(g0: PlaneGraph, what: str, k: int, fill) -> tuple[PlaneGraph
     """
     if not g0.is_simple():
         raise PlaneError(f"{what} requires a simple graph")
+    isolated: list[int] = []
     if g0.ncomp != 1:
-        raise PlaneError(f"{what} requires a connected graph (use connect_components)")
+        isolated = [v for v, r in enumerate(g0.rot) if not r]
+        if g0.ncomp - len(isolated) != 1:
+            raise PlaneError(f"{what} requires a connected graph (use connect_components)")
     g1 = _split_order2_faces(g0)
     if g1 is g0 and _is_complete(g0, k):
-        return g0, range(g0.n, g0.n)  # already complete
-    g = _fill_faces(g1.n, g1.edges, g1.rot, g1.tail, _open_walks(g1, k),
-                    g1.outer_dart, what, k, fill)
+        if not isolated:
+            return g0, range(g0.n, g0.n)  # already complete
+        walks: Iterable[list[int]] = [g0.outer_walk()]
+    else:
+        walks = _open_walks(g1, k)
+    g = _fill_faces(g1.n, g1.edges, g1.rot, g1.tail, walks, g1.outer_dart,
+                    what, k, fill, isolated)
     return g, range(g0.n, g.n)
 
 
 def _fill_faces(n0: int, edges: list[tuple[int, int]], rot: Sequence[Sequence[int]],
                 tail: list[int], walks: Iterable[list[int]], outer: int,
-                what: str, k: int, fill) -> PlaneGraph:
-    """Build the completion of a simple connected plane graph given as raw
-    data: ``n0`` vertices, ``edges``, rotations ``rot``, per-dart ``tail``
-    and ``outer`` dart.  ``walks`` yields the walks of the faces that do
-    not bound k-cycles, each starting at its smallest dart, in order of
-    those darts; every face left out must bound one.
+                what: str, k: int, fill, isolated: Sequence[int] = ()) -> PlaneGraph:
+    """Build the completion of a simple plane graph given as raw data:
+    ``n0`` vertices, ``edges``, rotations ``rot``, per-dart ``tail`` and
+    ``outer`` dart.  The graph is connected apart from the vertices listed
+    in ``isolated``, which have no edge.  ``walks`` yields the walks of the
+    faces that do not bound k-cycles, each starting at its smallest dart,
+    in order of those darts; every face left out must bound one.  With
+    isolated vertices it may also yield one face that bounds a k-cycle
+    (``_complete_faces`` does so when no other face is open).
 
     Each walk gets ``fill(sp, walk, tail)``.  A fill adds new vertices
     inside the face only and returns one whose first rotation dart has a
@@ -482,6 +505,9 @@ def _fill_faces(n0: int, edges: list[tuple[int, int]], rot: Sequence[Sequence[in
     per corner and a hub (``_quad_ring``).  Each new edge has a new end,
     and its dart at an old vertex is keyed by the boundary dart it follows,
     so a walk that visits a vertex twice gets its spokes in the right wedge.
+    With isolated vertices the fills also list their faces whose corners
+    are all new, and ``_stack_isolated`` then joins each isolated vertex to
+    the corners of one of them; without, the fills do no more than that.
 
     The one ``build`` keeps the input's vertex and edge ids and appends the
     new ones; each postcondition is decided once:
@@ -493,10 +519,14 @@ def _fill_faces(n0: int, edges: list[tuple[int, int]], rot: Sequence[Sequence[in
     * complete: the result is connected and passes ``_is_complete``.
     """
     sp = _Splicer(n0, edges, rot)
+    if isolated:
+        sp.free = []
     for walk in walks:
         x = fill(sp, walk, tail)
         if outer in walk:  # once moved, the marker is in no old walk
             outer = sp.new_rot[x][0]
+    if isolated:
+        _stack_isolated(sp, isolated)
     g = sp.finalize(outer)
     n, m0 = g.n, len(edges)
     appended = g.edges[m0:]
@@ -511,28 +541,33 @@ def _fill_faces(n0: int, edges: list[tuple[int, int]], rot: Sequence[Sequence[in
 
 
 def triangulate(g0: PlaneGraph) -> tuple[PlaneGraph, range]:
-    """Complete a simple connected plane graph to a simple plane triangulation.
+    """Complete a simple plane graph, connected apart from isolated
+    vertices, to a simple plane triangulation.
 
     Only new-to-old and new-to-new edges are added, so ``g0`` stays induced.
     A face is cut into arcs, consecutive runs of its boundary walk that
     repeat no vertex, and each arc gets one apex joined to all of its
     corners (``_fill_triangles``).  A simple-cycle face is one arc, so one
     apex; a face whose walk repeats a vertex (trees, bridges, cut vertices)
-    gets k >= 3 apexes in a cycle, plus a hub when k > 3.  A stacked
-    triangulation that keeps 45% of its edges completes to about 1.9 times
-    its vertices.  The outer face is completed like any other and the
-    marker moves onto one of its new triangles.
+    gets k >= 3 apexes in a cycle, plus a hub when k > 3.  Each isolated
+    vertex is then stacked into an apex or hub triangle, whose corners are
+    all new (``_stack_isolated``).  A stacked triangulation that keeps 45%
+    of its edges completes to about 1.7 times its vertices.  The outer face
+    is completed like any other and the marker moves onto one of its new
+    triangles.
     """
     return _complete_faces(g0, "triangulate", 3, _fill_triangles)
 
 
 def quadrangulate(g0: PlaneGraph) -> tuple[PlaneGraph, range]:
-    """Complete a simple connected bipartite plane graph to a simple
-    2-connected plane quadrangulation.
+    """Complete a simple bipartite plane graph, connected apart from
+    isolated vertices, to a simple 2-connected plane quadrangulation.
 
     Every face that is not a simple 4-cycle receives a ring cycle matched to
     its boundary-walk positions (spokes x_i-v_i) plus one hub joined to
     alternate ring vertices, yielding quadrilateral strip and hub faces.
+    Each isolated vertex is then joined to two opposite corners of a hub
+    quadrangle, whose corners are all new (``_stack_isolated``).
 
     ``_complete_faces`` decides simple, induced, connected and every face a
     4-cycle; those stand for the rest.  In a connected plane graph whose
@@ -549,19 +584,19 @@ def quadrangulate(g0: PlaneGraph) -> tuple[PlaneGraph, range]:
 
 
 def _split_order2_faces(g: PlaneGraph) -> PlaneGraph:
-    """Kill faces of walk length < 3 (the lone-vertex and single-edge cases)
-    by adding one helper vertex; keeps old adjacency untouched."""
+    """Kill faces of walk length < 3 (the lone-vertex and single-edge cases,
+    the latter maybe beside isolated vertices) by adding one helper vertex;
+    keeps old adjacency untouched."""
     if g.n == 1:
         # wrap the vertex in a path 1-0-2 so the face walk has length 4
         return build(3, [(0, 1), (0, 2)], [[0, 2], [1], [3]], 0)
-    if g.m == 1 and g.n == 2:
-        u, v = g.edges[0]
-        # pendant at u: face walk becomes (v,u,p,u), length 4
-        rot_u = [g.rot[u][0], 2]
-        rots = [[], []]
-        rots[u] = rot_u
-        rots[v] = g.rot[v]
-        return build(3, [g.edges[0], (u, 2)], rots + [[3]], g.outer_dart)
+    if g.m == 1:
+        u, p = g.edges[0][0], g.n
+        # pendant p at u: face walk becomes (v,u,p,u), length 4
+        rots = list(g.rot)
+        rots[u] = [g.rot[u][0], 2]
+        rots.append([3])
+        return build(p + 1, [g.edges[0], (u, p)], rots, g.outer_dart)
     return g
 
 
@@ -573,16 +608,16 @@ def _ring(sp: _Splicer, m: int) -> tuple[list[int], list[int]]:
     return ring, fwd
 
 
-def _arc_starts(vs: list[int]) -> list[int]:
+def _arc_starts(vs: list[int], nest: bool = False) -> list[int]:
     """Cut the closed walk with corners ``vs`` into arcs that repeat no
     vertex.  Arc j runs from corner ``starts[j]`` to the next start, both
     included, and the last one to corner ``len(vs)``, which closes the walk
-    at ``vs[0]``.  A simple walk is one arc; any other walk is cut greedily
-    from corner 0, and the longer of two arcs is halved, so that there are
-    at least three."""
+    at ``vs[0]``.  A simple walk is one arc, or three when ``nest`` asks
+    for them; any other walk is cut greedily from corner 0, and the longer
+    of two arcs is halved, so that there are at least three."""
     m = len(vs)
     if len(set(vs)) == m:
-        return [0]
+        return [0, m // 3, 2 * m // 3] if nest else [0]
     starts = [0]
     seen = {vs[0]}
     for i in range(1, m + 1):
@@ -609,9 +644,13 @@ def _fill_triangles(sp: _Splicer, walk: list[int], tail: list[int]) -> int:
     are joined in a cycle and close a triangle at that corner; a hub joined
     to every apex fills the cycle when there are more than three, and three
     already bound a face.  A simple walk is one arc: a single apex and no
-    cycle.  Returns a_0, whose first dart is the spoke a_0->w_0 with
-    (w0, w1, a0) on its left."""
-    starts = _arc_starts([tail[d] for d in walk])
+    cycle.  When the splicer lists free faces (``_Splicer.free``), the
+    apex triangle or the hub triangles are listed; a simple walk filled
+    while the list is empty is cut into three arcs, so that its apexes
+    nest a free triangle inside the face.  Returns a_0, whose first dart
+    is the spoke a_0->w_0 with (w0, w1, a0) on its left."""
+    free = sp.free
+    starts = _arc_starts([tail[d] for d in walk], free is not None and not free)
     k = len(starts)
     apexes, fwd = _ring(sp, k) if k > 1 else ([sp.add_vertex()], [])
     spokes: list[list[int]] = [[] for _ in range(k)]
@@ -645,13 +684,21 @@ def _fill_triangles(sp: _Splicer, walk: list[int], tail: list[int]) -> int:
                 r.append(hub_darts[j] ^ 1)
             r.append(fwd[j - 1] ^ 1)
         sp.set_new_rotation(a, r)
+    if free is not None:
+        if k == 3:
+            free.append(tuple(fwd))
+        elif k > 3:
+            free.extend((fwd[j], hub_darts[(j + 1) % k] ^ 1, hub_darts[j])
+                        for j in range(k))
     return apexes[0]
 
 
 def _quad_ring(sp: _Splicer, walk: list[int], tail: list[int]) -> int:
     """Ring of |walk| new vertices (spoke x_i-v_i) and a hub joined to the
-    odd ring positions.  Returns x_0, whose first dart is the spoke x_0->v_0
-    with (v0, v1, x1, x0) on its left."""
+    odd ring positions.  Its |walk|/2 hub quadrangles (x_i, x_i+1, hub,
+    x_i-1) for even i have only new corners, and are listed when the
+    splicer lists free faces (``_Splicer.free``).  Returns x_0, whose first
+    dart is the spoke x_0->v_0 with (v0, v1, x1, x0) on its left."""
     m = len(walk)  # even: bipartite face walks have even length
     ring, fwd = _ring(sp, m)
     spoke = []
@@ -668,7 +715,53 @@ def _quad_ring(sp: _Splicer, walk: list[int], tail: list[int]) -> int:
             r.append(hub_darts[i // 2] ^ 1)
         r.append(fwd[i - 1] ^ 1)
         sp.set_new_rotation(ring[i], r)
+    if sp.free is not None:
+        sp.free.extend((fwd[i], hub_darts[i // 2] ^ 1, hub_darts[i // 2 - 1],
+                        fwd[i - 1]) for i in range(0, m, 2))
     return ring[0]
+
+
+def _stack_isolated(sp: _Splicer, isolated: Sequence[int]) -> None:
+    """Give each vertex of ``isolated`` a face from ``sp.free`` and join it
+    to that face's corners (``_stack``), so it adds no vertex.  While there
+    are fewer free faces than isolated vertices, a new vertex is stacked
+    into the oldest free face, which turns it into three free triangles or
+    two free quadrangles; taking the oldest first keeps the stacking
+    shallow.  Consumes ``sp.free``."""
+    free, sp.free = sp.free, None
+    i = 0
+    while len(free) - i < len(isolated):
+        free.extend(_stack(sp, sp.add_vertex(), free[i]))
+        i += 1
+    for v, face in zip(isolated, free[i:]):
+        _stack(sp, v, face)
+
+
+def _stack(sp: _Splicer, v: int, face: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Join ``v``, a vertex without edges, to the corners of ``face``, given
+    by its darts, each leaving a new vertex: to all three of a triangle, to
+    the first and third of a quadrangle (opposite corners have one colour).
+    Each new dart at a corner goes right after the face's dart there.
+    Returns the faces that ``face`` is cut into, as darts, the same way; a
+    quadrangle's start at a corner not joined here, so that stacking into
+    them spreads the new edges over all corners rather than piling them
+    on one pair."""
+    edges, new_rot = sp.edges, sp.new_rot
+    spokes = []
+    for d in face if len(face) == 3 else face[::2]:
+        c = edges[d >> 1][d & 1]
+        s = 2 * sp.add_edge(c, v)
+        r = new_rot[c]
+        r.insert(r.index(d) + 1, s)
+        spokes.append(s)
+    (new_rot if v >= sp.n0 else sp.tail_extra)[v] = [s ^ 1 for s in spokes]
+    if len(face) == 3:
+        d0, d1, d2 = face
+        s0, s1, s2 = spokes
+        return [(d0, s1, s0 ^ 1), (d1, s2, s1 ^ 1), (d2, s0, s2 ^ 1)]
+    d0, d1, d2, d3 = face
+    s0, s2 = spokes
+    return [(d1, s2, s0 ^ 1, d0), (d3, s0, s2 ^ 1, d2)]
 
 
 # ---------------------------------------------------------------------------
@@ -790,9 +883,10 @@ def parse_plane(text: str) -> PlaneGraph:
     rotations = [[2 * e + (edges[e][0] != v) for e in eids or ()]
                  for v, eids in enumerate(rot_eids)]
     outer = 0
-    if m:
-        if outer_spec is None:
+    if outer_spec is None:
+        if m:
             raise FormatError("missing 'outer' record")
+    else:
         eid, v = outer_spec
         if not 0 <= eid < m:
             raise FormatError(f"outer record: unknown edge {eid}")

@@ -344,8 +344,9 @@ def run_pipeline(g0: PlaneGraph, checker, complete, run_core, final_phase):
     """The build both builders share; each mode supplies the steps that
     differ.
 
-    ``complete(gc)`` turns ``gc``, g0 made connected, into a triangulation
-    or quadrangulation, keeping its ids and appending the vertices it adds
+    ``complete(gc)`` turns ``gc``, g0 with its components that have an
+    edge joined, into a triangulation or quadrangulation that gives every
+    isolated vertex edges, keeping its ids and appending the vertices it adds
     (the entry points read their module's binding at call time, so a
     wrapper put on it, as ``perfbench/spans.py`` does, sees the call);
     ``run_core(ctx)`` runs the recursion on the outer face and returns its

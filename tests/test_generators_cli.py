@@ -382,6 +382,7 @@ def test_cli_seq_embed_rejects_a_non_simple_edge_list(tmp_path, capsys,
     ("p plane 2 1\ne 0 0 1\nr 0 0 0\nr 1 0\nouter 0 0\n", "appears twice"),
     ("p plane 1 1\ne 0 0 0\nr 0 0 0\nouter 0 0\n", "loop edge"),
     ("p plane 2 1\ne 0 0 1\nr 0 0\nr 1 0\nouter 3 0\n", "unknown edge 3"),
+    ("p plane 1 0\nr 0\nouter 3 9\n", "outer record: unknown edge 3"),
     ("p plane 2 1\ne 0 0 1\nr 0 0\nr 1 0\nr 5 0\nouter 0 0\n",
      "line 5: 'r 5 0': vertex 5 outside 0..1"),
     ("p plane 3 2\ne 0 0 1\ne 1 0 2\nr 0 0\nr 0 0 1\nr 1 0\nr 2 1\n"
@@ -403,6 +404,7 @@ def test_cli_seq_embed_rejects_a_non_simple_edge_list(tmp_path, capsys,
     ("p plane 3 1\ne 0 0 1\nr 0 0\nr 1 0\nr 2\nouter 0 2\n",
      "outer record not incident to its vertex"),
 ], ids=["eid-twice-at-a-vertex", "loop-record", "outer-unknown-edge",
+        "outer-without-edges",
         "rotation-vertex-out-of-range", "rotation-vertex-twice",
         "outer-twice", "second-header", "negative-n", "negative-m",
         "rotation-edge-negative", "rotation-edge-m",

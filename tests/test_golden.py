@@ -64,14 +64,14 @@ CASES = {
         "6f857cae3ae56078c4e73354ad0b64e3461dbde0b1e2fd3b64838fd5ca82a6e1",
         "2c0d14394d2ff464e80457afd07456d5360a9934d9f2bc3ca1cc7d9679566906"),
     "thinned-stacked-planar": (_stacked_thinned, tp.planar_sequence_full, True,
-        "639b40d525037dfcc053999929242bda9b1adf916684399d276d7c4e1224faea",
-        "6ec6cc21a5a5c63a161c5a8ba463d038ffedc4158e4711a1ec9e153dcef601a0"),
+        "ec45afee64367091dc88a4a0d55b787fd6cf66985429f9c6b400adbe60786831",
+        "af8f122b362fce691234f72dce91d9d28192c16cdd776033f9d11acdcd4424d8"),
     "thinned-grid-planar": (_grid_thinned, tp.planar_sequence_full, True,
-        "bbadf679a0fd2c3e501f4fecf11cf7f8177e9f5836d40bf1146ab1d1e94ed65d",
-        "a0e6dfe5fe6d3e437aebb55a614c29b1b75d9f69cf6da159c7741aed3081381e"),
+        "3b5029a22da47470b1a983d72c482f68ac128a7e9b7520eebc364500813a6636",
+        "dfaf7bec5b5b0aa5df581950530be064cc02fcc120e297ac4cf7abb505f9b494"),
     "thinned-grid-bipartite": (_grid_thinned, tp.bipartite_sequence_full, True,
-        "f74ff1ed0adda12929f9a4a0b8443371e224425e4cee5572af6627bc783ebc01",
-        "791b804b13fc4e069f753382a80ea94b31b2b6c192b6e623c2fd5b47e6b9a3a9"),
+        "1f81b0b950106fef6c48f6e751e946fe6eaf4d6f42c5fc057f8a3aab6cb64dfe",
+        "13ef71544490935e68f078870c119e64a9598503354f7de993b9567446005ff0"),
 }
 
 
