@@ -29,7 +29,16 @@ PRNG_ID = "python-mt19937"
 
 
 def _read(path: str) -> str:
-    return sys.stdin.read() if path == "-" else Path(path).read_text()
+    """The text of the file ``path``, or of stdin for ``-``.  Input that is
+    no UTF-8 text is a format error."""
+    try:
+        if path != "-":
+            return Path(path).read_bytes().decode()
+        raw = getattr(sys.stdin, "buffer", None)  # None: a text stream
+        return sys.stdin.read() if raw is None else raw.read().decode()
+    except UnicodeDecodeError as exc:
+        where = "stdin" if path == "-" else path
+        raise pg.FormatError(f"{where} is not UTF-8 text: {exc}") from None
 
 
 def _write(path: str | None, text: str) -> None:

@@ -27,14 +27,18 @@ The final phase (contracting the few leftovers) is outside the
 recursion's discipline; there only the global red-degree cap is asserted.
 
 A step looks only at the new vertex and its neighbours.  Per-vertex state
-lives in lists over the dense ids, the BFS levels too (the checker owns
-them; the trigraph it replays on carries none), and a region's boundary
-is a dozen constants (``region_bounds``), so a boundary test is a few
-comparisons; it runs only for a vertex with more than two red edges into
-the region, since every boundary cap is at least 2.  Each step is replayed through
+lives in lists over the part names of the trigraph the checker replays
+on, the BFS levels too (the checker owns them; the trigraph carries
+none), so each list has n entries.  Ids enter the checker as sequence
+ids (a step's x, y and z, a region's sink, a region's survivors) and are
+translated through the trigraph's ``name`` map there; every message
+names sequence ids.  A region's boundary is a dozen constants
+(``region_bounds``), so a boundary test is a few comparisons; it runs
+only for a vertex with more than two red edges into the region, since
+every boundary cap is at least 2.  Each step is replayed through
 ``Trigraph.replay``, the verifier's one definition of a step, one call
-per step.  A checked build costs about 2.4 times a plain one on stacked
-triangulations of 3,000 vertices (2-core VM, CPython 3.11); 26-29% of
+per step.  A checked build costs about 2.5 times a plain one on stacked
+triangulations of 3,000 vertices (2-core VM, CPython 3.11); 19-20% of
 the extra time is that replay.
 """
 
@@ -54,22 +58,23 @@ class InvariantViolation(AssertionError):
     pass
 
 
-def _step_ok(t: Trigraph, level: list, x: int, y: int,
+def _step_ok(t: Trigraph, level: list, a: int, b: int,
              respecting: bool) -> bool:
-    """The step rule of the recursion for contracting x and y in ``t``,
-    whose live vertices sit on the levels ``level``.
+    """The step rule of the recursion for contracting the parts named a and
+    b in ``t``, whose live parts sit on the levels ``level`` (indexed by
+    part name).
 
     A pair on one level is level-preserving and passes in both modes.  In
     planar runs (``respecting``) a pair one level apart is level-respecting
-    and passes too when every black or red neighbour of the deeper vertex
+    and passes too when every black or red neighbour of the deeper part
     sits on the shallower level.  Anything else fails.
     """
-    lx, ly = level[x], level[y]
-    if lx == ly:
+    la, lb = level[a], level[b]
+    if la == lb:
         return True
-    if not respecting or abs(lx - ly) != 1:
+    if not respecting or abs(la - lb) != 1:
         return False
-    hi, lo = (x, ly) if lx > ly else (y, lx)
+    hi, lo = (a, lb) if la > lb else (b, la)
     return all(level[w] == lo for ws in (t.black[hi], t.red[hi]) for w in ws)
 
 
@@ -142,10 +147,10 @@ class InvariantChecker:
         self.cap_wrapped = 7 if mode == "planar" else 6
         self.t: BfsTree | None = None
         self.sim: Trigraph | None = None
-        self.n = 0
-        # over the dense ids 0..2n-2: the region a vertex was made or handed
-        # up in (-1: none), its level (the smaller of its halves'; None once
-        # contracted) and its original level while it stems from one
+        # over the part names 0..n-1 of ``sim``: the region a part was made
+        # or handed up in (-1: none), its level (the smaller of its halves';
+        # None once merged into another part) and its original level while
+        # it stems from one
         self.region: list[int] = []
         self.level: list[int | None] = []
         self.pure: list[int | None] = []
@@ -162,10 +167,9 @@ class InvariantChecker:
         if self.t is not None:  # final_phase and the stack are per build
             raise ValueError("InvariantChecker already bound to a build")
         self.t = t
-        n = self.n = g.n
-        self.sim = Trigraph(n, g.edges)
-        self.region = [-1] * (2 * n - 1)
-        self.level = [*t.depth, *[None] * (n - 1)]
+        self.sim = Trigraph(g.n, g.edges)
+        self.region = [-1] * g.n
+        self.level = list(t.depth)
         self.pure = self.level[:]
 
     def push_region(self, sink: int, v1: int, v2: int, b1, b2) -> None:
@@ -189,26 +193,32 @@ class InvariantChecker:
         # per level) the survivors of the now 1-reduced face also stay below
         # the interior red ceiling of 7 (resp. 6 bipartite).
         sim = self.sim
-        red, level, region = sim.red, self.level, self.region
+        red, name = sim.red, sim.name
+        level, region = self.level, self.region
         ds = self.t.depth[s]
+        ns = name[s]  # the sink's part, -1 once contracted
         wrapped = b1 is None and b2 is None
         cap = self.cap_wrapped
         parent_rid = self.stack[-1][0] if self.stack else -1
         for v in survivors:
-            if level[v] <= ds:
+            a = name[v]
+            if a < 0:  # level[-1] would read another part's level
+                raise InvariantViolation(f"survivor {v} is not live")
+            if level[a] <= ds:
                 raise InvariantViolation(
                     f"survivor {v} at or above the sink level {ds}")
-            rv = red[v]
-            if s in rv:
+            ra = red[a]
+            if ns in ra:
                 raise InvariantViolation(
                     f"sink {s} keeps a red edge to survivor {v}")
-            if wrapped and len(rv) > cap:
+            if wrapped and len(ra) > cap:
                 raise InvariantViolation(
                     f"survivor {v} of a 1-reduced wrapped face has red "
-                    f"degree {len(rv)} > {cap}")
-            region[v] = parent_rid
+                    f"degree {len(ra)} > {cap}")
+            region[a] = parent_rid
         # the region must be 1-reduced per level among survivors
-        if len(set(map(level.__getitem__, survivors))) < len(survivors):
+        if len(set(map(level.__getitem__, map(name.__getitem__,
+                                               survivors)))) < len(survivors):
             raise InvariantViolation("two survivors on one level")
 
     def enter_final_phase(self) -> None:
@@ -219,36 +229,41 @@ class InvariantChecker:
     def on_contract(self, x: int, y: int, z: int) -> None:
         sim = self.sim
         self.steps_checked += 1
-        # before the step rule, which reads the levels of live ids only
-        black, nid = sim.black, sim.next_id
+        # before the step rule, which reads the levels of live parts only
+        name = sim.name
+        nid = len(name)
         try:
-            live = (0 <= x < nid and 0 <= y < nid and black[x] is not None
-                    and black[y] is not None)
+            live = (0 <= x < nid and 0 <= y < nid and name[x] >= 0
+                    and name[y] >= 0)
         except TypeError:  # an id that is no int
             live = False
         if not live:
-            bad = y if is_vertex_id(x, nid) and black[x] is not None else x
+            bad = y if is_vertex_id(x, nid) and name[x] >= 0 else x
             raise InvariantViolation(
                 f"contraction ({x}, {y}) names {bad}, which is not live")
         final, level = self.final_phase, self.level
-        if not final and not _step_ok(sim, level, x, y, self.mode == "planar"):
+        ax, ay = name[x], name[y]
+        if not final and not _step_ok(sim, level, ax, ay,
+                                      self.mode == "planar"):
             rule = "respecting" if self.mode == "planar" else "preserving"
             raise InvariantViolation(
-                f"contraction ({x}@{level[x]}, {y}@{level[y]}) is not "
+                f"contraction ({x}@{level[ax]}, {y}@{level[ay]}) is not "
                 f"level-{rule}")
-        # the replay makes the fresh id ``next_id``; the builder's z must be
+        # the replay makes the fresh id ``len(name)``; the builder's z must be
         # that one
-        if sim.next_id != z:
-            raise InvariantViolation(f"fresh id drift {sim.next_id} != {z}")
+        if nid != z:
+            raise InvariantViolation(f"fresh id drift {nid} != {z}")
         sim.replay(((x, y),), [])
-        lz = level[z] = min(level[x], level[y])
-        level[x] = level[y] = None
+        # z's part keeps one of the two names and takes in the other
+        a = name[z]
+        lz = level[a] = min(level[ax], level[ay])
+        level[ax if a == ay else ay] = None
         pure = self.pure
-        px = pure[x]
-        pure[z] = px if px == pure[y] else None
+        px = pure[ax]
+        pure[a] = px if px == pure[ay] else None
 
         red = sim.red
-        rz, bz = red[z], sim.black[z]
+        rz, bz = red[a], sim.black[a]
         if not final:
             # every edge at z spans one level (bipartite), at most one
             # (planar); ``flat`` is the level none may stay on, -1 if any may
@@ -258,10 +273,10 @@ class InvariantChecker:
                 for w in ws:
                     lw = level[w]
                     if not lo <= lw <= hi or lw == flat:
-                        self._bad_edge(z, w)
+                        self._bad_edge(a, w)
 
         stack = self.stack
-        self.region[z] = stack[-1][0] if stack else -1
+        self.region[a] = stack[-1][0] if stack else -1
         # only z and its red neighbours changed, so test the maximum first
         cap = self.cap_global
         if sim._max_red > cap:
@@ -270,39 +285,45 @@ class InvariantChecker:
             for v in rz:
                 if len(red[v]) > cap:
                     raise InvariantViolation(
-                        f"red degree {len(red[v])} > {cap} at {v}")
+                        f"red degree {len(red[v])} > {cap} at "
+                        f"{name.index(v)}")
         if final or not stack:
             return
 
         # boundary caps of the innermost region: every cap is at least 2,
-        # so only a vertex with more red edges into the region can break
-        # one (contracted vertices are never on a skeleton)
-        n, region = self.n, self.region
+        # so only a part with more red edges into the region can break one
+        # (a part whose original vertex w is still live; contracted
+        # vertices are never on a skeleton)
+        region = self.region
         rid, spec, _ = stack[-1]
         for ws in rz, bz:
             for w in ws:
-                if w < n and len(red[w]) > 2:
+                if name[w] >= 0 and len(red[w]) > 2:
                     in_region = [*map(region.__getitem__, red[w])].count(rid)
                     if in_region > 2:
                         self._check_boundary(w, in_region)
-        # sink protection: a vertex adjacent to the sink must be black there
+        # sink protection: a part adjacent to the sink must be black there
         # and stem from a single original level equal to its current one
         s = spec[0]
-        if s in rz:
+        ns = name[s]  # the sink's part, -1 once contracted
+        if ns in rz:
             raise InvariantViolation(f"red edge onto the sink {s}")
-        if s in bz and pure[z] != lz:
+        if ns in bz and pure[a] != lz:
             raise InvariantViolation(
                 f"sink-protection broken: {z} adjacent to sink {s} stems from "
                 f"mixed levels")
 
     # -- condition checks ---------------------------------------------------
 
-    def _bad_edge(self, z: int, w: int) -> None:
-        gap = abs(self.level[w] - self.level[z])
+    def _bad_edge(self, a: int, w: int) -> None:
+        """Refuse the edge between the parts a and w, named by their ids."""
+        gap = abs(self.level[w] - self.level[a])
+        name = self.sim.name
+        z, v = name.index(a), name.index(w)
         if self.mode == "bipartite":
             raise InvariantViolation(
-                f"bipartite edge ({z},{w}) spans {gap} levels")
-        raise InvariantViolation(f"level assignment not good at ({z},{w})")
+                f"bipartite edge ({z},{v}) spans {gap} levels")
+        raise InvariantViolation(f"level assignment not good at ({z},{v})")
 
     def _check_boundary(self, w: int, in_region: int) -> None:
         """w's ``in_region`` red edges into the innermost region stay within

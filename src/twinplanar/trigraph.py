@@ -8,17 +8,32 @@ black and turns every other inherited adjacency red:
 A sequence is contractions only: step i is a pair ``(x, y)`` that
 contracts x and y into the fresh vertex n + i.  Its width is the maximum
 red degree seen after any step.  The trigraph keeps a histogram of red
-degrees, updated by each contraction only at z and its red neighbours, so
+degrees, updated by each contraction only where a red degree changes, so
 the verifier reads the running maximum after every step in O(1).
 
-A trigraph stores its adjacency in lists indexed by the dense ids of the
-sequence, 0..2n-2: ``black[v]`` and ``red[v]`` are sets, and both are
-``None`` once v is contracted; the vertices without a red edge share one
-empty ``frozenset``.  ``Trigraph.replay`` holds the one definition of a
-step: the verifier replays a whole sequence through it, and the per-step
-checker of ``instrument`` replays one step per call, which resumes where
-the last call stopped.  A trigraph carries no levels:
-the checker keeps its own, next to its step rule (level-preserving,
+In the partition view of twin-width (Bonnet, Kim, Thomasse and Watrigant)
+a vertex of the trigraph is a part of the original vertex set, and z is
+the union of the parts of x and y.  So z can keep the storage and the
+name of one of them.  A trigraph names every live part by one original
+vertex in 0..n-1: its adjacency lives in lists of n sets indexed by part
+name, ``name`` maps each sequence id to its part, and the vertices
+without a red edge share one empty ``frozenset``.  A step keeps the name
+of one side, a, and merges the other side, b, into it: it relabels b's
+neighbours from b to a and turns red a's black neighbours that b lacks,
+while a's red neighbours keep their edge as it is.  Whichever side keeps
+its name, every black edge of either side is touched: it leads to a
+common black neighbour, and there are no more of those than the smaller
+side has neighbours, or it turns red (or merges into a red edge), which
+happens to an edge once.  So the choice decides only whose red edges are
+relabelled, and a step keeps the name of the side with more red edges.
+A step then costs O(smaller side + edges that turn red), whatever the
+degree of the part it grows.
+
+``Trigraph.replay`` holds the one definition of a step: the verifier
+replays a whole sequence through it, and the per-step checker of
+``instrument`` replays one step per call, which resumes where the last
+call stopped.  A trigraph carries no levels: the checker keeps its own
+by part name, next to its step rule (level-preserving,
 level-respecting).
 """
 
@@ -84,20 +99,25 @@ class WidthReport:
 
 
 class Trigraph:
-    """Mutable trigraph with black/red adjacency.
+    """Mutable trigraph with black/red adjacency, one part per live id.
 
-    Vertices carry the dense ids of a sequence: the originals 0..n-1, then
-    one fresh id per contraction, so ``black`` and ``red`` are lists
-    indexed by id (length ``next_id``).  ``black[v]`` and ``red[v]`` are
-    sets of live ids, and both are ``None`` once v is contracted.
+    Every live part is named by one original vertex in 0..n-1, so
+    ``black`` and ``red`` are lists of n entries indexed by part name.
+    ``black[a]`` and ``red[a]`` are sets of part names, and both are
+    ``None`` once part a is merged into another.  ``name[v]`` maps the
+    sequence id v to its part's name: -1 once v is contracted, and a
+    step appends the name of its new part, so ``len(name)`` is the id
+    the next step creates.  A fresh trigraph names part v by v, so there
+    names and ids agree.  Every other entry of ``name`` is -1, so the
+    live id of part a is ``name.index(a)``; only messages need it.
 
-    Shared objects: ``red[v]`` is one empty ``frozenset`` (``_NO_RED``),
-    shared by every vertex, until v has a red edge; ``replay`` then gives v
-    a set of its own.  The black sets hold the int objects of the edges
-    and of the fresh ids, so the ids that ``parse_plane`` interns stay one
-    object each.
+    Shared objects: ``red[a]`` is one empty ``frozenset`` (``_NO_RED``),
+    shared by every part, until a has a red edge; ``replay`` then gives a
+    a set of its own.  ``name`` and the sets hold the int objects of the
+    edges, which ``parse_plane`` interns, so names cost no int object of
+    their own, and a step makes none.
 
-    Single-writer.  ``_red_hist[d]`` counts the live vertices of red degree
+    Single-writer.  ``_red_hist[d]`` counts the live parts of red degree
     d and ``_max_red`` is the largest d with a nonzero count; ``replay``
     keeps both current, so it reads the maximum after each step in O(1).
     ``steps_done`` counts the steps replayed.  Writing to ``black``/``red``
@@ -107,6 +127,7 @@ class Trigraph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         black: list[set[int] | None] = [set() for _ in range(n)]
+        name: list = [None] * n  # filled with the edges' int objects
         for edge in edges:
             try:
                 u, v = edge
@@ -114,13 +135,17 @@ class Trigraph:
                     raise IndexError  # a loop; a list would wrap a negative id
                 black[u].add(v)
                 black[v].add(u)
+                name[u] = u
+                name[v] = v
             except (IndexError, TypeError, ValueError):  # no pair, a bad id
                 raise SequenceError(_edge_refusal(edge, n)) from None
+        if not all(black):  # isolated vertices have no int object yet
+            name = [v if a is None else a for v, a in enumerate(name)]
         self.black = black
         self.red: list[set[int] | frozenset[int] | None] = [_NO_RED] * n
-        self._red_hist = [n] + [0] * n  # all n vertices start at red degree 0
+        self.name = name
+        self._red_hist = [n] + [0] * n  # all n parts start at red degree 0
         self._max_red = 0
-        self.next_id = n
         self.steps_done = 0
 
     def replay(self, steps: Iterable[Step], per_step: list[int],
@@ -129,17 +154,21 @@ class Trigraph:
         each one to ``per_step``.
 
         This is the one definition of a step.  ``(x, y)`` contracts the live
-        x, y into the fresh z, ``next_id``: common black neighbours keep a
+        x, y into the fresh z, ``len(name)``: common black neighbours keep a
         black edge to z, and every other neighbour of x or y becomes red to
-        z.  A step that is no pair of ids is refused.  Errors are
+        z.  z's part keeps the name of the side with more red edges, a
+        (x's on a tie), and takes in the other side, b: only b's neighbours
+        and a's black neighbours are touched, never a's red ones.  A step
+        that is no pair of ids is refused.  Errors are
         ``SequenceError("step i: ...")`` with i counted over every step this
         trigraph has replayed, and so is the rescan: with ``recheck=K`` the
         red degrees are recounted from scratch after every K-th step to
         catch drift in the histogram.
         """
-        black, red, hist = self.black, self.red, self._red_hist
+        black, red, name = self.black, self.red, self.name
+        hist = self._red_hist
         append = per_step.append
-        z = self.next_id
+        z = len(name)
         mx = self._max_red
         idx = self.steps_done  # global index of ``step``
         try:
@@ -149,49 +178,74 @@ class Trigraph:
                     raise SequenceError("cannot contract a vertex with itself")
                 if x < 0 or y < 0:
                     raise IndexError  # a list would wrap a negative id
-                bx, by = black[x], black[y]
-                if bx is None or by is None:
+                a, b = name[x], name[y]
+                if a < 0 or b < 0:
                     raise IndexError
-                rx, ry = red[x], red[y]
-                black[x] = black[y] = red[x] = red[y] = None
-                hist[len(rx)] -= 1
-                hist[len(ry)] -= 1
-                # z takes over the sets of x: bx becomes its black and rx
-                # (once, if x had no red edge) its red neighbourhood
-                xy = {x, y}
-                once = bx ^ by
-                once -= xy
-                bx &= by
-                # common black neighbours keep a black edge and their red
-                # degree
-                for w in bx:
-                    bw = black[w]
-                    bw -= xy
-                    bw.add(z)
-                # a black edge to only one of x, y is dropped
-                for w in once:
-                    bw = black[w]
-                    bw -= xy
-                if rx is _NO_RED:
-                    rx = once
-                else:
-                    rx |= once
-                rx |= ry
-                rx -= xy
-                for w in rx:
+                ba = black[a]
+                bb = black[b]
+                ra = red[a]
+                rb = red[b]
+                if len(ra) < len(rb):
+                    a, b = b, a
+                    ba, bb = bb, ba
+                    ra, rb = rb, ra
+                name[x] = name[y] = -1
+                name.append(a)
+                black[b] = red[b] = None
+                hist[len(ra)] -= 1
+                hist[len(rb)] -= 1
+                # the edge between the two sides goes
+                if b in ba:
+                    ba.remove(b)
+                    bb.remove(a)
+                elif b in ra:
+                    ra.remove(b)
+                    rb.remove(a)
+                # ba keeps the common black neighbours; the rest turn red
+                up = ba - bb
+                ba -= up
+                # b's red neighbours are red to a from now on: one red edge
+                # fewer for those that were red to both
+                for w in rb:
                     rw = red[w]
-                    if rw is _NO_RED:
-                        rw = red[w] = set()
-                    d = len(rw)
-                    rw -= xy
-                    rw.add(z)
-                    e = len(rw)
-                    if e != d:
+                    rw.remove(b)
+                    if a in rw:
+                        d = len(rw)
+                        hist[d + 1] -= 1
+                        hist[d] += 1
+                    else:
+                        rw.add(a)
+                # b's black neighbours drop b; those not black to a turn red
+                # to a, and so do a's black neighbours not black to b
+                for w in bb:
+                    black[w].remove(b)
+                    if w not in ba:
+                        rw = red[w]
+                        if a not in rw:  # not red to a already
+                            if rw is _NO_RED:
+                                rw = red[w] = set()
+                            d = len(rw)
+                            rw.add(a)
+                            hist[d] -= 1
+                            hist[d + 1] += 1
+                for w in up:
+                    black[w].remove(a)
+                    rw = red[w]
+                    if a not in rw:  # not red to b before
+                        if rw is _NO_RED:
+                            rw = red[w] = set()
+                        d = len(rw)
+                        rw.add(a)
                         hist[d] -= 1
-                        hist[e] += 1
-                black.append(bx)
-                red.append(rx or _NO_RED)
-                d = len(rx)
+                        hist[d + 1] += 1
+                if ra is _NO_RED:
+                    ra = set()
+                ra |= rb
+                ra |= up
+                bb -= ba
+                ra |= bb
+                red[a] = ra or _NO_RED
+                d = len(ra)
                 hist[d] += 1
                 # any red degree but z's grew by at most one
                 mx = mx + 1 if mx >= d else d
@@ -213,7 +267,6 @@ class Trigraph:
             raise SequenceError(
                 f"step {idx}: {step!r} is not a pair of vertex ids") from None
         finally:
-            self.next_id = z
             self._max_red = mx
             self.steps_done = idx
 

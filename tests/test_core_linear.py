@@ -10,8 +10,9 @@ flake it.  A second guard counts
 a verified build, so that the replay in ``trigraph`` (restriction and
 verification) is held to the same bound, and a third the left-alignment
 check that ``--assert`` runs on the tree.  The same counts show that a
-plain build runs no line of ``instrument``, and that a checked planar
-build does flat work per step there.
+plain build runs no line of ``instrument``, that a checked planar build
+does flat work per step there, and that the replay does flat work per
+step while one part absorbs a star.
 
 Line events miss work done inside a C call, such as ``min`` over a whole
 dict.  So a last guard counts the entries that ``min``, ``max`` and
@@ -155,6 +156,28 @@ def test_checker_work_per_step_flat_on_stacked_triangulations():
         return _count_lines(run, {"instrument.py"}) / len(built["steps"])
 
     a, b = per_step(1000), per_step(4000)
+    assert b <= 1.05 * a, (a, b)
+
+
+# -- the replay on a high-degree part ---------------------------------------
+
+
+def test_replay_work_per_step_flat_when_a_part_absorbs_a_star():
+    """Line events in ``trigraph.py`` per step while the hub of K1,k absorbs
+    one leaf per step: (0, 1), (k + 1, 2), (k + 2, 3), and so on.  From the
+    second step on the hub's part has a red edge to every leaf left, so a
+    step that relabelled every neighbour of both sides would cost
+    Theta(k)."""
+    def per_step(k):
+        n = k + 1
+        edges = [(0, leaf) for leaf in range(1, n)]
+        steps = [(0, 1)] + [(n + i - 1, i + 1) for i in range(1, k)]
+        seq = tp.ContractionSequence(n, steps)
+        count = _count_lines(lambda: tp.verify_sequence(n, edges, seq),
+                             {"trigraph.py"})
+        return count / len(steps)
+
+    a, b = per_step(200), per_step(800)
     assert b <= 1.05 * a, (a, b)
 
 

@@ -337,6 +337,37 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "odd cycle" in err
 
 
+@pytest.mark.parametrize("cmd", [
+    ["seq", "{bad}", "--mode", "planar"],
+    ["verify", "{bad}", "{seq}"],
+    ["verify", "{g}", "{bad}"],
+    ["exact", "{bad}"],
+    ["prep", "triangulate", "{bad}"],
+    ["tree", "{bad}"],
+], ids=["seq", "verify-graph", "verify-seq", "exact", "prep", "tree"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_cli_input_that_is_not_utf8_is_a_format_error(tmp_path, capsys,
+                                                      monkeypatch, cmd,
+                                                      source):
+    g = tmp_path / "g.plane"
+    g.write_text(pg.write_plane(tp.gen_triangulation(6, 0)))
+    s = tmp_path / "g.seq"
+    assert run_cli(["seq", str(g), "--mode", "planar", "--out", str(s)],
+                   capsys)[0] == 0
+    bad = tmp_path / "bad.plane"
+    bad.write_bytes(b"\xff\xfe")
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin",
+                            io.TextIOWrapper(io.BytesIO(b"\xff\xfe")))
+    paths = {"bad": str(bad) if source == "file" else "-", "seq": str(s),
+             "g": str(g)}
+    code, out, err = run_cli([a.format(**paths) for a in cmd], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "is not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("args, msg", [
     (["gen", "tri", "--n", "3"], "needs n >= 4"),
     (["gen", "quad", "--n", "10", "--grid", "3"], "--grid expects RxC"),

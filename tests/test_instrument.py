@@ -53,7 +53,7 @@ def bound_checker(mode, pendants=None):
 
 
 def contract(chk, x, y):
-    z = chk.sim.next_id
+    z = len(chk.sim.name)
     chk.on_contract(x, y, z)
     return z
 
@@ -102,9 +102,9 @@ def test_checker_caps_red_edges_from_the_boundary_into_the_region(case):
 def test_checker_caps_the_red_degree_globally(mode, each, cap):
     chk, v, leaves = bound_checker(mode, {"I1": each, "R1": each})
     # I1 and R1 share only the root: I2, R2 and the leaves turn red
-    red = 2 * each + 2
+    red, z = 2 * each + 2, len(chk.sim.name)
     with pytest.raises(tp.InvariantViolation,
-                       match=f"red degree {red} > {cap} at {chk.sim.next_id}"):
+                       match=f"red degree {red} > {cap} at {z}"):
         contract(chk, v["I1"], v["R1"])
 
 
@@ -160,6 +160,16 @@ def test_checker_rejects_two_survivors_on_one_level():
         chk.pop_region([v["L2"], v["R2"]])
 
 
+def test_checker_rejects_a_contracted_survivor():
+    # the checker keeps its levels by part name; a contracted id has none
+    chk, v, leaves = bound_checker("planar", {"I1": 1})
+    contract(chk, v["I1"], leaves["I1"][0])
+    chk.push_region(*plain_region(v))
+    with pytest.raises(tp.InvariantViolation,
+                       match=f"survivor {v['I1']} is not live"):
+        chk.pop_region([v["I1"]])
+
+
 @pytest.mark.parametrize("mode", ["planar", "bipartite"])
 def test_checker_rejects_a_survivor_at_the_sink_level(mode):
     # the region below L1 between the L and M paths; I1 shares the sink's
@@ -177,7 +187,7 @@ def test_checker_rejects_a_survivor_at_the_sink_level(mode):
 def test_checker_rejects_a_level_assignment_that_is_not_good():
     chk, v, _ = bound_checker("planar")
     chk.level[v["I3"]] = 4  # two below I2
-    z = chk.sim.next_id
+    z = len(chk.sim.name)
     with pytest.raises(tp.InvariantViolation, match=re.escape(
             f"level assignment not good at ({z},{v['I3']})")):
         contract(chk, v["I2"], v["R2"])
@@ -195,7 +205,7 @@ def test_checker_rejects_a_bipartite_edge_inside_a_level():
 
 def test_checker_rejects_fresh_id_drift():
     chk, v, _ = bound_checker("planar")
-    n = chk.sim.next_id
+    n = len(chk.sim.name)
     with pytest.raises(tp.InvariantViolation,
                        match=f"fresh id drift {n} != {n + 5}"):
         chk.on_contract(v["I2"], v["R2"], n + 5)

@@ -51,11 +51,18 @@ def _checker_after(mode, g, t, prefix):
     return chk
 
 
+def _live_levels(chk):
+    """{live id: its level}, read through the trigraph's name map: the
+    checker keeps its levels by part name."""
+    level = chk.level
+    return {v: level[a] for v, a in enumerate(chk.sim.name) if a >= 0}
+
+
 def _mutate(kind, step, prefix, chk, rng):
     """``step`` changed into a mutation of ``kind``, or None if the state
     after ``prefix`` (replayed by ``chk``) offers none."""
     x, y = step
-    z = chk.sim.next_id
+    z = len(chk.sim.name)
     if kind == "dead":
         if not prefix:
             return None
@@ -72,8 +79,8 @@ def _mutate(kind, step, prefix, chk, rng):
     if kind == "not-a-pair":
         return rng.choice([(x,), (x, y, z), ("k", x, y, z), ("k", x, y)])
     # two levels apart: any live pair will do
-    level = chk.level
-    live = [v for v in range(z) if chk.sim.black[v] is not None]
+    level = _live_levels(chk)
+    live = list(level)
     pairs = [(u, v) for u in live for v in live if level[v] - level[u] == 2]
     return rng.choice(pairs) if pairs else None
 

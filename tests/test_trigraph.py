@@ -13,10 +13,29 @@ from twinplanar.instrument import (OFF, ON, ON_RIGHT, _step_ok,
                                    boundary_class, region_bounds)
 
 
+def black_of(t, v):
+    """The black neighbours of the live id v, as sequence ids: a trigraph
+    keeps its sets by part name, and ``name`` holds each live part once."""
+    return {t.name.index(w) for w in t.black[t.name[v]]}
+
+
+def red_of(t, v):
+    """The red neighbours of the live id v, as sequence ids."""
+    return {t.name.index(w) for w in t.red[t.name[v]]}
+
+
+def level_of(chk, v):
+    """The checker's level of the id v, None once v is contracted: the
+    checker keeps its levels by part name."""
+    a = chk.sim.name[v]
+    return None if a < 0 else chk.level[a]
+
+
 def replay_with_levels(sim, level, steps):
     """Replay ``steps`` on ``sim`` one call per step, as the checker does,
-    and keep the levels ``level`` beside it as the checker keeps its own:
-    z takes the smaller level of x and y, which lose theirs."""
+    and keep the levels ``level`` beside it by sequence id (the checker
+    keeps its own by part name): z takes the smaller level of x and y,
+    which lose theirs."""
     for step in steps:
         sim.replay((step,), [])
         x, y = step
@@ -27,16 +46,16 @@ def replay_with_levels(sim, level, steps):
 def test_contract_twins_stay_black():
     t = tg.Trigraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     t.replay([(0, 1)], [])
-    assert t.black[4] == {2, 3}
-    assert t.red[4] == set()
+    assert black_of(t, 4) == {2, 3}
+    assert red_of(t, 4) == set()
 
 
 def test_contract_symmetric_difference_goes_red():
     # N(0)={2,3}, N(1)={3,4}: z red to 2 and 4, black to 3
     t = tg.Trigraph(5, [(0, 2), (0, 3), (1, 3), (1, 4)])
     t.replay([(0, 1)], [])
-    assert t.red[5] == {2, 4}
-    assert t.black[5] == {3}
+    assert red_of(t, 5) == {2, 4}
+    assert black_of(t, 5) == {3}
 
 
 def test_contract_red_inherited():
@@ -46,7 +65,7 @@ def test_contract_red_inherited():
     t.red[0] = {2}  # a fresh trigraph's red sets are one shared frozenset
     t.red[2] = {0}
     t.replay([(0, 1)], [])
-    assert t.red[3] == {2}
+    assert red_of(t, 3) == {2}
 
 
 def test_red_sets_are_one_shared_empty_set_until_a_red_edge():
@@ -58,7 +77,8 @@ def test_red_sets_are_one_shared_empty_set_until_a_red_edge():
     t.replay([(0, 1)], [])
     assert all(r is empty for r in t.red if r is not None)
     t.replay([(2, 3)], [])
-    assert t.red[4] == {6} and t.red[6] == {4} and t.red[5] is empty
+    assert red_of(t, 4) == {6} and red_of(t, 6) == {4}
+    assert t.red[t.name[5]] is empty
 
 
 def test_contract_errors():
@@ -229,6 +249,71 @@ def test_red_histogram_matches_reference(n, p, rng):
     assert rep.per_step_max == tp.reference_verify(n, edges, seq).per_step_max
 
 
+def replay_both_ways(n, edges, steps, recheck=0):
+    """(error text or None, per-step maxima, len(black), len(red)) of a
+    replay of ``steps`` and of one with every pair swapped to (y, x), and
+    the two trigraphs."""
+    out, made = [], []
+    for s in steps, [(y, x) for x, y in steps]:
+        t = tg.Trigraph(n, edges)
+        per_step = []
+        try:
+            t.replay(s, per_step, recheck)
+            err = None
+        except tg.SequenceError as exc:
+            err = str(exc)
+        out.append((err, per_step, len(t.black), len(t.red)))
+        made.append(t)
+    return out, made
+
+
+@pytest.mark.parametrize("mode", ["planar", "bipartite"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_which_side_keeps_its_name_is_invisible_on_builds(mode, seed):
+    # a step keeps the name of the side with more red edges, and x's on a
+    # tie, so the swapped pairs flip every tie and the naming from there on
+    if mode == "planar":
+        _, rep, (full, G, _) = tp.planar_sequence_full(
+            tp.gen_triangulation(300, seed))
+    else:
+        _, rep, (full, G, _) = tp.bipartite_sequence_full(
+            tp.gen_quadrangulation(300, seed))
+    (one, swapped), (t, u) = replay_both_ways(G.n, G.edges, full.steps)
+    assert one == swapped == (None, one[1], G.n, G.n)
+    assert max(one[1]) == rep.width
+    assert t.name != u.name  # some step kept the other side's name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 14), st.sampled_from([0.2, 0.5, 0.8]), st.randoms(),
+       st.booleans())
+def test_which_side_keeps_its_name_is_invisible_on_random_sequences(
+        n, p, rng, bad):
+    # with ``bad``, a step on one id twice, live or dead, cuts the sequence
+    # at a random step; the rescan after every step checks the histogram
+    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+    steps = []
+    live = list(range(n))
+    while len(live) > 1:
+        x, y = rng.sample(live, 2)
+        live.remove(x)
+        live.remove(y)
+        live.append(n + len(steps))
+        steps.append((x, y))
+    if bad:
+        i = rng.randrange(len(steps) + 1)
+        v = rng.randrange(n + i)
+        steps[i:] = [(v, v)]
+    (one, swapped), _ = replay_both_ways(n, edges, steps, recheck=1)
+    assert one == swapped
+    if bad:
+        assert one[0] == f"step {i}: cannot contract a vertex with itself"
+    else:
+        assert one[0] is None and one[2:] == (n, n)
+        assert one[1] == tp.reference_verify(
+            n, edges, tg.ContractionSequence(n, steps)).per_step_max
+
+
 @pytest.mark.parametrize("edge, msg", [
     ((0, 5), "edge endpoint 5 outside 0..2"),
     ((0, -1), "edge endpoint -1 outside 0..2"),
@@ -251,16 +336,17 @@ def test_verify_rejects_edge_endpoint_out_of_range(edge, msg):
 
 def is_good_assignment(t: tg.Trigraph, lev: list) -> bool:
     """True iff every (black or red) edge of ``t`` spans at most one of the
-    levels ``lev``."""
-    for v, bl in enumerate(t.black):
+    levels ``lev``, which are indexed by sequence id."""
+    ids = {a: v for v, a in enumerate(t.name) if a >= 0}  # part -> live id
+    for a, bl in enumerate(t.black):
         if bl is None:
-            continue  # contracted
-        lv = lev[v]
+            continue  # merged into another part
+        lv = lev[ids[a]]
         for w in bl:
-            if abs(lv - lev[w]) > 1:
+            if abs(lv - lev[ids[w]]) > 1:
                 return False
-        for w in t.red[v]:
-            if abs(lv - lev[w]) > 1:
+        for w in t.red[a]:
+            if abs(lv - lev[ids[w]]) > 1:
                 return False
     return True
 
@@ -302,8 +388,9 @@ def test_min_level_update_and_decrease():
     chk.bind(g, ly.left_aligned_bfs_tree(g, 0))
     chk.level[:3] = [3, 4, 3]
     chk.on_contract(0, 1, 3)
-    assert chk.level[3] == 3
-    assert chk.level[0] is None and chk.level[1] is None
+    assert level_of(chk, 3) == 3
+    assert level_of(chk, 0) is None and level_of(chk, 1) is None
+    assert chk.level.count(None) == 1  # the name that z did not keep
 
 
 def test_good_assignment():
@@ -332,15 +419,15 @@ def test_one_step_per_call_equals_one_batch(s):
     _, _, (full, G, t) = tp.planar_sequence_full(tp.gen_triangulation(300, s))
 
     def run(steps, per_call):
-        """(error text or None, per-step maxima, next_id)"""
+        """(error text or None, per-step maxima, the next fresh id)"""
         sim = tg.Trigraph(G.n, G.edges)
         per_step = []
         try:
             for chunk in [(step,) for step in steps] if per_call else [steps]:
                 sim.replay(chunk, per_step)
         except tg.SequenceError as exc:
-            return str(exc), per_step, sim.next_id
-        return None, per_step, sim.next_id
+            return str(exc), per_step, len(sim.name)
+        return None, per_step, len(sim.name)
 
     one = run(full.steps, True)
     assert one == run(full.steps, False)
@@ -369,9 +456,9 @@ def test_claim_new_red_edges_stay_within_one_layer():
         pair = next(vs for vs in by_level.values() if len(vs) >= 2)
         x, y = pair[:2]
         lev = level[x]
-        z = sim.next_id
+        z = len(sim.name)
         replay_with_levels(sim, level, [(x, y)])
-        for w in sim.red[z]:
+        for w in red_of(sim, z):
             assert level[w] in (lev - 1, lev, lev + 1)
 
 
@@ -498,7 +585,7 @@ def test_checker_accepts_a_level_respecting_step():
     chk = tp.InvariantChecker("planar")
     chk.bind(g, ly.left_aligned_bfs_tree(g, 0))
     chk.on_contract(1, 2, 3)  # every neighbour of 2 sits on level 1
-    assert chk.level[3] == 1
+    assert level_of(chk, 3) == 1
 
 
 # -- region checks of the checker -----------------------------------------------
