@@ -35,12 +35,10 @@ class BuildCtx:
         self.g = g
         self.t = t
         self.steps: list[Step] = []
-        self.next_id = g.n
         self.checker = checker
 
     def contract(self, x: int, y: int) -> int:
-        z = self.next_id
-        self.next_id += 1
+        z = self.g.n + len(self.steps)
         self.steps.append((x, y))
         if self.checker is not None:
             self.checker.on_contract(x, y, z)

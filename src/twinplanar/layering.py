@@ -27,7 +27,7 @@ class BfsTree:
     ``parent_dart[v]`` is the dart v -> parent(v) (-1 at the root);
     ``depth`` holds graph distances from the root.  The ccw child order at
     v starts just after the parental dart, or after the outer-face gap at
-    the root (``_root_anchor``).
+    the root (``_anchor``).
     """
 
     g: PlaneGraph
@@ -52,18 +52,17 @@ class BfsTree:
                 and self.is_ancestor(z, bottom))
 
 
-def _root_anchor(g: PlaneGraph, r: int) -> int:
-    """First enumeration dart at the root: the rotation successor of the
-    outer-walk dart leaving r (the 'dummy edge pointing up' sits in the
-    outer-face gap just before it)."""
-    d_out = -1
-    for d in g.outer_walk():
-        if g.tail[d] == r:
-            d_out = d
-            break
-    if d_out == -1:
-        raise LayeringError(f"root {r} is not on the outer face")
-    return g.rot_next(d_out)
+def _anchor(g: PlaneGraph, v: int, d: int) -> int:
+    """Index in ``g.rot[v]`` of the first dart of v's ccw child order: the
+    one after the parental dart d, or at the root (d == -1) the one after
+    the first outer-walk dart leaving v (the 'dummy edge pointing up' sits
+    in the outer-face gap between the two).  It may be ``len(g.rot[v])``,
+    which stands for 0."""
+    if d == -1:
+        d = next((d for d in g.outer_walk() if g.tail[d] == v), -1)
+        if d == -1:
+            raise LayeringError(f"root {v} is not on the outer face")
+    return g.rot[v].index(d) + 1
 
 
 def left_aligned_bfs_tree(g: PlaneGraph, r: int) -> BfsTree:
@@ -83,14 +82,13 @@ def left_aligned_bfs_tree(g: PlaneGraph, r: int) -> BfsTree:
     parent_dart = [-1] * n
     depth = [-1] * n
     depth[r] = 0
-    head, rot, pos = g.head, g.rot, g.pos
+    head, rot = g.head, g.rot
     q = [r]
     for v in q:  # grows while it is walked: a FIFO queue
         rv = rot[v]
         if not rv:
             continue  # n == 1
-        pd = parent_dart[v]
-        s = pos[_root_anchor(g, r)] if pd == -1 else pos[pd] + 1
+        s = _anchor(g, v, parent_dart[v])
         dv1 = depth[v] + 1
         # children in ccw order from the anchor, lowest id among parallels
         walk = rv[s:] + rv[:s]
@@ -144,7 +142,7 @@ def check_left_aligned(g: PlaneGraph, t: BfsTree) -> tuple[int, int] | None:
         raise LayeringError("tree belongs to a different graph")
     n, r = g.n, t.root
     dep, parent, pdart = t.depth, t.parent, t.parent_dart
-    tail, head, rot, pos = g.tail, g.head, g.rot, g.pos
+    tail, head, rot = g.tail, g.head, g.rot
     nd = len(tail)
     if not len(parent) == len(pdart) == len(dep) == n:
         raise LayeringError("not a BFS tree")
@@ -168,11 +166,14 @@ def check_left_aligned(g: PlaneGraph, t: BfsTree) -> tuple[int, int] | None:
         clock += 1
         kv = kids[v]
         if len(kv) > 1:
-            # in ccw order from the anchor by the offset of the dart v -> w,
-            # the first child on top
-            s = pos[_root_anchor(g, r)] if v == r else pos[pdart[v]] + 1
-            deg = len(rot[v])
-            kv.sort(key=lambda w: (pos[pdart[w] ^ 1] - s) % deg, reverse=True)
+            # in ccw order from the anchor, by one pass over the rotation:
+            # w is a child where the dart v -> w is its parental dart's
+            # twin; the first child goes on top
+            rv = rot[v]
+            s = _anchor(g, v, -1 if v == r else pdart[v])
+            kv = [w for d in rv[s:] + rv[:s]
+                  if (w := head[d]) != r and pdart[w] == d ^ 1]
+            kv.reverse()
         stack += kv
     if clock != n:
         raise LayeringError("not a BFS tree")

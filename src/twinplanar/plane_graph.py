@@ -57,12 +57,11 @@ class PlaneGraph:
         outer_dart: a dart whose left face is the outer face.
 
     ``build`` is the only constructor and derives the rest: per-dart
-    ``tail``, ``head``, ``pos`` (index in the tail's rotation) and
-    ``face_next`` (the next dart of the face on the dart's left); per face,
-    faces numbered in order of their smallest dart, ``face_len``, the
-    length of its walk; ``outer_face``, the outer face's number; and
-    ``comp``, the component id of every vertex (components numbered by
-    smallest vertex), with ``ncomp`` components.
+    ``tail``, ``head`` and ``face_next`` (the next dart of the face on the
+    dart's left); per face, faces numbered in order of their smallest
+    dart, ``face_len``, the length of its walk; ``outer_face``, the outer
+    face's number; and ``comp``, the component id of every vertex
+    (components numbered by smallest vertex), with ``ncomp`` components.
 
     The faces themselves are the orbits of ``face_next`` and are not
     stored: ``faces`` and ``outer_walk`` trace walks on demand.
@@ -76,7 +75,6 @@ class PlaneGraph:
     # derived in build()
     tail: list[int] = field(default_factory=list, repr=False)
     head: list[int] = field(default_factory=list, repr=False)
-    pos: list[int] = field(default_factory=list, repr=False)
     face_next: list[int] = field(default_factory=list, repr=False)
     face_len: list[int] = field(default_factory=list, repr=False)
     outer_face: int = -1
@@ -102,11 +100,6 @@ class PlaneGraph:
         walk = _walk(self.face_next, self.outer_dart)
         i = walk.index(min(walk))
         return walk[i:] + walk[:i]
-
-    def rot_next(self, d: int) -> int:
-        """CCW successor of dart d around its tail."""
-        r = self.rot[self.tail[d]]
-        return r[(self.pos[d] + 1) % len(r)]
 
     def is_simple(self) -> bool:
         """No two edges join the same pair (``build`` rejects loops)."""
@@ -140,25 +133,28 @@ def build(n: int, edges: Sequence[tuple[int, int]], rotations: Sequence[Sequence
     if len(rotations) != n:
         raise PlaneError("rotation list count != n")
     nd = 2 * m
-    pos = [-1] * nd
     nxt = [-1] * nd  # face_next: the rotation predecessor of d ^ 1
     for v, r in enumerate(rotations):
-        for i, d in enumerate(r):
+        if not r:
+            continue
+        prev = r[0]  # stands in for r[-1] until that one is checked
+        for d in r:
             if not (0 <= d < nd):
                 raise PlaneError(f"unknown dart {d} at vertex {v}")
             if tail[d] != v:
                 raise PlaneError(f"dart {d} listed at {v} but leaves {tail[d]}")
-            if pos[d] != -1:
+            if nxt[d ^ 1] != -1:  # set once d is listed
                 raise PlaneError(f"dart {d} appears twice")
-            pos[d] = i
-            nxt[d ^ 1] = r[i - 1]
+            nxt[d ^ 1] = prev
+            prev = d
+        nxt[r[0] ^ 1] = prev  # the first dart's predecessor wraps round
     if sum(map(len, rotations)) != nd:  # each listed dart is distinct and valid
         raise PlaneError("dart missing from rotations")
     if m > 0 and not (0 <= outer < nd):
         raise PlaneError("outer dart out of range")
 
     g = PlaneGraph(n, edges, [list(r) for r in rotations], outer if m else 0,
-                   tail=tail, head=head, pos=pos, face_next=nxt)
+                   tail=tail, head=head, face_next=nxt)
     _trace_faces(g, nxt)
     _check_euler(g)
     return g
@@ -382,11 +378,6 @@ def find_odd_cycle(g: PlaneGraph) -> list[int] | None:
     searched."""
     if not any(k & 1 for k in g.face_len):
         return None
-    return _search_odd_cycle(g)
-
-
-def _search_odd_cycle(g: PlaneGraph) -> list[int] | None:
-    """An odd cycle, or None if bipartite."""
     color = [-1] * g.n
     par = [-1] * g.n
     for s in range(g.n):

@@ -120,9 +120,9 @@ class Trigraph:
     Single-writer.  ``_red_hist[d]`` counts the live parts of red degree
     d and ``_max_red`` is the largest d with a nonzero count; ``replay``
     keeps both current, so it reads the maximum after each step in O(1).
-    ``steps_done`` counts the steps replayed.  Writing to ``black``/``red``
-    directly bypasses that bookkeeping, and a red set may be the shared
-    frozenset: assign a new set rather than add to it.
+    Writing to ``black``/``red`` directly bypasses that bookkeeping, and a
+    red set may be the shared frozenset: assign a new set rather than add
+    to it.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -146,7 +146,6 @@ class Trigraph:
         self.name = name
         self._red_hist = [n] + [0] * n  # all n parts start at red degree 0
         self._max_red = 0
-        self.steps_done = 0
 
     def replay(self, steps: Iterable[Step], per_step: list[int],
                recheck: int = 0) -> None:
@@ -170,7 +169,7 @@ class Trigraph:
         append = per_step.append
         z = len(name)
         mx = self._max_red
-        idx = self.steps_done  # global index of ``step``
+        idx = z - len(black)  # global index of ``step``
         try:
             for step in steps:
                 x, y = step
@@ -268,7 +267,6 @@ class Trigraph:
                 f"step {idx}: {step!r} is not a pair of vertex ids") from None
         finally:
             self._max_red = mx
-            self.steps_done = idx
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,19 @@ def _first_dart_towards(t, r1, u):
     return t.parent_dart[u] ^ 1
 
 
-def _anchor_pos(t, v):
-    g = t.g
-    if v == t.root:
-        return g.pos[ly._root_anchor(g, v)]
-    return (g.pos[t.parent_dart[v]] + 1) % len(g.rot[v])
+def _outer_dart_at(g, r):
+    """The first dart of the outer walk that leaves the root r."""
+    return next(d for d in g.outer_walk() if g.tail[d] == r)
+
+
+def _anchor_pos(g, v, d):
+    """The position in v's rotation just after the dart d leaving v."""
+    return (g.rot[v].index(d) + 1) % len(g.rot[v])
+
+
+def _tree_anchor_pos(t, v):
+    d = _outer_dart_at(t.g, v) if v == t.root else t.parent_dart[v]
+    return _anchor_pos(t.g, v, d)
 
 
 def is_left_of(g, t, u, v):
@@ -64,10 +72,10 @@ def is_left_of(g, t, u, v):
     r1 = a
     eu = _first_dart_towards(t, r1, u)
     ev = _first_dart_towards(t, r1, v)
-    deg = len(g.rot[r1])
-    ap = _anchor_pos(t, r1)
-    pu = (g.pos[eu] - ap) % deg
-    pv = (g.pos[ev] - ap) % deg
+    rot, deg = g.rot[r1], len(g.rot[r1])
+    ap = _tree_anchor_pos(t, r1)
+    pu = (rot.index(eu) - ap) % deg
+    pv = (rot.index(ev) - ap) % deg
     return pu < pv
 
 
@@ -118,7 +126,7 @@ def dfs_left_aligned_tree(g, r):
         rv = g.rot[v]
         if not rv:
             continue
-        s = g.pos[ly._root_anchor(g, r)] if v == r else g.pos[parent_dart[v]] + 1
+        s = _anchor_pos(g, v, _outer_dart_at(g, r) if v == r else parent_dart[v])
         walk = rv[s:] + rv[:s]
         kids = []
         for d in walk:
@@ -343,11 +351,33 @@ def test_multigraph_child_order_follows_the_lowest_parallel_edge():
     # (to 2).  Child 2 hangs from edge 0, the lowest id of its parallels,
     # which comes after child 1, so 1 is visited first.
     g = pg.build(3, [(0, 2), (0, 1), (0, 2)], [[4, 2, 0], [3], [1, 5]], 0)
-    assert g.pos[ly._root_anchor(g, 0)] == 0
+    # the root's outer-walk dart is the last of its rotation
+    assert _outer_dart_at(g, 0) == g.rot[0][-1]
+    assert ly._anchor(g, 0, -1) == 3
     t = ly.left_aligned_bfs_tree(g, 0)
     assert t.parent_dart == [-1, 3, 1]
     assert _preorder(t) == [0, 1, 2]
     assert t.tin == [0, 1, 2]
+
+
+def test_child_order_wraps_round_after_a_last_parental_dart():
+    # a 4-cycle 1-2-4-3 with a pendant root 0 at 1; the parental dart 1 -> 0
+    # is the last of rot[1], so the children of 1 are 2, then 3
+    g = pg.build(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)],
+                 [[0], [2, 4, 1], [3, 6], [5, 8], [7, 9]], 0)
+    t = ly.left_aligned_bfs_tree(g, 0)
+    assert t.parent_dart[1] == g.rot[1][-1]
+    assert ly._anchor(g, 1, t.parent_dart[1]) == 3
+    assert t.parent == [-1, 0, 1, 1, 2]
+    assert _preorder(t) == [0, 1, 2, 4, 3]
+    assert _tree_fields(t) == _tree_fields(dfs_left_aligned_tree(g, 0))
+    assert ly.check_left_aligned(g, t) is None
+    # with 4 hung from 3 instead, the upper end 2 of the edge {2, 4} lies
+    # left of its lower end
+    bad = ly.BfsTree(g, 0, [-1, 0, 1, 1, 3], [-1, 1, 3, 5, 9], t.depth,
+                     [0, 1, 2, 3, 4])
+    _fill_tout(bad)
+    assert ly.check_left_aligned(g, bad) == first_left_edge(g, bad) == (2, 4)
 
 
 def _tree_fields(t):

@@ -82,6 +82,21 @@ def test_build_rejects_duplicate_dart():
         pg.build(3, [(0, 1), (0, 2), (1, 2)], [[0, 2, 0], [4, 1], [3, 5]], 1)
 
 
+# a star with centre 0: dart 2i leaves 0 for leaf i + 1, dart 2i + 1 returns
+@pytest.mark.parametrize("centre, leaf1, msg", [
+    ([0, 2, 2, 4, 6], [1], "dart 2 appears twice"),
+    ([0, 2, 4, 6, 0], [1], "dart 0 appears twice"),  # wraps round
+    ([0, 2, 4, 2, 6], [1], "dart 2 appears twice"),
+    ([0, 0, 2, 4, 6, -1], [1], "dart 0 appears twice"),
+    ([0, 2, 4, 6], [1, 0], "dart 0 listed at 1 but leaves 0"),
+], ids=["adjacent", "first-and-last", "apart", "before-an-unknown-last",
+        "second-vertex"])
+def test_build_names_a_dart_listed_twice(centre, leaf1, msg):
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4)]
+    with pytest.raises(pg.PlaneError, match=f"^{msg}$"):
+        pg.build(5, edges, [centre, leaf1, [3], [5], [7]], 0)
+
+
 def test_build_rejects_nonplanar_rotation():
     # K4 with a twisted rotation at one vertex embeds on the torus: Euler fails
     from twinplanar.generators import gen_triangulation
@@ -888,9 +903,10 @@ def test_a_parsed_graph_holds_no_face_walks():
         tracemalloc.stop()
     assert [k for k, v in vars(g).items()
             if isinstance(v, list) and v and isinstance(v[0], list)] == ["rot"]
-    # 748 B per vertex on CPython 3.11.7, 988 with every walk stored; the
-    # cap leaves 7% for other interpreter builds
-    assert held / g.n < 800
+    # 689 B per vertex on CPython 3.11.7, 737 with each dart's rotation
+    # index stored and 988 with every walk stored as well; the cap leaves 7%
+    # for other interpreter builds
+    assert held / g.n < 740
 
 
 def test_parse_plane_errors():

@@ -219,6 +219,21 @@ def test_recheck_runs_after_every_kth_global_step(monkeypatch):
     assert per_step == [1, 1]
 
 
+def test_one_step_replays_number_their_steps_globally():
+    # one step per call, as InvariantChecker replays; a refused step
+    # changes nothing, so the next step takes its number
+    t = tg.Trigraph(4, kn_edges(4))
+    for step in (0, 1), (2, 3):
+        t.replay([step], [])
+    with pytest.raises(tg.SequenceError, match=re.escape(
+            "step 2: contracting dead/unknown vertex (0,4)")):
+        t.replay([(0, 4)], [])
+    t.replay([(4, 5)], [])
+    with pytest.raises(tg.SequenceError, match=re.escape(
+            "step 3: (6,) is not a pair of vertex ids")):
+        t.replay([(6,)], [])
+
+
 def test_verify_debug_recheck():
     # one builder output per benchmark family: stacked, grid, thinned stacked
     tri = tp.gen_triangulation(200, 3)
