@@ -151,7 +151,7 @@ def gen_grid(rows: int, cols: int) -> PlaneGraph:
     # vertex adding its east edge, then its north edge: 2 * cols - 1 ids per
     # row below the top one, whose vertices add only an east edge
     s = 2 * cols - 1
-    edges: list[tuple[int, int]] = []
+    tail: list[int] = []  # u, v of edge e at 2e, 2e + 1
     rotations: list[list[int]] = []
     for i in range(rows):
         step = 1 if i == rows - 1 else 2  # edge ids per vertex in this row
@@ -161,10 +161,10 @@ def gen_grid(rows: int, cols: int) -> PlaneGraph:
             east = j + 1 < cols
             r = []
             if east:
-                edges.append((v, v + 1))
+                tail += v, v + 1
                 r.append(2 * e)
             if step == 2:
-                edges.append((v, v + cols))
+                tail += v, v + cols
                 r.append(2 * (e + east))  # north
             if j:
                 r.append(2 * (e - step) + 1)  # west: the east edge of v - 1
@@ -175,7 +175,6 @@ def gen_grid(rows: int, cols: int) -> PlaneGraph:
     # the bottom row; dart 0 has the bottom-left square on its left, so the
     # walk starts at its smallest dart, as ``_fill_faces`` asks.  The
     # face's next dart after d is the rotation predecessor of d ^ 1.
-    tail = list(chain.from_iterable(edges))
     walk = [1]
     while True:
         x = walk[-1] ^ 1
@@ -185,7 +184,7 @@ def gen_grid(rows: int, cols: int) -> PlaneGraph:
             break
         walk.append(d)
     walks = [walk] if len(walk) > 4 else []  # 2 x 2: already a 4-cycle
-    return _fill_faces(rows * cols, edges, rotations, tail, walks, 1,
+    return _fill_faces(rows * cols, rotations, tail, walks, 1,
                        "quadrangulate", 4, _quad_ring)
 
 

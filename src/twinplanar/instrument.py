@@ -45,7 +45,7 @@ the extra time is that replay.
 from __future__ import annotations
 
 from .layering import BfsTree
-from .plane_graph import PlaneGraph
+from .plane_graph import PlaneGraph, pairs
 from .seq_bipartite import WIDTH_BOUND as BIPARTITE_BOUND
 from .seq_planar import WIDTH_BOUND as PLANAR_BOUND
 from .trigraph import Trigraph, is_vertex_id
@@ -167,7 +167,7 @@ class InvariantChecker:
         if self.t is not None:  # final_phase and the stack are per build
             raise ValueError("InvariantChecker already bound to a build")
         self.t = t
-        self.sim = Trigraph(g.n, g.edges)
+        self.sim = Trigraph(g.n, pairs(g.tail))
         self.region = [-1] * g.n
         self.level = list(t.depth)
         self.pure = self.level[:]

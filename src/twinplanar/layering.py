@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .plane_graph import PlaneGraph
+from .plane_graph import PlaneGraph, pairs
 from .trigraph import is_vertex_id
 
 
@@ -39,8 +39,8 @@ class BfsTree:
     tout: list[int] = field(default_factory=list, repr=False)
 
     def is_tree_edge(self, eid: int) -> bool:
-        u, v = self.g.edges[eid]
-        return self.parent_dart[u] >> 1 == eid or self.parent_dart[v] >> 1 == eid
+        tail, pd = self.g.tail, self.parent_dart
+        return pd[tail[2 * eid]] >> 1 == eid or pd[tail[2 * eid + 1]] >> 1 == eid
 
     def is_ancestor(self, a: int, v: int) -> bool:
         """a on the vertical path from v to the root (inclusive)."""
@@ -177,7 +177,7 @@ def check_left_aligned(g: PlaneGraph, t: BfsTree) -> tuple[int, int] | None:
         stack += kv
     if clock != n:
         raise LayeringError("not a BFS tree")
-    for a, b in g.edges:
+    for a, b in pairs(g.tail):
         da, db = dep[a], dep[b]
         if da == db - 1:
             u, v = a, b

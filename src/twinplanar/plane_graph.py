@@ -52,28 +52,31 @@ class PlaneGraph:
 
     Attributes:
         n: number of vertices (ids 0..n-1).
-        edges: edge id -> (u, v); dart 2e leaves u, dart 2e+1 leaves v.
+        tail: dart -> the vertex it leaves.  Edge e is
+            ``(tail[2e], tail[2e + 1])``: dart 2e leaves its first end and
+            dart 2e+1 its second.  This is the one copy of the edge set.
         rot: vertex -> ccw list of darts leaving it.
         outer_dart: a dart whose left face is the outer face.
 
     ``build`` is the only constructor and derives the rest: per-dart
-    ``tail``, ``head`` and ``face_next`` (the next dart of the face on the
-    dart's left); per face, faces numbered in order of their smallest
-    dart, ``face_len``, the length of its walk; ``outer_face``, the outer
-    face's number; and ``comp``, the component id of every vertex
-    (components numbered by smallest vertex), with ``ncomp`` components.
+    ``head`` and ``face_next`` (the next dart of the face on the dart's
+    left); per face, faces numbered in order of their smallest dart,
+    ``face_len``, the length of its walk; ``outer_face``, the outer face's
+    number; and ``comp``, the component id of every vertex (components
+    numbered by smallest vertex), with ``ncomp`` components.
 
-    The faces themselves are the orbits of ``face_next`` and are not
-    stored: ``faces`` and ``outer_walk`` trace walks on demand.
+    Neither the edges as pairs nor the faces are stored: ``edges`` pairs
+    up ``tail`` on each access, for readers outside the library, which
+    walks ``tail`` two at a time (``pairs``); the faces are the orbits of
+    ``face_next``, and ``faces`` and ``outer_walk`` trace walks on demand.
     """
 
     n: int
-    edges: list[tuple[int, int]]
+    tail: list[int]
     rot: list[list[int]]
     outer_dart: int
 
     # derived in build()
-    tail: list[int] = field(default_factory=list, repr=False)
     head: list[int] = field(default_factory=list, repr=False)
     face_next: list[int] = field(default_factory=list, repr=False)
     face_len: list[int] = field(default_factory=list, repr=False)
@@ -83,7 +86,12 @@ class PlaneGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.tail) >> 1
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """Edge id -> (u, v), paired up from ``tail`` on every access."""
+        return list(pairs(self.tail))
 
     @property
     def faces(self) -> list[list[int]]:
@@ -104,35 +112,47 @@ class PlaneGraph:
     def is_simple(self) -> bool:
         """No two edges join the same pair (``build`` rejects loops)."""
         n = self.n
-        keys = {u * n + v if u < v else v * n + u for u, v in self.edges}
-        return len(keys) == len(self.edges)
+        keys = {u * n + v if u < v else v * n + u for u, v in pairs(self.tail)}
+        return len(keys) == self.m
+
+
+def pairs(tail: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """``tail`` two at a time: the edges of a plane graph as (u, v)."""
+    it = iter(tail)
+    return zip(it, it)
 
 
 def build(n: int, edges: Sequence[tuple[int, int]], rotations: Sequence[Sequence[int]],
           outer: int) -> PlaneGraph:
     """Validate and finish a plane graph.
 
+    ``edges`` lists each edge as the pair (u, v) of its ends, which are int
+    ids; the graph keeps no reference to it, only the flat ``tail``.
     ``rotations`` lists darts (not edge ids) per vertex in ccw order;
     ``outer`` is a dart with the outer face on its left.
 
     Raises:
-        PlaneError: loop edge, dart missing/duplicated in the rotations, or
-            Euler's formula failing on some component (rotation not planar).
+        PlaneError: an edge that is no pair of int ids, loop edge, dart
+            missing/duplicated in the rotations, or Euler's formula failing
+            on some component (rotation not planar).
     """
-    edges = list(edges)
-    m = len(edges)
-    for e, (u, v) in enumerate(edges):
-        if u == v:
-            raise PlaneError(f"loop edge {e} at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise PlaneError(f"edge {e} endpoint out of range")
+    nd = 2 * len(edges)  # edges that are no sequence raise TypeError here
+    try:
+        for e, (u, v) in enumerate(edges):
+            if not u ^ v:  # u == v; xor raises TypeError on an id that is no int
+                raise PlaneError(f"loop edge {e} at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise PlaneError(f"edge {e} endpoint out of range")
+    except PlaneError:
+        raise
+    except (TypeError, ValueError):  # edge e is no pair, or an id of it no int
+        raise PlaneError(f"edge {e} is not a pair of vertex ids: {edges[e]!r}") from None
     tail = list(chain.from_iterable(edges))  # u, v of edge e at 2e, 2e + 1
     head = tail[:]
     head[0::2], head[1::2] = tail[1::2], tail[0::2]
 
     if len(rotations) != n:
         raise PlaneError("rotation list count != n")
-    nd = 2 * m
     nxt = [-1] * nd  # face_next: the rotation predecessor of d ^ 1
     for v, r in enumerate(rotations):
         if not r:
@@ -150,11 +170,11 @@ def build(n: int, edges: Sequence[tuple[int, int]], rotations: Sequence[Sequence
         nxt[r[0] ^ 1] = prev  # the first dart's predecessor wraps round
     if sum(map(len, rotations)) != nd:  # each listed dart is distinct and valid
         raise PlaneError("dart missing from rotations")
-    if m > 0 and not (0 <= outer < nd):
+    if nd and not (0 <= outer < nd):
         raise PlaneError("outer dart out of range")
 
-    g = PlaneGraph(n, edges, [list(r) for r in rotations], outer if m else 0,
-                   tail=tail, head=head, face_next=nxt)
+    g = PlaneGraph(n, tail, [list(r) for r in rotations], outer if nd else 0,
+                   head=head, face_next=nxt)
     _trace_faces(g, nxt)
     _check_euler(g)
     return g
@@ -245,30 +265,30 @@ def _check_euler(g: PlaneGraph) -> None:
 class _Splicer:
     """Accumulates new vertices/edges and rebuilds rotations in one pass.
 
-    Starts from the rotation system ``rot`` of ``n`` vertices joined by
-    ``edges``, raw lists that it reads and never changes.  A new dart
-    registered with ``insert_after(d, nd)`` lands immediately after ``d`` in
-    ccw order, i.e. inside the face on the left of ``d`` at that boundary
-    visit.  Keyed by dart, so walks repeating a vertex get one wedge per
-    visit.
+    Starts from the rotation system ``rot`` of ``n`` vertices and their
+    per-dart ``tail``, raw lists that it reads and never changes; its own
+    ``tail`` is a flat copy to which ``add_edge`` appends both ends.  A new
+    dart registered with ``insert_after(d, nd)`` lands immediately after
+    ``d`` in ccw order, i.e. inside the face on the left of ``d`` at that
+    boundary visit.  Keyed by dart, so walks repeating a vertex get one
+    wedge per visit.  ``new_rot`` maps a vertex to its whole rotation: every
+    new vertex, and each old one that had none (an isolated vertex).
 
-    ``finalize`` consumes the splicer: it drops the maps of new darts and
-    rotations before the one ``build``, so they are not held alongside
-    the graph it builds.
+    ``finalize`` consumes the splicer: it drops its maps and its ``tail``
+    before the one ``build``, so they are not held alongside the graph it
+    builds.
 
     ``free`` is None unless a completion has isolated vertices to place
     (``_stack_isolated``).  Then it is a list, and the fills append to it
     the faces they make whose corners are all new, each as its darts.
     """
 
-    def __init__(self, n: int, edges: Sequence[tuple[int, int]],
-                 rot: Sequence[Sequence[int]]):
+    def __init__(self, n: int, tail: Sequence[int], rot: Sequence[Sequence[int]]):
         self.n0 = self.n = n
         self.rot = rot
-        self.edges = list(edges)
+        self.tail = list(tail)
         self.after: dict[int, list[int]] = {}
         self.new_rot: dict[int, list[int]] = {}
-        self.tail_extra: dict[int, list[int]] = {}
         self.free: list[tuple[int, ...]] | None = None
 
     def add_vertex(self) -> int:
@@ -278,8 +298,8 @@ class _Splicer:
         return v
 
     def add_edge(self, u: int, v: int) -> int:
-        e = len(self.edges)
-        self.edges.append((u, v))
+        e = len(self.tail) >> 1
+        self.tail += u, v
         return e
 
     def insert_after(self, anchor_dart: int, dart: int) -> None:
@@ -290,25 +310,22 @@ class _Splicer:
         if self.rot[v]:
             self.insert_after(self.rot[v][0], dart)
         else:
-            self.tail_extra.setdefault(v, []).append(dart)
-
-    def set_new_rotation(self, v: int, darts: list[int]) -> None:
-        self.new_rot[v] = darts
+            self.new_rot.setdefault(v, []).append(dart)
 
     def finalize(self, outer: int) -> PlaneGraph:
-        after, new_rot, tail_extra = self.after, self.new_rot, self.tail_extra
-        self.after = self.new_rot = self.tail_extra = None
+        after, new_rot, edges = self.after, self.new_rot, list(pairs(self.tail))
+        self.after = self.new_rot = self.tail = None
         rotations: list[list[int]] = []
         for v in range(self.n0):
             r: list[int] = []
             for d in self.rot[v]:
                 r.append(d)
                 r.extend(after.get(d, ()))
-            r.extend(tail_extra.get(v, ()))
+            r.extend(new_rot.get(v, ()))
             rotations.append(r)
         rotations.extend(new_rot[v] for v in range(self.n0, self.n))
-        del after, new_rot, tail_extra  # not held while build runs
-        return build(self.n, self.edges, rotations, outer)
+        del after, new_rot  # not held while build runs
+        return build(self.n, edges, rotations, outer)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +366,7 @@ def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, range]:
     anchor_idx = g.comp[g.tail[g.outer_dart]] if g.m else 0
     base = min(comps[anchor_idx])
 
-    sp = _Splicer(g.n, g.edges, g.rot)
+    sp = _Splicer(g.n, g.tail, g.rot)
     outer = g.outer_dart if g.m else None
     for ci, comp_vs in enumerate(comps):
         if ci == anchor_idx or (g.m and len(comp_vs) == 1):
@@ -360,7 +377,7 @@ def connect_components(g: PlaneGraph) -> tuple[PlaneGraph, range]:
         e2 = sp.add_edge(b, w)
         sp.attach_anywhere(base, 2 * e1)
         sp.attach_anywhere(b, 2 * e2)
-        sp.set_new_rotation(w, [2 * e1 + 1, 2 * e2 + 1])
+        sp.new_rot[w] = [2 * e1 + 1, 2 * e2 + 1]
         if outer is None:
             outer = 2 * e1
     g2 = sp.finalize(outer if outer is not None else 0)
@@ -471,22 +488,23 @@ def _complete_faces(g0: PlaneGraph, what: str, k: int, fill) -> tuple[PlaneGraph
         walks: Iterable[list[int]] = [g0.outer_walk()]
     else:
         walks = _open_walks(g1, k)
-    g = _fill_faces(g1.n, g1.edges, g1.rot, g1.tail, walks, g1.outer_dart,
+    g = _fill_faces(g1.n, g1.rot, g1.tail, walks, g1.outer_dart,
                     what, k, fill, isolated)
     return g, range(g0.n, g.n)
 
 
-def _fill_faces(n0: int, edges: list[tuple[int, int]], rot: Sequence[Sequence[int]],
-                tail: list[int], walks: Iterable[list[int]], outer: int,
-                what: str, k: int, fill, isolated: Sequence[int] = ()) -> PlaneGraph:
+def _fill_faces(n0: int, rot: Sequence[Sequence[int]], tail: list[int],
+                walks: Iterable[list[int]], outer: int, what: str, k: int,
+                fill, isolated: Sequence[int] = ()) -> PlaneGraph:
     """Build the completion of a simple plane graph given as raw data:
-    ``n0`` vertices, ``edges``, rotations ``rot``, per-dart ``tail`` and
-    ``outer`` dart.  The graph is connected apart from the vertices listed
-    in ``isolated``, which have no edge.  ``walks`` yields the walks of the
-    faces that do not bound k-cycles, each starting at its smallest dart,
-    in order of those darts; every face left out must bound one.  With
-    isolated vertices it may also yield one face that bounds a k-cycle
-    (``_complete_faces`` does so when no other face is open).
+    ``n0`` vertices, rotations ``rot``, per-dart ``tail`` (edge e is
+    ``(tail[2e], tail[2e + 1])``) and ``outer`` dart.  The graph is
+    connected apart from the vertices listed in ``isolated``, which have no
+    edge.  ``walks`` yields the walks of the faces that do not bound
+    k-cycles, each starting at its smallest dart, in order of those darts;
+    every face left out must bound one.  With isolated vertices it may also
+    yield one face that bounds a k-cycle (``_complete_faces`` does so when
+    no other face is open).
 
     Each walk gets ``fill(sp, walk, tail)``.  A fill adds new vertices
     inside the face only and returns one whose first rotation dart has a
@@ -503,13 +521,13 @@ def _fill_faces(n0: int, edges: list[tuple[int, int]], rot: Sequence[Sequence[in
     The one ``build`` keeps the input's vertex and edge ids and appends the
     new ones; each postcondition is decided once:
 
-    * the input induced: its edges come first and every appended edge has a
-      new end;
+    * the input induced: its ``tail`` comes first and every appended edge
+      has a new end;
     * simple: the input is, and an edge with a new end repeats no old edge,
       so only the appended edges are compared with each other;
     * complete: the result is connected and passes ``_is_complete``.
     """
-    sp = _Splicer(n0, edges, rot)
+    sp = _Splicer(n0, tail, rot)
     if isolated:
         sp.free = []
     for walk in walks:
@@ -519,12 +537,12 @@ def _fill_faces(n0: int, edges: list[tuple[int, int]], rot: Sequence[Sequence[in
     if isolated:
         _stack_isolated(sp, isolated)
     g = sp.finalize(outer)
-    n, m0 = g.n, len(edges)
-    appended = g.edges[m0:]
-    if g.edges[:m0] != edges or any(u < n0 and v < n0 for u, v in appended):
+    n, nd0 = g.n, len(tail)
+    appended = g.tail[nd0:]
+    if g.tail[:nd0] != tail or any(u < n0 and v < n0 for u, v in pairs(appended)):
         raise PlaneError("completion changed the induced subgraph on old vertices")
-    keys = {u * n + v if u < v else v * n + u for u, v in appended}
-    if len(keys) != len(appended):
+    keys = {u * n + v if u < v else v * n + u for u, v in pairs(appended)}
+    if 2 * len(keys) != len(appended):
         raise PlaneError(f"{what} result is not simple")
     if g.ncomp != 1 or not _is_complete(g, k):
         raise PlaneError(f"incomplete face after {what}")
@@ -582,12 +600,12 @@ def _split_order2_faces(g: PlaneGraph) -> PlaneGraph:
         # wrap the vertex in a path 1-0-2 so the face walk has length 4
         return build(3, [(0, 1), (0, 2)], [[0, 2], [1], [3]], 0)
     if g.m == 1:
-        u, p = g.edges[0][0], g.n
+        (u, v), p = g.tail, g.n
         # pendant p at u: face walk becomes (v,u,p,u), length 4
         rots = list(g.rot)
         rots[u] = [g.rot[u][0], 2]
         rots.append([3])
-        return build(p + 1, [g.edges[0], (u, p)], rots, g.outer_dart)
+        return build(p + 1, [(u, v), (u, p)], rots, g.outer_dart)
     return g
 
 
@@ -666,7 +684,7 @@ def _fill_triangles(sp: _Splicer, walk: list[int], tail: list[int]) -> int:
     if k > 3:
         hub = sp.add_vertex()
         hub_darts = [2 * sp.add_edge(hub, a) for a in apexes]
-        sp.set_new_rotation(hub, hub_darts)
+        sp.new_rot[hub] = hub_darts
     for j, a in enumerate(apexes):
         r = spokes[j]
         if k > 1:
@@ -674,7 +692,7 @@ def _fill_triangles(sp: _Splicer, walk: list[int], tail: list[int]) -> int:
             if k > 3:
                 r.append(hub_darts[j] ^ 1)
             r.append(fwd[j - 1] ^ 1)
-        sp.set_new_rotation(a, r)
+        sp.new_rot[a] = r
     if free is not None:
         if k == 3:
             free.append(tuple(fwd))
@@ -699,13 +717,13 @@ def _quad_ring(sp: _Splicer, walk: list[int], tail: list[int]) -> int:
         spoke.append(2 * e + 1)
     hub = sp.add_vertex()
     hub_darts = [2 * sp.add_edge(hub, ring[i]) for i in range(1, m, 2)]
-    sp.set_new_rotation(hub, hub_darts)
+    sp.new_rot[hub] = hub_darts
     for i in range(m):
         r = [spoke[i], fwd[i]]
         if i % 2 == 1:
             r.append(hub_darts[i // 2] ^ 1)
         r.append(fwd[i - 1] ^ 1)
-        sp.set_new_rotation(ring[i], r)
+        sp.new_rot[ring[i]] = r
     if sp.free is not None:
         sp.free.extend((fwd[i], hub_darts[i // 2] ^ 1, hub_darts[i // 2 - 1],
                         fwd[i - 1]) for i in range(0, m, 2))
@@ -737,15 +755,14 @@ def _stack(sp: _Splicer, v: int, face: tuple[int, ...]) -> list[tuple[int, ...]]
     quadrangle's start at a corner not joined here, so that stacking into
     them spreads the new edges over all corners rather than piling them
     on one pair."""
-    edges, new_rot = sp.edges, sp.new_rot
     spokes = []
     for d in face if len(face) == 3 else face[::2]:
-        c = edges[d >> 1][d & 1]
+        c = sp.tail[d]
         s = 2 * sp.add_edge(c, v)
-        r = new_rot[c]
+        r = sp.new_rot[c]
         r.insert(r.index(d) + 1, s)
         spokes.append(s)
-    (new_rot if v >= sp.n0 else sp.tail_extra)[v] = [s ^ 1 for s in spokes]
+    sp.new_rot[v] = [s ^ 1 for s in spokes]
     if len(face) == 3:
         d0, d1, d2 = face
         s0, s1, s2 = spokes
@@ -764,7 +781,7 @@ def write_plane(g: PlaneGraph, comments: Iterable[str] = ()) -> str:
     """Bit-exact plane-graph text format."""
     lines = [f"c {c}" for c in comments]
     lines.append(f"p plane {g.n} {g.m}")
-    for e, (u, v) in enumerate(g.edges):
+    for e, (u, v) in enumerate(pairs(g.tail)):
         lines.append(f"e {e} {u} {v}")
     for v in range(g.n):
         eids = " ".join(str(d >> 1) for d in g.rot[v])
@@ -808,9 +825,9 @@ def parse_plane(text: str) -> PlaneGraph:
     ``build`` checks the rotation system (its PlaneError -> FormatError).
 
     Vertex ids are interned: every in-range endpoint of an ``e`` record is
-    the one int object first read for that id, so ``edges``, ``tail`` and
-    ``head``, and what is built from them (a BFS tree, a trigraph's sets),
-    hold one object per vertex, not one per dart.
+    the one int object first read for that id, so ``tail`` and ``head``,
+    and what is built from them (a BFS tree, a trigraph's sets), hold one
+    object per vertex, not one per dart.
     """
     n = m = -1
     edges: list[tuple[int, int] | None] = []
@@ -953,11 +970,9 @@ def embed_abstract(n: int, edges: Sequence[tuple[int, int]]) -> PlaneGraph:
     if not ok:
         raise PlaneError("graph is not planar")
     eidx: dict[tuple[int, int], int] = {}
-    elist: list[tuple[int, int]] = []
     for i, (u, v) in enumerate(edges):
         eidx[(u, v)] = 2 * i
         eidx[(v, u)] = 2 * i + 1
-        elist.append((u, v))
     rotations: list[list[int]] = []
     for v in range(n):
         if G.degree(v):
@@ -968,7 +983,7 @@ def embed_abstract(n: int, edges: Sequence[tuple[int, int]]) -> PlaneGraph:
         rotations.append([eidx[(v, w)] for w in reversed(nbrs)])
     # the face walks do not depend on the outer dart, so the marker moves
     # onto the longest face without a second build
-    g = build(n, elist, rotations, 0)
+    g = build(n, edges, rotations, 0)
     best = max(range(len(g.face_len)), key=g.face_len.__getitem__)
     if g.m:
         g.outer_dart, g.outer_face = g.faces[best][0], best

@@ -20,7 +20,7 @@ from __future__ import annotations
 from .buildctx import (BuildCtx, BuilderError, check_mode, climb,
                        fold_contract, merge_survivors, run_trampoline)
 from .layering import BfsTree, check_left_aligned, left_aligned_bfs_tree
-from .plane_graph import PlaneGraph, connect_components, pause_gc, triangulate
+from .plane_graph import PlaneGraph, connect_components, pairs, pause_gc, triangulate
 from .trigraph import (ContractionSequence, WidthReport, restrict_sequence,
                        verify_sequence)
 
@@ -393,7 +393,7 @@ def verified(g0: PlaneGraph, seq0: ContractionSequence,
     sees every verified build of both modes.  Call it once ``run_pipeline``'s
     working set is dropped: its trigraph is the largest structure of a
     verified build."""
-    report = verify_sequence(g0.n, g0.edges, seq0)
+    report = verify_sequence(g0.n, pairs(g0.tail), seq0)
     if report.width > width_bound:
         raise BuilderError(
             f"verified width {report.width} exceeds the bound {width_bound}")

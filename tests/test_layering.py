@@ -393,8 +393,8 @@ def _with_parallel_copies(g, every):
     rot = [list(r) for r in g.rot]
     for e in range(0, g.m, every):
         c = len(edges)
-        edges.append(g.edges[e])
-        u, v = g.edges[e]
+        edges.append(edges[e])
+        u, v = edges[e]
         after = 1 - (e & 1)
         rot[u].insert(rot[u].index(2 * e) + after, 2 * c)
         rot[v].insert(rot[v].index(2 * e + 1) + 1 - after, 2 * c + 1)

@@ -107,6 +107,22 @@ def test_build_rejects_nonplanar_rotation():
         pg.build(g.n, g.edges, rots, g.outer_dart)
 
 
+@pytest.mark.parametrize("edge, msg", [
+    ((0, 1, 2), "edge 1 is not a pair of vertex ids: (0, 1, 2)"),
+    ((0,), "edge 1 is not a pair of vertex ids: (0,)"),
+    (5, "edge 1 is not a pair of vertex ids: 5"),
+    ((0, "1"), "edge 1 is not a pair of vertex ids: (0, '1')"),
+    ((0.0, 1), "edge 1 is not a pair of vertex ids: (0.0, 1)"),
+], ids=["triple", "single", "bare-int", "str-id", "float-id"])
+def test_build_refuses_an_edge_that_is_no_pair_of_ids(edge, msg):
+    # two parallel edges 0-1, the second one bad, its darts listed where a
+    # good copy's would be: a shape fails to unpack, and an id that is no
+    # int fails the loop check's xor; a 3-tuple would otherwise shift every
+    # later edge in the flat tail, and 0.0 would pass every comparison
+    with pytest.raises(pg.PlaneError, match=f"^{re.escape(msg)}$"):
+        pg.build(2, [(0, 1), edge], [[0, 2], [1, 3]], 0)
+
+
 # -- triangulate --------------------------------------------------------------
 
 
@@ -328,7 +344,7 @@ def _separate_square(sp):
     """A new 4-cycle joined to nothing old: a second component."""
     ring, fwd = pg._ring(sp, 4)
     for i, x in enumerate(ring):
-        sp.set_new_rotation(x, [fwd[i], fwd[i - 1] ^ 1])
+        sp.new_rot[x] = [fwd[i], fwd[i - 1] ^ 1]
     return ring[0]
 
 
@@ -349,7 +365,7 @@ def _ring_and_square_fill(sp, walk, tail):
 def _fill_outer_walk(g0, what, k, fill):
     # the raw driver, handed the fields of a plain grid and its outer walk
     # alone, as gen_grid hands it its arrays
-    return pg._fill_faces(g0.n, g0.edges, g0.rot, g0.tail, [g0.outer_walk()],
+    return pg._fill_faces(g0.n, g0.rot, g0.tail, [g0.outer_walk()],
                           g0.outer_dart, what, k, fill)
 
 
@@ -903,10 +919,31 @@ def test_a_parsed_graph_holds_no_face_walks():
         tracemalloc.stop()
     assert [k for k, v in vars(g).items()
             if isinstance(v, list) and v and isinstance(v[0], list)] == ["rot"]
-    # 689 B per vertex on CPython 3.11.7, 737 with each dart's rotation
-    # index stored and 988 with every walk stored as well; the cap leaves 7%
-    # for other interpreter builds
-    assert held / g.n < 740
+    assert "edges" not in vars(g)
+    # 519 B per vertex on CPython 3.11.7, 689 with the edges stored as
+    # tuples too, 737 with each dart's rotation index stored as well and 988
+    # with every walk; the cap leaves 7% for other interpreter builds
+    assert held / g.n < 556
+
+
+def test_a_build_reads_the_edges_only_from_tail(monkeypatch):
+    # PlaneGraph.edges pairs up tail for readers outside the library; no
+    # stage of a verified build, the checker included, reads it.  The
+    # inputs are disconnected and have isolated vertices, so connect and the
+    # completion's stacking run too.
+    inputs = {"planar": _thinned(gen_triangulation(200, 3), 4),
+              "bipartite": _thinned(gen_grid(12, 17), 5)}
+    for g0 in inputs.values():
+        assert g0.ncomp > 1 and [] in g0.rot
+
+    def refuse(g):
+        raise AssertionError("PlaneGraph.edges read")
+
+    monkeypatch.setattr(pg.PlaneGraph, "edges", property(refuse))
+    for mode, run in (("planar", planar_sequence), ("bipartite", bipartite_sequence)):
+        for checker in (None, InvariantChecker(mode)):
+            seq, rep = run(inputs[mode], checker=checker)
+            assert seq.n == inputs[mode].n and rep.full
 
 
 def test_parse_plane_errors():

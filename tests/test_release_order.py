@@ -98,7 +98,7 @@ def test_finalize_drops_the_splicer_maps_before_build(monkeypatch, mode):
     _spy(monkeypatch, pg._Splicer, "__init__",
          after=lambda _, sp, *args: made.append(sp))
     _spy(monkeypatch, pg, "build", before=lambda *_: at_build.append(
-        [(sp.after, sp.new_rot, sp.tail_extra) for sp in made]))
+        [(sp.after, sp.new_rot, sp.tail) for sp in made]))
     build(g0)
     # connect's finalize, then the completion's
     none = (None, None, None)
